@@ -3,13 +3,13 @@ GO ?= go
 # The verify chain is what CI (and any contributor) runs before a
 # merge: full build, vet, the armvet static-analysis suite, the whole
 # test suite, the concurrency packages again under the race detector
-# (including the simulator's direct-dispatch scheduler), the
+# (including the simulator's coroutine handoff), the
 # cycle-attribution conservation invariant over the fast golden
 # subset, then the perf-regression gate against the committed
 # BENCH_sim.json. `-run 'Test'` keeps the race pass on the (fast)
 # unit tests rather than the benchmarks. scalecheck re-runs the
-# 256-core barrier smoke under the race detector so the many-core
-# scheduler path is exercised at scale on every merge.
+# 256-core barrier smoke under the race detector so the scheduler's
+# driver loop is exercised at scale on every merge.
 .PHONY: verify
 verify: build vet lint test race scalecheck profilecheck cachecheck fencecheck perfcheck
 
@@ -38,7 +38,7 @@ race:
 	$(GO) test -race -run Test ./internal/runner ./internal/core ./internal/sim ./internal/sb ./internal/progress ./internal/serve
 
 # Many-core smoke under the race detector: a 256-thread sense-reversing
-# barrier run drives the direct-dispatch scheduler, the sharded
+# barrier run drives the scheduler's driver loop, the sharded
 # directory bitsets and the compiled engine at scale-out thread counts
 # that the ordinary race pass never reaches.
 .PHONY: scalecheck
@@ -87,11 +87,11 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # Simulator hot-path microbenchmarks (rendezvous, store commit, DMB,
-# cache lookup, directory bitsets at 1024 cores, barrier scaling,
-# explorer throughput).
+# compiled dispatch, cache lookup, directory bitsets at 1024 cores,
+# barrier scaling, explorer throughput, 12-thread lock handoff).
 .PHONY: bench-sim
 bench-sim:
-	$(GO) test -run '^$$' -bench 'Rendezvous|StoreCommit|StoreDMB|CellCacheHit|DirectoryRank|DirectorySharerChurn|BarrierScale|ExploreStates' -benchmem ./internal/sim ./internal/cellcache ./internal/mesi ./internal/barrier ./internal/explore
+	$(GO) test -run '^$$' -bench 'Rendezvous|StoreCommit|StoreDMB|CompiledDispatch|CellCacheHit|DirectoryRank|DirectorySharerChurn|BarrierScale|ExploreStates|LockHandoff' -benchmem ./internal/sim ./internal/cellcache ./internal/mesi ./internal/barrier ./internal/explore ./internal/locks
 
 # Regenerate the committed BENCH_sim.json snapshot from bench-sim.
 .PHONY: bench-snapshot

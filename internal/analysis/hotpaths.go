@@ -37,25 +37,27 @@ var DeterministicPackages = map[string]bool{
 //
 // Deliberately excluded: addrTimes.grow and Directory.line (rare
 // resize / lazy-init paths that allocate by design and are amortized
-// away), Machine.fatalLocked / Machine.stuckReport / Machine.finishThread
-// (error and shutdown paths), and everything the benchmarks never
-// reach. Fixture functions opt in with an `// armvet:hotpath` doc
-// marker instead of being listed here.
+// away), Machine.prime (once per thread: it creates the coroutines),
+// Machine.fatalStuck / Machine.stuckReport / Machine.guarded /
+// Machine.stopThreads / Machine.finishThread (error and shutdown
+// paths), and everything the benchmarks never reach. Fixture
+// functions opt in with an `// armvet:hotpath` doc marker instead of
+// being listed here.
 var HotPathFuncs = map[string]bool{
-	// Scheduler rendezvous (internal/sim/sched.go).
-	"armbar/internal/sim.Thread.dispatch":     true,
-	"armbar/internal/sim.Thread.park":         true,
-	"armbar/internal/sim.Thread.grant":        true,
-	"armbar/internal/sim.Machine.safeProcess": true,
-	"armbar/internal/sim.Machine.noteServed":  true,
-	"armbar/internal/sim.runHeap.len":         true,
-	"armbar/internal/sim.runHeap.min":         true,
-	"armbar/internal/sim.runLess":             true,
-	"armbar/internal/sim.runHeap.push":        true,
-	"armbar/internal/sim.runHeap.fix":         true,
-	"armbar/internal/sim.runHeap.remove":      true,
-	"armbar/internal/sim.runHeap.up":          true,
-	"armbar/internal/sim.runHeap.down":        true,
+	// Scheduler (internal/sim/sched.go): the driver loop, the closure
+	// threads' op loop and their coroutine handoff, and the run heap.
+	"armbar/internal/sim.Machine.drive":      true,
+	"armbar/internal/sim.Thread.dispatch":    true,
+	"armbar/internal/sim.Thread.suspend":     true,
+	"armbar/internal/sim.Machine.noteServed": true,
+	"armbar/internal/sim.runHeap.len":        true,
+	"armbar/internal/sim.runHeap.min":        true,
+	"armbar/internal/sim.runLess":            true,
+	"armbar/internal/sim.runHeap.push":       true,
+	"armbar/internal/sim.runHeap.fix":        true,
+	"armbar/internal/sim.runHeap.remove":     true,
+	"armbar/internal/sim.runHeap.up":         true,
+	"armbar/internal/sim.runHeap.down":       true,
 
 	// Operation engine (internal/sim/thread.go, machine.go).
 	"armbar/internal/sim.Thread.op":            true,
@@ -80,33 +82,31 @@ var HotPathFuncs = map[string]bool{
 	"armbar/internal/sim.Machine.invProc":      true,
 	"armbar/internal/sim.Machine.emit":         true,
 
-	// Compiled-engine dispatch loop (internal/sim/compiled.go).
+	// Compiled-engine step (internal/sim/compiled.go), which the
+	// driver loop calls once per op of a compiled thread.
 	// BenchmarkCompiledDispatch pins the whole program-execution path
 	// at 0 allocs/op.
-	"armbar/internal/sim.Thread.exec":          true,
-	"armbar/internal/sim.Machine.execSolo":     true,
-	"armbar/internal/sim.Machine.safeExecStep": true,
-	"armbar/internal/sim.Machine.execStep":     true,
-	"armbar/internal/sim.execEnv.addr":         true,
-	"armbar/internal/sim.execEnv.value":        true,
-	"armbar/internal/sim.execEnv.stepControl":  true,
-	"armbar/internal/sim.execEnv.done":         true,
-	"armbar/internal/sim.execLoad":             true,
-	"armbar/internal/sim.execLoadAcq":          true,
-	"armbar/internal/sim.execLoadAcqPC":        true,
-	"armbar/internal/sim.execStore":            true,
-	"armbar/internal/sim.execStoreRel":         true,
-	"armbar/internal/sim.execBarrier":          true,
-	"armbar/internal/sim.execWork":             true,
-	"armbar/internal/sim.execFetchAdd":         true,
-	"armbar/internal/sim.execSwap":             true,
-	"armbar/internal/sim.execCAS":              true,
-	"armbar/internal/sim.execRMW":              true,
-	"armbar/internal/sim.execSpinEQ":           true,
-	"armbar/internal/sim.execSpinNE":           true,
-	"armbar/internal/sim.execSpinGE":           true,
-	"armbar/internal/sim.storeStall":           true,
-	"armbar/internal/sim.rmwStall":             true,
+	"armbar/internal/sim.Machine.execStep":    true,
+	"armbar/internal/sim.execEnv.addr":        true,
+	"armbar/internal/sim.execEnv.value":       true,
+	"armbar/internal/sim.execEnv.stepControl": true,
+	"armbar/internal/sim.execEnv.done":        true,
+	"armbar/internal/sim.execLoad":            true,
+	"armbar/internal/sim.execLoadAcq":         true,
+	"armbar/internal/sim.execLoadAcqPC":       true,
+	"armbar/internal/sim.execStore":           true,
+	"armbar/internal/sim.execStoreRel":        true,
+	"armbar/internal/sim.execBarrier":         true,
+	"armbar/internal/sim.execWork":            true,
+	"armbar/internal/sim.execFetchAdd":        true,
+	"armbar/internal/sim.execSwap":            true,
+	"armbar/internal/sim.execCAS":             true,
+	"armbar/internal/sim.execRMW":             true,
+	"armbar/internal/sim.execSpinEQ":          true,
+	"armbar/internal/sim.execSpinNE":          true,
+	"armbar/internal/sim.execSpinGE":          true,
+	"armbar/internal/sim.storeStall":          true,
+	"armbar/internal/sim.rmwStall":            true,
 
 	// Cycle-attribution profiler (internal/sim/profile.go): every
 	// clock advance in both engines funnels through these, profiled

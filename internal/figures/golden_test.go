@@ -31,7 +31,7 @@ const (
 	goldenAllDigest  = "7e1ab12f20cf7887ed65f5f4e0d6c1318553b34b0281387c4cdd1f24cd39b2b0"
 )
 
-// TestQuickOutputDigest is the direct-dispatch scheduler's determinism
+// TestQuickOutputDigest is the scheduler's determinism
 // regression: the engine must keep serving threads in min-(time,id)
 // order with an unchanged rng sequence, byte for byte.
 func TestQuickOutputDigest(t *testing.T) {

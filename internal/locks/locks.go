@@ -233,9 +233,9 @@ func Bench(cfg BenchConfig) BenchResult {
 	}
 
 	totalOps := cfg.Threads * cfg.Ops
-	// Thread closures run strictly one-at-a-time (every simulator op is
-	// a rendezvous with the single scheduler goroutine), so this plain
-	// counter is safely shared.
+	// Thread closures run strictly one at a time (the scheduler serves
+	// one thread at a time, on Run's goroutine), so this plain counter
+	// is safely shared.
 	remaining := int64(cfg.Threads)
 	for i := 0; i < cfg.Threads; i++ {
 		i := i

@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"armbar/internal/platform"
+	"armbar/internal/sim"
 )
 
 func TestMapOrderIndependentOfPoolSize(t *testing.T) {
@@ -178,6 +181,49 @@ func TestPanicIsolatedToCell(t *testing.T) {
 		}
 		if v != i*i {
 			t.Fatalf("cell %d = %d, want %d", i, v, i*i)
+		}
+	}
+}
+
+func TestSimThreadPanicIsolatedToCell(t *testing.T) {
+	// A panic inside a simulated thread's body, between two of its
+	// ops, runs on the coroutine Machine.Run drives; it must come out
+	// of Run on the worker goroutine and fail only its own cell.
+	p := New(2)
+	defer p.Close()
+	const n = 6
+	futs := make([]*Future[uint64], n)
+	for i := 0; i < n; i++ {
+		i := i
+		futs[i] = Submit(p, func() uint64 {
+			m := sim.New(sim.Config{Plat: platform.Kunpeng916(), Seed: int64(i)})
+			ctr := m.Alloc(1)
+			for k := 0; k < 3; k++ {
+				m.Spawn(0, func(th *sim.Thread) {
+					for j := 0; j < 40; j++ {
+						if th.FetchAdd(ctr, 1) == 50 && i == 3 {
+							panic("sim body boom")
+						}
+					}
+				})
+			}
+			m.Run()
+			return m.Directory().Committed(ctr)
+		})
+	}
+	for i, f := range futs {
+		v, err := f.TryGet()
+		if i == 3 {
+			if err == nil || !strings.Contains(err.Error(), "sim body boom") {
+				t.Fatalf("cell 3 must report the thread's panic as an error, got %v", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("healthy cell %d failed: %v", i, err)
+		}
+		if v != 120 {
+			t.Fatalf("cell %d counted %d, want 120", i, v)
 		}
 	}
 }

@@ -13,12 +13,13 @@ import (
 // machine-visible op dispatches through the per-opcode function table
 // below with no request staging and no per-op switch, and free control
 // codes (jumps, counted-loop backedges) fold into pc updates between
-// dispatches. The executor participates in the direct-dispatch
-// scheduler (sched.go) exactly like the interpreted path: ops are
-// serviced in global min-(now, id) order, retries advance only the
-// thread's clock, and noteServed sees the identical service sequence —
-// which is why the golden digests and the differential engine test
-// hold bit-for-bit across engines.
+// dispatches. Such a thread needs no coroutine: the scheduler's driver
+// loop (sched.go) steps it one op at a time whenever it is the run-heap
+// minimum. Ops are therefore serviced in the same global min-(now, id)
+// order as closure threads', retries advance only the thread's clock,
+// and noteServed sees the identical service sequence, which is why the
+// golden digests and the differential engine test hold bit-for-bit
+// across engines.
 
 // SpawnProgram starts a simulated thread pinned to the given core
 // executing the compiled program. Like Spawn, it must be called before
@@ -28,12 +29,14 @@ func (m *Machine) SpawnProgram(core topo.CoreID, p *prog.Program) *Thread {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("sim: SpawnProgram: %v", err))
 	}
-	return m.Spawn(core, func(t *Thread) { t.exec(p) })
+	t := m.spawn(core)
+	t.env = execEnv{ops: p.Ops, tables: p.Tables}
+	return t
 }
 
 // execEnv is the executor's per-run state: the flat op array, the
-// program counter, and the loop counters. It lives on the thread
-// goroutine's stack — running a program allocates nothing.
+// program counter, and the loop counters. It lives in the Thread, in
+// the machine's thread arena: running a program allocates nothing.
 type execEnv struct {
 	ops      []prog.Op
 	tables   [][]uint64
@@ -99,93 +102,10 @@ func badControlCycle() {
 // done reports whether the program has run to completion.
 func (e *execEnv) done() bool { return int(e.pc) >= len(e.ops) }
 
-// exec drives the program through the scheduler on the thread's own
-// goroutine. It mirrors Thread.dispatch op for op: the solo fast path
-// holds the machine for the whole program; the general path keeps the
-// thread in the run queue between ops (re-keying it with fix), which
-// yields the same min-(now, id) service order as the interpreted
-// engine's remove-and-repush — (time, id) keys are unique, so the heap
-// minimum is the same thread either way.
-func (t *Thread) exec(p *prog.Program) {
-	var e execEnv
-	e.ops = p.Ops
-	e.tables = p.Tables
-	e.stepControl()
-	if e.done() {
-		return
-	}
-	m := t.m
-	m.mu.Lock()
-	if m.started && m.alive == 1 {
-		m.execSolo(t, &e)
-		m.mu.Unlock()
-		return
-	}
-	m.runq.push(t)
-	for {
-		if m.started && m.runq.len() == m.alive {
-			if m.runq.min() == t {
-				if t.now > m.cfg.MaxTime {
-					m.fatalStuck(t)
-				}
-				if m.safeExecStep(t, &e) && e.done() {
-					m.runq.remove(t.heapIdx)
-					m.mu.Unlock()
-					return
-				}
-				// Retried (clock advanced) or more ops to run: re-key and
-				// re-evaluate the gate.
-				m.runq.fix(t.heapIdx)
-				continue
-			}
-			// Someone else must run first: hand them the machine.
-			m.runq.min().grant()
-		}
-		m.mu.Unlock()
-		t.park()
-		m.mu.Lock()
-	}
-}
-
-// execSolo runs the whole program while holding the machine: with one
-// live thread nothing can preempt it, so the per-op lock round trips
-// of the interpreted solo path disappear entirely. One deferred
-// recover covers the run (the watchdog report, a directory panic)
-// because fatalLocked never returns.
-//
-// armvet:holds mu
-func (m *Machine) execSolo(t *Thread, e *execEnv) {
-	defer func() { //armvet:ignore allocvet — open-coded defer, once per program run
-		if p := recover(); p != nil {
-			m.fatalLocked(p)
-		}
-	}()
-	for !e.done() {
-		if t.now > m.cfg.MaxTime {
-			m.fatalStuck(t)
-		}
-		m.execStep(t, e)
-	}
-}
-
-// safeExecStep is execStep behind the panic-to-fatal contract of
-// safeProcess: a panic while dispatching surfaces from Run on the
-// caller's goroutine.
-func (m *Machine) safeExecStep(t *Thread, e *execEnv) (ok bool) {
-	defer func() { //armvet:ignore allocvet — open-coded defer; perf gate measures 0 allocs/op
-		if p := recover(); p != nil {
-			m.fatalLocked(p)
-		}
-	}()
-	return m.execStep(t, e)
-}
-
 // execStep dispatches the machine-visible op at pc. It returns false
 // when the op could not run yet and only advanced the thread's clock
 // (same retry contract as process); on success it advances pc and
 // folds any following control ops.
-//
-// armvet:holds mu
 func (m *Machine) execStep(t *Thread, e *execEnv) bool {
 	m.retireStores(t.now)
 	m.now = t.now

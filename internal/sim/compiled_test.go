@@ -13,7 +13,7 @@ import (
 // Tests of the compiled engine: the differential check against the
 // interpreted engine (identical traces, stats, memory, and clock at
 // several seeds), and the scheduler edge cases — store-buffer-full
-// retry, the watchdog, a program finishing while peers are parked —
+// retry, the watchdog, a program finishing while peers still run —
 // rerun through SpawnProgram. These run under `make race`.
 
 // recTracer records every event for byte-for-byte comparison.
@@ -148,9 +148,10 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestCompiledSoloMatchesInterp checks the solo fast path (execSolo
-// holds the machine for the whole program) against the interpreted
-// solo loop.
+// TestCompiledSoloMatchesInterp checks a lone compiled thread (the
+// driver loop steps it op after op, never handing off) against the
+// interpreted solo loop (one coroutine resumed once, processing every
+// op inline).
 func TestCompiledSoloMatchesInterp(t *testing.T) {
 	run := func(compiled bool) (float64, Stats, uint64) {
 		m := newTestMachine(WMM, 21)
@@ -185,7 +186,7 @@ func TestCompiledSoloMatchesInterp(t *testing.T) {
 // TestCompiledStoreBufferFullRetry is TestStoreBufferFullRetry through
 // SpawnProgram: the burst overruns the buffer, execStore returns false
 // (clock advanced to the earliest commit), and the thread retries from
-// the run queue without losing a store.
+// the run heap without losing a store.
 func TestCompiledStoreBufferFullRetry(t *testing.T) {
 	m := newTestMachine(WMM, 9)
 	entries := m.cfg.Plat.Cost.StoreBufferEntries
@@ -243,7 +244,8 @@ func TestCompiledWatchdogFires(t *testing.T) {
 	m.Run()
 }
 
-// TestCompiledWatchdogFiresSolo covers the execSolo watchdog check.
+// TestCompiledWatchdogFiresSolo covers the driver loop's watchdog
+// check with a lone compiled thread.
 func TestCompiledWatchdogFiresSolo(t *testing.T) {
 	defer func() {
 		r := recover()
@@ -263,9 +265,9 @@ func TestCompiledWatchdogFiresSolo(t *testing.T) {
 }
 
 // TestCompiledThreadFinishesWhileOthersParked reruns the
-// finish-while-parked edge case with every thread compiled: the short
-// program retires first and finishThread must hand the machine to the
-// new run-queue minimum.
+// finish-while-others-run edge case with every thread compiled: the
+// short program retires first and finishThread must leave the run heap
+// so the driver serves the new minimum.
 func TestCompiledThreadFinishesWhileOthersParked(t *testing.T) {
 	m := newTestMachine(WMM, 5)
 	a, b, c := m.Alloc(1), m.Alloc(1), m.Alloc(1)
@@ -295,8 +297,8 @@ func TestCompiledThreadFinishesWhileOthersParked(t *testing.T) {
 }
 
 // TestMixedEngines runs one compiled and one interpreted thread in the
-// same machine — SpawnProgram is just Spawn with a compiled body, so
-// the engines must compose.
+// same machine — the driver loop serves both kinds from one run heap,
+// so the engines must compose.
 func TestMixedEngines(t *testing.T) {
 	m := newTestMachine(WMM, 17)
 	data, flag := m.Alloc(1), m.Alloc(1)

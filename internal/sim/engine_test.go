@@ -1,23 +1,28 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
+	"armbar/internal/isa"
 	"armbar/internal/platform"
+	"armbar/internal/prog"
+	"armbar/internal/topo"
 )
 
-// Edge cases of the direct-dispatch scheduler: threads finishing while
-// others are parked, the watchdog firing from a multi-thread dispatch,
-// the store-buffer-full retry loop, and the dispatch counters.
+// Edge cases of the scheduler: threads finishing while others wait,
+// the watchdog firing with several live threads, the store-buffer-full
+// retry loop, the dispatch counters, and panics (from a thread body or
+// from serving an op) surfacing from Run without leaking goroutines.
 
 func TestThreadFinishesWhileOthersParked(t *testing.T) {
 	m := newTestMachine(WMM, 5)
 	a, b, c := m.Alloc(1), m.Alloc(1), m.Alloc(1)
 	var short, long1, long2 uint64
 	// The short thread retires after one op while both long threads
-	// still have work parked; finishThread must hand the machine to the
-	// new minimum or the run deadlocks.
+	// still have work pending; finishThread must leave the run heap so
+	// the driver serves the new minimum.
 	m.Spawn(0, func(th *Thread) {
 		short = th.FetchAdd(a, 1)
 	})
@@ -48,9 +53,9 @@ func TestThreadFinishesWhileOthersParked(t *testing.T) {
 }
 
 func TestWatchdogFiresWithThreadsParked(t *testing.T) {
-	// Unlike TestWatchdogPanicsOnStuckSpin (one thread, solo fast
-	// path), this pins two live threads in the run queue so the
-	// watchdog triggers from the parked/woken dispatch path; the panic
+	// Unlike TestWatchdogPanicsOnStuckSpin (one thread, which never
+	// hands off), this pins two live threads in the run heap so the
+	// watchdog triggers while the other thread is suspended; the panic
 	// must still surface from Run on the caller's goroutine.
 	defer func() {
 		r := recover()
@@ -76,9 +81,9 @@ func TestWatchdogFiresWithThreadsParked(t *testing.T) {
 
 func TestStoreBufferFullRetry(t *testing.T) {
 	// A store burst far beyond the buffer capacity forces process to
-	// return false (issue stalls until a slot drains); under direct
-	// dispatch the thread must stay queued with its advanced clock and
-	// retry, never losing a store.
+	// return false (issue stalls until a slot drains); the thread must
+	// stay in the run heap with its advanced clock and retry, never
+	// losing a store.
 	m := newTestMachine(WMM, 9)
 	entries := m.cfg.Plat.Cost.StoreBufferEntries
 	burst := 6 * entries
@@ -89,8 +94,8 @@ func TestStoreBufferFullRetry(t *testing.T) {
 			th.Store(a+uint64(i)<<6, uint64(i)+1)
 		}
 	})
-	// A second thread keeps the run queue in play so retries exercise
-	// the heap-fix path rather than the solo loop.
+	// A second thread keeps the run heap in play so retries exercise
+	// the heap-fix path with another thread to hand off to.
 	m.Spawn(4, func(th *Thread) {
 		for i := 0; i < burst; i++ {
 			th.Store(peer, uint64(i))
@@ -154,5 +159,125 @@ func TestDispatchCountersTwoThreads(t *testing.T) {
 	// deterministic as the rest of Stats.
 	if s2 := run(); s2 != s {
 		t.Fatalf("dispatch counters not deterministic:\n%+v\n%+v", s, s2)
+	}
+}
+
+// panicValue runs f and returns what it panicked with (nil if it
+// returned normally).
+func panicValue(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// errInvariant is a thread body's own panic value; Run must re-raise
+// this exact value, not a wrapper.
+type errInvariant struct{ thread int }
+
+func (e *errInvariant) Error() string { return "workload invariant broken" }
+
+func TestThreadBodyPanicSurfacesFromRun(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		m := newTestMachine(WMM, 3)
+		a := m.Alloc(1)
+		want := &errInvariant{}
+		for i := 0; i < threads; i++ {
+			i := i
+			m.Spawn(topo.CoreID(4*i), func(th *Thread) {
+				for j := 0; j < 50; j++ {
+					th.FetchAdd(a, 1)
+					if i == threads-1 && j == 20 {
+						panic(want) // between two ops, not inside one
+					}
+				}
+			})
+		}
+		if got := panicValue(func() { m.Run() }); got != want {
+			t.Fatalf("%d threads: Run panicked with %v, want the body's own value", threads, got)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%d threads: %d goroutines after the panic, want %d", threads, n, base)
+		}
+	}
+}
+
+func TestThreadBodyPanicBeforeFirstOp(t *testing.T) {
+	base := runtime.NumGoroutine()
+	m := newTestMachine(WMM, 3)
+	a := m.Alloc(1)
+	m.Spawn(0, func(th *Thread) { th.Load(a) })
+	m.Spawn(4, func(th *Thread) { panic("no first op") })
+	m.Spawn(8, func(th *Thread) { th.Load(a) })
+	if got := panicValue(m.Settle); got != "no first op" {
+		t.Fatalf("Settle panicked with %v, want the body's value", got)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the panic, want %d", n, base)
+	}
+}
+
+// TestFatalLeavesNoGoroutines checks that a fatal raised while serving
+// an op (the watchdog, a bad barrier value) unwinds every suspended
+// thread: by the time Run's panic arrives the goroutine count is back
+// at its baseline, with one live thread and with several, on both
+// engines.
+func TestFatalLeavesNoGoroutines(t *testing.T) {
+	spinClosure := func(addr uint64) func(*Thread) {
+		return func(th *Thread) {
+			for th.Load(addr) != 99 { // never satisfied
+			}
+		}
+	}
+	badBarrier := func(th *Thread) {
+		th.Nops(50)
+		th.Barrier(isa.Barrier(250))
+	}
+	cases := []struct {
+		name    string
+		want    string
+		threads int
+		spawn   func(m *Machine, i int, addr uint64)
+	}{
+		{"watchdog", "watchdog", 1, func(m *Machine, i int, addr uint64) {
+			m.Spawn(topo.CoreID(i), spinClosure(addr))
+		}},
+		{"watchdog", "watchdog", 4, func(m *Machine, i int, addr uint64) {
+			m.Spawn(topo.CoreID(i), spinClosure(addr))
+		}},
+		{"bad-barrier", "unsupported barrier", 1, func(m *Machine, i int, addr uint64) {
+			m.Spawn(topo.CoreID(i), badBarrier)
+		}},
+		{"bad-barrier", "unsupported barrier", 4, func(m *Machine, i int, addr uint64) {
+			if i == 0 {
+				m.Spawn(0, badBarrier)
+				return
+			}
+			m.Spawn(topo.CoreID(i), spinClosure(addr))
+		}},
+		{"compiled-watchdog", "watchdog", 4, func(m *Machine, i int, addr uint64) {
+			if i == 0 {
+				pb := prog.NewBuilder(m.cfg.Plat.Cost.IssueWidth)
+				pb.SpinEQ(prog.Abs(addr), 99, 0)
+				m.SpawnProgram(0, pb.MustBuild())
+				return
+			}
+			m.Spawn(topo.CoreID(i), spinClosure(addr))
+		}},
+	}
+	for _, c := range cases {
+		base := runtime.NumGoroutine()
+		m := New(Config{Plat: platform.RaspberryPi4(), Mode: WMM, Seed: 3, MaxTime: 1e6})
+		addr := m.Alloc(1)
+		for i := 0; i < c.threads; i++ {
+			c.spawn(m, i, addr)
+		}
+		got := panicValue(func() { m.Run() })
+		if s, _ := got.(string); !strings.Contains(s, c.want) {
+			t.Fatalf("%s/%d threads: Run panicked with %v, want %q", c.name, c.threads, got, c.want)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s/%d threads: %d goroutines after the fatal, want %d", c.name, c.threads, n, base)
+		}
 	}
 }

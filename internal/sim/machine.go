@@ -1,12 +1,13 @@
 // Package sim is an execution-driven, discrete-event simulator of an
 // ARM-style weakly-ordered multiprocessor. Simulated threads are
-// ordinary Go closures running against a *Thread handle; every memory
-// access, barrier, or batch of local work enters the machine's
-// direct-dispatch scheduler (see sched.go): the machine is a monitor,
-// and the calling thread executes its own op inline as soon as it is
-// the runnable thread with the smallest virtual time — parking on a
-// per-thread wait slot only when another thread must run first. Given
-// one seed, a run is fully deterministic.
+// ordinary Go closures running against a *Thread handle, or compiled
+// micro-op programs (package prog). One driver loop on the goroutine
+// that calls Run serves every memory access, barrier, or batch of local
+// work in global (virtual time, thread id) order (see sched.go). A
+// closure thread is a coroutine that executes its own ops inline while
+// it is the thread with the smallest virtual time, and yields to the
+// driver only when another thread must run first. Given one seed, a run
+// is fully deterministic.
 //
 // The model implements the mechanisms the paper identifies as the
 // sources of barrier cost on real ARM silicon:
@@ -26,9 +27,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"armbar/internal/ace"
 	"armbar/internal/mesi"
@@ -84,10 +83,10 @@ type Stats struct {
 	MaxEventHeap int    // high-water pending-commit heap depth
 	MaxStoreBuf  int    // high-water store-buffer occupancy (any thread)
 
-	// Direct-dispatch scheduler counters, derived from the service
-	// sequence (see noteServed): an op whose thread also ran the
-	// previous op was processed inline with no goroutine handoff; a
-	// change of serving thread implies one park and one wake.
+	// Scheduler counters, derived from the service sequence (see
+	// noteServed): an op whose thread also ran the previous op was
+	// processed inline with no handoff; a change of serving thread
+	// implies one handoff (historically one park and one wake).
 	InlineDispatches uint64
 	ParkWakes        uint64
 }
@@ -111,9 +110,8 @@ type Machine struct {
 	// a chunk stay valid because chunks are never reallocated, only new
 	// ones appended. Thread slabs grow exponentially (threadChunkMin up
 	// to threadChunkMax) so a 1024-thread machine costs a handful of
-	// allocations, and entries are padded to whole cache lines so one
-	// thread's scheduler atomics never false-share with its neighbor's.
-	threadArena []paddedThread
+	// allocations.
+	threadArena []Thread
 	threadSlab  int // next thread slab size (0 = start at threadChunkMin)
 	evArena     []event
 
@@ -121,24 +119,18 @@ type Machine struct {
 	eventSq uint64
 	freeEv  []*event // recycled commit events (see newEvent/recycle)
 
-	// Monitor state of the direct-dispatch scheduler (sched.go). mu
-	// guards everything below plus all simulation structures; threads
-	// mutate machine state only while holding it, one at a time, in
-	// the deterministic min-(now, id) service order. The armvet
-	// annotations make lockvet enforce that contract statically.
-	mu         sync.Mutex
-	runq       runHeap       // armvet:guardedby mu — live threads parked in dispatch
-	alive      int           // armvet:guardedby mu — spawned minus finished threads
-	lastServed *Thread       // armvet:guardedby mu — previous op's thread (see noteServed)
-	runDone    chan struct{} // armvet:guardedby mu — closed when the last thread finishes
-	fatal      any           // armvet:guardedby mu — panic value to re-raise from Run
-	finish     float64       // armvet:guardedby mu — max thread completion time so far
-	started    bool          // armvet:guardedby mu
-	done       bool          // armvet:guardedby mu
+	// Scheduler state (sched.go). Only the driver loop and the thread
+	// it is serving touch the machine, one at a time, so nothing here
+	// needs a lock.
+	runq       runHeap // live primed threads, keyed on (now, id)
+	primed     int     // threads[:primed] have been started up to their first op
+	lastServed *Thread // previous op's thread (see noteServed)
+	finish     float64 // max thread completion time so far
+	started    bool
 
 	nextAddr uint64
-	stats    Stats   // armvet:guardedby mu — snapshot readable after Run (see Stats)
-	now      float64 // armvet:guardedby mu — time of the last processed operation
+	stats    Stats   // snapshot readable after Run (see Stats)
+	now      float64 // time of the last processed operation
 	tracer   Tracer
 	profc    *ProfileCollector // latched from SetGlobalProfile at New; nil = dark
 }
@@ -156,7 +148,6 @@ func New(cfg Config) *Machine {
 		sys:      cfg.Plat.Sys,
 		cost:     &cfg.Plat.Cost,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		runDone:  make(chan struct{}),
 		nextAddr: 1 << mesi.LineShift, // keep address 0 unused
 	}
 	m.dir = mesi.NewDirectory(m.sys)
@@ -194,11 +185,6 @@ func (m *Machine) Alloc(lines int) uint64 {
 
 // SetInitial initializes committed memory before the run starts.
 func (m *Machine) SetInitial(addr, v uint64) {
-	// Spawned threads' goroutines are already live and take m.mu in
-	// dispatch, so the started check (and the directory write it
-	// orders) must hold the lock too — lockvet caught the bare read.
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.started {
 		panic("sim: SetInitial after Run")
 	}
@@ -206,57 +192,46 @@ func (m *Machine) SetInitial(addr, v uint64) {
 }
 
 // Spawn starts a simulated thread pinned to the given core running fn.
-// All Spawn calls must happen before Run. The goroutine starts
-// immediately, but its operations are held parked until Run arms the
-// scheduler.
+// All Spawn calls must happen before Run. fn runs as a coroutine that
+// Run drives (Settle, if called first, runs it up to its first op).
 func (m *Machine) Spawn(core topo.CoreID, fn func(*Thread)) *Thread {
-	if int(core) < 0 || int(core) >= m.sys.NumCores() {
-		panic(fmt.Sprintf("sim: core %d out of range", core))
-	}
-	t := newThread(m, len(m.threads), core)
-	m.mu.Lock()
-	if m.started {
-		m.mu.Unlock()
-		panic("sim: Spawn after Run")
-	}
-	m.threads = append(m.threads, t)
-	m.alive++
-	m.mu.Unlock()
-	go t.run(fn)
+	t := m.spawn(core)
+	t.body = fn
 	return t
 }
 
-// Settle blocks until every spawned thread has issued its first
-// operation and parked in the run queue awaiting Run. Spawn only
-// starts goroutines; on a single-P runtime none of them get to run —
-// and pay their one-time bookkeeping (execution environments, sudogs,
-// run-queue growth) — until the spawner first blocks, which is
-// normally inside Run. Benchmarks call Settle between spawning and
-// starting the timer so the measured region holds steady-state work
-// only. A no-op once every live thread is parked (or none were
-// spawned); must not be called after Run.
-func (m *Machine) Settle() {
-	for {
-		m.mu.Lock()
-		parked := m.runq.len() == m.alive
-		m.mu.Unlock()
-		if parked {
-			return
-		}
-		runtime.Gosched()
+// spawn registers a new thread with no body yet (Spawn and
+// SpawnProgram attach one).
+func (m *Machine) spawn(core topo.CoreID) *Thread {
+	if int(core) < 0 || int(core) >= m.sys.NumCores() {
+		panic(fmt.Sprintf("sim: core %d out of range", core))
 	}
+	if m.started {
+		panic("sim: Spawn after Run")
+	}
+	t := newThread(m, len(m.threads), core)
+	m.threads = append(m.threads, t)
+	return t
 }
 
-// Run arms the scheduler, lets all spawned threads execute to
-// completion (each processing its own ops inline, in min-(now, id)
-// order — see sched.go), and returns the final virtual time (the max
-// over thread completion times), in cycles. A fatal condition hit
-// while a thread was dispatching (the MaxTime watchdog, a bad barrier
-// value) re-panics here, on the caller's goroutine.
+// Settle primes every spawned thread: each closure runs up to its first
+// operation, and no operation is served. Run primes whatever Settle has
+// not, so calling it is optional. Benchmarks call it between spawning
+// and starting the timer, so the threads' one-time setup (coroutine
+// stacks, run-heap growth, whatever a body does before its first op)
+// stays out of the measured region. A no-op after Run.
+func (m *Machine) Settle() {
+	m.guarded(m.prime)
+}
+
+// Run serves every spawned thread to completion, each op in global
+// min-(now, id) order (see sched.go), and returns the final virtual
+// time (the max over thread completion times), in cycles. A panic in a
+// thread body, or a fatal condition raised while serving an op (the
+// MaxTime watchdog, a bad barrier value), propagates out of Run on the
+// caller's goroutine with its original value.
 func (m *Machine) Run() float64 {
-	m.mu.Lock()
 	if m.started {
-		m.mu.Unlock()
 		panic("sim: Run called twice")
 	}
 	m.started = true
@@ -267,22 +242,7 @@ func (m *Machine) Run() float64 {
 		cores[i] = t.core
 	}
 	m.span = m.fab.Span(cores)
-	if m.alive > 0 {
-		// Threads that issued their first op before Run are parked in
-		// the run queue; if every live thread is already there, hand
-		// the machine to the minimum. Otherwise the last thread to
-		// arrive in dispatch does so itself.
-		if m.runq.len() == m.alive {
-			m.runq.min().grant()
-		}
-		m.mu.Unlock()
-		<-m.runDone
-		m.mu.Lock()
-	}
-	if m.fatal != nil {
-		m.mu.Unlock()
-		panic(m.fatal)
-	}
+	m.guarded(m.drive)
 	finish := m.finish
 	// Drain every remaining commit so directory state is final. The
 	// heap yields commits in (time, seq) order directly; no further
@@ -294,11 +254,9 @@ func (m *Machine) Run() float64 {
 		}
 		m.apply(ev)
 	}
-	m.done = true
 	m.stats.MemTxns = m.fab.MemTxns
 	m.stats.SyncTxns = m.fab.SyncTxns
 	m.now = finish
-	m.mu.Unlock()
 	if reg := globalMetrics.Load(); reg != nil {
 		m.MetricsInto(reg)
 	}
@@ -309,9 +267,8 @@ func (m *Machine) Run() float64 {
 }
 
 // Stats returns the counters accumulated so far (complete after Run).
-// Run's return synchronizes the snapshot; callers read it from the
-// goroutine that called Run, not concurrently with it.
-func (m *Machine) Stats() Stats { return m.stats } //armvet:ignore lockvet — post-Run snapshot read
+// Read it from the goroutine that called Run, not concurrently with it.
+func (m *Machine) Stats() Stats { return m.stats }
 
 // Seconds converts a cycle count on this machine to seconds.
 func (m *Machine) Seconds(cycles float64) float64 {
@@ -349,24 +306,6 @@ const (
 	eventChunk     = 32
 )
 
-// threadLine is the false-sharing unit threads are padded to. A parked
-// thread's gstate word is spun on and CAS'd by itself and its waker;
-// rounding each arena entry to whole cache lines keeps that traffic off
-// every other thread's hot state.
-const threadLine = 64
-
-// paddedThread separates adjacent arena threads by one full dead cache
-// line. Any two bytes inside the same 64-byte-aligned line are less
-// than threadLine apart, so a gap of at least threadLine guarantees no
-// line ever holds live bytes of two threads — without computing
-// Thread's exact size (a Sizeof-in-array-length here would form an
-// invalid recursive type through Machine.threadArena). The 64-byte
-// overhead is noise next to the multi-KB Thread.
-type paddedThread struct {
-	t Thread
-	_ [threadLine]byte
-}
-
 // threadSlot carves one thread out of the machine's arena, growing the
 // slab size exponentially between refills.
 func (m *Machine) threadSlot() *Thread {
@@ -377,17 +316,15 @@ func (m *Machine) threadSlot() *Thread {
 		case m.threadSlab < threadChunkMax:
 			m.threadSlab *= 2
 		}
-		m.threadArena = make([]paddedThread, m.threadSlab)
+		m.threadArena = make([]Thread, m.threadSlab)
 	}
-	t := &m.threadArena[0].t
+	t := &m.threadArena[0]
 	m.threadArena = m.threadArena[1:]
 	return t
 }
 
 // newEvent takes a commit event off the free list, or carves a fresh
 // one out of the machine's arena.
-//
-// armvet:holds mu
 func (m *Machine) newEvent() *event {
 	if n := len(m.freeEv); n > 0 {
 		e := m.freeEv[n-1]
@@ -422,7 +359,6 @@ func (m *Machine) invProc() float64 {
 	return m.rng.Float64() * m.cost.InvalidationDelay
 }
 
-// armvet:holds mu
 func (m *Machine) schedule(ev *event) {
 	m.eventSq++
 	ev.seq = m.eventSq

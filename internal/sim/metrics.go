@@ -52,7 +52,7 @@ func SetMachineTracerFactory(f func() Tracer) {
 // automatically when a global registry is installed; it can also be
 // called directly after a standalone run.
 func (m *Machine) MetricsInto(reg *metrics.Registry) {
-	s := m.stats //armvet:ignore lockvet — post-Run snapshot, same contract as Stats()
+	s := m.stats
 	reg.Counter("sim_machines_total").Inc()
 	reg.Counter("sim_loads_total").Add(s.Loads)
 	reg.Counter("sim_stores_total").Add(s.Stores)
@@ -67,7 +67,7 @@ func (m *Machine) MetricsInto(reg *metrics.Registry) {
 	reg.Counter("sim_inline_dispatches_total").Add(s.InlineDispatches)
 	reg.Counter("sim_park_wakes_total").Add(s.ParkWakes)
 	reg.Gauge("sim_barrier_stall_cycles_total").Add(s.BarrierStalls)
-	reg.Gauge("sim_virtual_cycles_total").Add(m.now) //armvet:ignore lockvet — post-Run snapshot
+	reg.Gauge("sim_virtual_cycles_total").Add(m.now)
 	reg.Gauge("sim_event_heap_depth_max").Max(float64(s.MaxEventHeap))
 	reg.Gauge("sim_store_buffer_occupancy_max").Max(float64(s.MaxStoreBuf))
 	if total := s.EventAllocs + s.EventReuses; total > 0 {
@@ -78,10 +78,10 @@ func (m *Machine) MetricsInto(reg *metrics.Registry) {
 			float64(reuses) / float64(reuses+allocs))
 	}
 	if total := s.InlineDispatches + s.ParkWakes; total > 0 {
-		// Share of ops the direct-dispatch scheduler executed on the
-		// requesting goroutine with no handoff, cumulative across
-		// machines: 1.0 on single-thread machines, lower the more the
-		// service order ping-pongs between threads.
+		// Share of ops the scheduler served inline, with no handoff
+		// to another thread, cumulative across machines: 1.0 on
+		// single-thread machines, lower the more the service order
+		// ping-pongs between threads.
 		inline := reg.Counter("sim_inline_dispatches_total").Value()
 		parked := reg.Counter("sim_park_wakes_total").Value()
 		reg.Gauge("sim_inline_dispatch_rate").Set(

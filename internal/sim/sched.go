@@ -1,187 +1,189 @@
+//go:build go1.23
+
 package sim
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
-	"sync/atomic"
+	"iter"
 )
 
-// This file is the direct-dispatch scheduler: the machine is a monitor
-// (one mutex, per-thread wait slots) instead of a goroutine with
-// request/reply channels. A thread performing an operation acquires
-// the machine and, when it is the runnable thread with the smallest
-// (virtual time, id), executes the op's semantics inline as a plain
-// function call — no channel hop, no context switch. Otherwise it
-// parks on its wait slot and is woken by whichever thread's inline
-// processing (or completion) makes it the new minimum. On a machine
-// with a single live thread — every single-core measurement loop —
-// simulated operations therefore degenerate to function calls end to
-// end.
+// This file is the scheduler. Only one simulated thread ever runs at a
+// time, so the machine needs no lock: the goroutine that calls Run owns
+// it, and one driver loop (drive) serves every op in global
+// min-(now, id) order from the run heap.
 //
-// The service order is exactly the channel engine's: an op runs only
-// once every live thread has an op pending (all are inside dispatch)
-// and it belongs to the minimum-(now, id) thread, so the rng draw
-// sequence — and with it every simulated number — is unchanged.
+// Closure threads (Spawn) run as iter.Pull coroutines. A resumed thread
+// processes its own ops inline, as plain function calls, for as long as
+// it stays the heap minimum, and yields back to the driver only at the
+// entry of an op that another thread must serve first. A thread that
+// keeps the minimum (every single-thread measurement loop) never
+// switches at all. Compiled threads (SpawnProgram) have no coroutine:
+// the driver steps their programs one op at a time.
+//
+// The service order is that of every earlier engine: no op is served
+// until every thread has been primed up to its first op, and the next
+// op always belongs to the live thread with the smallest (virtual time,
+// id). Only a served op moves a clock, so a thread between two ops
+// already holds the heap key its next op will have, and a thread whose
+// body returns retires (finishThread) before the next op is served. The
+// rng draw sequence, and with it every simulated number, is unchanged.
 
-// dispatch submits the op staged in t.req, blocks (logically) until
-// the scheduler's ordering rules let it run, and returns its result.
-// The calling goroutine itself executes the op when it is eligible.
+// errStopped unwinds a suspended closure thread whose machine is being
+// abandoned after a panic (see stopThreads). Only stopThread recovers
+// it, so it never escapes the package.
+var errStopped = errors.New("sim: thread stopped")
+
+// prime starts every thread not yet primed, in spawn order, up to its
+// first op: a closure thread's coroutine runs until that op joins the
+// run heap (or the body returns), and a compiled thread folds its
+// leading control ops. Nothing is served.
+func (m *Machine) prime() {
+	for ; m.primed < len(m.threads); m.primed++ {
+		t := m.threads[m.primed]
+		if t.body != nil {
+			t.next, t.stop = iter.Pull(t.run)
+			t.next()
+			continue
+		}
+		t.env.stepControl()
+		if t.env.done() {
+			m.finishThread(t)
+		} else {
+			m.runq.push(t)
+		}
+	}
+}
+
+// drive primes any remaining threads, then serves ops until every
+// thread has finished. Its loop is the only place that picks the next
+// thread: the heap minimum is resumed (a closure thread, which returns
+// here once it finishes or another thread must go first) or stepped
+// one op (a compiled thread).
+func (m *Machine) drive() {
+	m.prime()
+	for m.runq.len() > 0 {
+		t := m.runq.min()
+		if t.next != nil {
+			t.next()
+			continue
+		}
+		if t.now > m.cfg.MaxTime {
+			m.fatalStuck(t)
+		}
+		if m.execStep(t, &t.env) && t.env.done() {
+			m.finishThread(t)
+		} else {
+			// Retried (clock advanced) or more ops to run: re-key.
+			m.runq.fix(t.heapIdx)
+		}
+	}
+}
+
+// dispatch serves the op staged in t.req on the thread's coroutine and
+// returns its result. The first op only joins the run heap and
+// suspends: that is priming. After that the thread processes its op
+// inline whenever it is the heap minimum, and suspends until the
+// driver resumes it as the minimum otherwise.
 func (t *Thread) dispatch() uint64 {
 	m := t.m
-	m.mu.Lock()
-	if m.started && m.alive == 1 {
-		// Solo fast path: no other thread can become the minimum, so
-		// skip the run queue entirely and retry-loop in place.
-		for {
-			if t.now > m.cfg.MaxTime {
-				m.fatalStuck(t)
-			}
-			if m.safeProcess(&t.req) {
-				break
-			}
-		}
-		m.mu.Unlock()
-		return t.req.result
+	if t.heapIdx < 0 {
+		m.runq.push(t)
+		t.suspend()
 	}
-	m.runq.push(t)
 	for {
-		if m.started && m.runq.len() == m.alive {
-			if m.runq.min() == t {
-				if t.now > m.cfg.MaxTime {
-					m.fatalStuck(t)
-				}
-				if !m.safeProcess(&t.req) {
-					// The op only advanced this thread's clock (waiting
-					// for its own store buffer); re-sort and retry once
-					// it is the minimum again, so commits apply in
-					// global time order.
-					m.runq.fix(t.heapIdx)
-					continue
-				}
-				m.runq.remove(t.heapIdx)
-				m.mu.Unlock()
-				return t.req.result
-			}
-			// Someone else must run first: hand them the machine.
-			m.runq.min().grant()
+		if m.runq.min() != t {
+			t.suspend()
 		}
-		m.mu.Unlock()
-		t.park()
-		m.mu.Lock()
-	}
-}
-
-// Grant states (Thread.gstate). A parked thread spins through a few
-// scheduler passes before committing to a channel sleep; the waker
-// pays a channel send only when the sleep actually happened.
-const (
-	grantNone     int32 = iota // not granted; owner may be spinning
-	grantReady                 // granted: the parked thread may run
-	grantSleeping              // owner committed to a channel sleep
-)
-
-// spinRounds bounds the cooperative-yield phase of park. Each round
-// costs one runtime.Gosched pass; in tightly alternating two-thread
-// machines the grant arrives within a round or two, and the yield is
-// several times cheaper than a channel sleep/wake pair. Threads that
-// wait longer (wide fan-in sweeps) fall through to a real sleep, so
-// parked threads never busy-poll for more than a few passes.
-const spinRounds = 4
-
-// park blocks until grant hands this thread the machine. Called with
-// m.mu released.
-func (t *Thread) park() {
-	for i := 0; i < spinRounds; i++ {
-		if atomic.LoadInt32(&t.gstate) == grantReady {
-			atomic.StoreInt32(&t.gstate, grantNone)
-			return
+		if t.now > m.cfg.MaxTime {
+			m.fatalStuck(t)
 		}
-		runtime.Gosched()
-	}
-	if atomic.CompareAndSwapInt32(&t.gstate, grantNone, grantSleeping) {
-		<-t.wake
-	}
-	atomic.StoreInt32(&t.gstate, grantNone)
-}
-
-// grant wakes a parked thread. At most one grant is ever outstanding
-// (only the unique minimum is woken), so the buffered send can never
-// block. Mutual exclusion on machine state still comes from m.mu: the
-// grantee re-acquires it before touching anything.
-func (t *Thread) grant() {
-	if atomic.SwapInt32(&t.gstate, grantReady) == grantSleeping {
-		t.wake <- struct{}{}
+		ok := m.process(&t.req)
+		// A false op only advanced this thread's clock (waiting for its
+		// own store buffer): re-keyed, it retries once it is the
+		// minimum again, so commits apply in global time order.
+		m.runq.fix(t.heapIdx)
+		if ok {
+			return t.req.result
+		}
 	}
 }
 
-// finishThread retires a thread whose closure returned: its stores
-// drain, and if every remaining live thread is already parked the new
-// minimum is woken (or Run, when this was the last thread).
+// suspend hands control back to the driver until it resumes this
+// thread as the heap minimum. A false yield means the machine is being
+// abandoned after a panic: errStopped unwinds the thread's body.
+func (t *Thread) suspend() {
+	if !t.yield(struct{}{}) {
+		panic(errStopped)
+	}
+}
+
+// finishThread retires a thread whose body returned or whose program
+// ran out: it leaves the run heap, and the commits due by its final
+// time apply before the next op is served.
 func (m *Machine) finishThread(t *Thread) {
-	m.mu.Lock()
 	t.finished = true
-	m.alive--
+	if t.heapIdx >= 0 {
+		m.runq.remove(t.heapIdx)
+	}
 	if t.now > m.finish {
 		m.finish = t.now
 	}
 	m.retireStores(t.now)
-	switch {
-	case m.alive == 0:
-		if m.started {
-			close(m.runDone)
-		}
-	case m.started && m.runq.len() == m.alive:
-		m.runq.min().grant()
-	}
-	m.mu.Unlock()
 }
 
-// safeProcess runs one op's semantics, converting a panic (the
-// watchdog report, a bad barrier value) into a machine-fatal error so
-// it surfaces from Run on the caller's goroutine — the contract the
-// channel engine's central scheduler loop provided.
-func (m *Machine) safeProcess(r *request) (ok bool) {
-	defer func() { //armvet:ignore allocvet — open-coded defer; perf gate measures 0 allocs/op
-		if p := recover(); p != nil {
-			m.fatalLocked(p)
+// guarded runs f (priming, or the whole drive) and, if f panics,
+// stops every suspended coroutine before the panic continues out of
+// Run or Settle with its original value. The panic may come from a
+// thread body, from serving an op (the watchdog, a bad barrier value)
+// or from a compiled program; either way the failed machine leaves no
+// goroutine behind.
+func (m *Machine) guarded(f func()) {
+	ok := false
+	defer func() {
+		if !ok {
+			m.stopThreads()
 		}
 	}()
-	return m.process(r)
+	f()
+	ok = true
 }
 
-// fatalLocked records a fatal condition, wakes Run (which re-panics
-// it), and parks the current thread goroutine for good. Must be called
-// with m.mu held; it does not return.
-//
-// armvet:holds mu
-func (m *Machine) fatalLocked(v any) {
-	m.fatal = v
-	if m.started {
-		close(m.runDone)
+// stopThreads unwinds every closure thread that is still suspended.
+func (m *Machine) stopThreads() {
+	for _, t := range m.threads {
+		if t.stop != nil && !t.finished {
+			stopThread(t)
+		}
 	}
-	m.mu.Unlock()
-	select {}
 }
 
-// fatalStuck is the watchdog's exit: building the report string and
-// boxing it into fatalLocked's any parameter stay out of dispatch,
-// which must remain allocation-free on its live paths.
-//
-// armvet:holds mu
+// stopThread stops one coroutine: its pending yield returns false,
+// suspend raises errStopped, the body unwinds (running its defers), and
+// iter.Pull re-raises errStopped here, where it ends.
+func stopThread(t *Thread) {
+	defer func() {
+		if p := recover(); p != nil && p != errStopped {
+			panic(p)
+		}
+	}()
+	t.stop()
+}
+
+// fatalStuck raises the watchdog report. Building the string and
+// boxing it into panic's operand stay out of dispatch and drive, which
+// must remain allocation-free.
 //
 //go:noinline
 func (m *Machine) fatalStuck(t *Thread) {
-	m.fatalLocked(m.stuckReport(t))
+	panic(m.stuckReport(t))
 }
 
 // noteServed maintains the dispatch counters from the (deterministic)
-// service sequence: consecutive ops by one thread need no handoff —
-// the thread processed its own request inline on re-entry — while a
-// change of thread implies a park on one side and a wake on the other.
-// Deriving the split this way keeps Stats independent of real-time
-// arrival order, so identical seeds still produce identical Stats.
-//
-// armvet:holds mu
+// service sequence: consecutive ops by one thread need no handoff,
+// while a change of thread implies one (historically a park on one
+// side and a wake on the other, hence the name). Deriving the split
+// this way keeps Stats independent of how the handoff is implemented.
 func (m *Machine) noteServed(t *Thread) {
 	if m.lastServed == t {
 		m.stats.InlineDispatches++
@@ -191,11 +193,9 @@ func (m *Machine) noteServed(t *Thread) {
 	m.lastServed = t
 }
 
-// runHeap is an indexed min-heap of the threads currently parked in
-// dispatch, keyed on (now, id) — (time, id) pairs are unique, so the
-// minimum (the next thread to serve) is unambiguous. It replaces the
-// channel engine's O(threads) scan over parked requests, which the
-// 24–64-thread lock sweeps paid once per simulated op.
+// runHeap is an indexed min-heap of the live threads, keyed on
+// (now, id): (time, id) pairs are unique, so the minimum (the next
+// thread to serve) is unambiguous.
 type runHeap struct{ s []*Thread }
 
 func (h *runHeap) len() int { return len(h.s) }

@@ -75,20 +75,23 @@ type Thread struct {
 	spinning bool
 
 	req     request
-	heapIdx int   // position in the machine's run queue
-	gstate  int32 // grant handshake state (see park/grant in sched.go)
-	// wake is the thread's channel wait slot, used when a park outlasts
-	// the spin phase. Capacity 1 makes the handoff a single buffered
-	// send: the waker deposits the token and moves on; at most one wake
-	// is ever outstanding because only the unique minimum thread is
-	// granted the machine.
-	wake chan struct{}
+	heapIdx int // position in the machine's run heap; -1 until the thread joins it
+
+	// A closure thread (Spawn) runs body as a coroutine: next resumes
+	// it, stop abandons it, and yield is its side of the switch (see
+	// sched.go). A compiled thread (SpawnProgram) has no body; the
+	// driver loop steps its program through env.
+	body  func(*Thread)
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	env   execEnv
 }
 
 // newThread initializes a thread in place in the machine's arena: the
 // store buffer and the per-address commit table are embedded values
-// with inline backing, so spawning a thread costs one slab slot plus
-// its wake channel instead of four separate heap objects.
+// with inline backing, so spawning a thread costs one slab slot
+// instead of several separate heap objects.
 func newThread(m *Machine, id int, core topo.CoreID) *Thread {
 	t := m.threadSlot()
 	t.m = m
@@ -96,20 +99,21 @@ func newThread(m *Machine, id int, core topo.CoreID) *Thread {
 	t.core = core
 	t.buf.Init(m.cost.StoreBufferEntries, m.cfg.Mode == TSO)
 	t.lastAddrStore.init()
-	t.wake = make(chan struct{}, 1)
 	t.profOn = m.profc != nil
+	t.heapIdx = -1
 	return t
 }
 
-// run executes the user closure and signals completion.
-func (t *Thread) run(fn func(*Thread)) {
-	fn(t)
+// run is a closure thread's coroutine: the user body, then retirement.
+func (t *Thread) run(yield func(struct{}) bool) {
+	t.yield = yield
+	t.body(t)
 	t.m.finishThread(t)
 }
 
-// op stages one operation and dispatches it; the calling goroutine
-// itself executes the semantics when eligible (no channel rendezvous,
-// no context switch while this thread holds the minimum time).
+// op stages one operation and dispatches it; the thread's own
+// coroutine executes the semantics (no context switch while this
+// thread holds the minimum time).
 func (t *Thread) op(kind opKind, addr, value uint64, bar isa.Barrier, cycles float64) uint64 {
 	t.req = request{t: t, kind: kind, addr: addr, value: value, bar: bar, cycles: cycles}
 	return t.dispatch()
@@ -209,15 +213,13 @@ func (t *Thread) CompareAndSwap(addr, old, new uint64) bool {
 
 // --- scheduler-side op semantics -----------------------------------
 
-// process executes one staged request. It runs on the goroutine of the
-// thread the scheduler granted the machine to, with m.mu held; only
-// here are machine structures mutated. It returns false when the op
-// could not run yet and only advanced the thread's clock (the thread
-// stays queued and retries at its new time) — this keeps directory
+// process executes one staged request for the thread the scheduler is
+// serving; only here (and in the compiled engine's execStep) are
+// machine structures mutated. It returns false when the op could not
+// run yet and only advanced the thread's clock (the thread stays in
+// the run heap and retries at its new time) — this keeps directory
 // mutations in global start-time order, which is what makes values
 // read by one thread never come from another thread's future.
-//
-// armvet:holds mu
 func (m *Machine) process(r *request) bool {
 	t := r.t
 	m.retireStores(t.now)
@@ -282,8 +284,6 @@ func (m *Machine) process(r *request) bool {
 // point — the linearization order is the deterministic global
 // start-time order. The release half (waiting out the store buffer)
 // happened in the caller via clock-advance-and-retry.
-//
-// armvet:holds mu
 func (m *Machine) doRMW(t *Thread, kind opKind, addr, value, value2 uint64) uint64 {
 	if occ := m.cost.RMWOccupancy; occ > 0 {
 		// Occupancy model (scale-out platforms): atomics to one line
@@ -330,8 +330,6 @@ func (m *Machine) doRMW(t *Thread, kind opKind, addr, value, value2 uint64) uint
 }
 
 // doLoad implements relaxed and acquiring loads.
-//
-// armvet:holds mu
 func (m *Machine) doLoad(t *Thread, addr uint64, acquire bool) uint64 {
 	t.stats.Loads++
 	m.stats.Loads++
@@ -410,8 +408,6 @@ func (m *Machine) forward(t *Thread, addr uint64, out *uint64) bool {
 // readCache serves a load from the local copy when permitted. In WMM a
 // copy whose invalidation arrived after the thread's last sync point
 // remains readable (stale) for InvalidationDelay cycles.
-//
-// armvet:holds mu
 func (m *Machine) readCache(t *Thread, addr uint64, out *uint64) bool {
 	cp := m.dir.CopyAt(t.core, addr)
 	if cp == nil {
@@ -441,8 +437,6 @@ func (m *Machine) readCache(t *Thread, addr uint64, out *uint64) bool {
 
 // doStore implements relaxed stores and STLR. The caller has already
 // ensured the store buffer has room.
-//
-// armvet:holds mu
 func (m *Machine) doStore(t *Thread, addr, value uint64, release bool) {
 	t.stats.Stores++
 	m.stats.Stores++
@@ -499,8 +493,6 @@ func (m *Machine) doStore(t *Thread, addr, value uint64, release bool) {
 }
 
 // doBarrier implements the standalone ordering instructions.
-//
-// armvet:holds mu
 func (m *Machine) doBarrier(t *Thread, b isa.Barrier) {
 	start := t.now
 	switch b {

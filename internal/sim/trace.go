@@ -60,10 +60,6 @@ type Tracer interface {
 // SetTracer installs a tracer; call before Run. A nil tracer disables
 // tracing (the default).
 func (m *Machine) SetTracer(tr Tracer) {
-	// Same discipline as SetInitial: spawned goroutines already
-	// contend on m.mu, so the started read needs the lock.
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.started {
 		panic("sim: SetTracer after Run")
 	}

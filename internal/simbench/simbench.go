@@ -19,6 +19,7 @@ import (
 	"armbar/internal/cellcache"
 	"armbar/internal/explore"
 	"armbar/internal/isa"
+	"armbar/internal/locks"
 	"armbar/internal/mesi"
 	"armbar/internal/platform"
 	"armbar/internal/prog"
@@ -47,6 +48,7 @@ var Benches = []Bench{
 	{"BenchmarkBarrierScale256", BarrierScale256},
 	{"BenchmarkBarrierScale1024", BarrierScale1024},
 	{"BenchmarkExploreStates", ExploreStates},
+	{"BenchmarkLockHandoff", LockHandoff},
 }
 
 func newBenchMachine() *sim.Machine {
@@ -77,10 +79,10 @@ func spawnLoop(m *sim.Machine, core topo.CoreID, n int,
 
 // RendezvousLoadHit is the floor of a simulated operation: cache-hit
 // loads with nothing in flight, so the measured cost is one pass
-// through the direct-dispatch scheduler (the solo fast path — a mutex
-// acquire and an inline process call, or one compiled dispatch) plus
-// the load bookkeeping. The name predates the scheduler rewrite and is
-// kept so snapshots stay comparable across engine generations.
+// through the scheduler (one driver-loop step of a compiled thread, or
+// an inline process call on a closure thread that never hands off)
+// plus the load bookkeeping. The name predates the scheduler rewrites
+// and is kept so snapshots stay comparable across engine generations.
 func RendezvousLoadHit(b *testing.B) {
 	m := newBenchMachine()
 	addr := m.Alloc(1)
@@ -94,7 +96,8 @@ func RendezvousLoadHit(b *testing.B) {
 
 // RendezvousTwoThreads interleaves two runnable threads so every
 // operation also pays the scheduler's min-(time, id) pick and, when
-// service alternates, the park/grant handoff between goroutines.
+// service alternates, the handoff between threads (a driver-loop step
+// for compiled threads, a coroutine switch for closures).
 func RendezvousTwoThreads(b *testing.B) {
 	m := newBenchMachine()
 	a1, a2 := m.Alloc(1), m.Alloc(1)
@@ -148,10 +151,10 @@ func StoreDMBFull(b *testing.B) {
 
 // CompiledDispatch measures the compiled engine's dispatch loop in
 // isolation — always a program, regardless of the engine default: a
-// solo counted loop of cache-hit loads runs entirely inside execSolo,
-// so the per-op cost is one opExec table call plus the load
-// bookkeeping and the free LoopEnd fold. allocvet pins every function
-// on this path; the snapshot pins it at 0 allocs/op.
+// solo counted loop of cache-hit loads, stepped op by op by the
+// scheduler's driver loop, so the per-op cost is one opExec table call
+// plus the load bookkeeping and the free LoopEnd fold. allocvet pins
+// every function on this path; the snapshot pins it at 0 allocs/op.
 func CompiledDispatch(b *testing.B) {
 	m := newBenchMachine()
 	addr := m.Alloc(1)
@@ -215,21 +218,30 @@ func DirectorySharerChurn1024(b *testing.B) {
 // one thread-round (rounds*threads >= b.N): ns/op is directly
 // comparable across the three core counts, and the simulator's
 // one-time growth allocations amortize to zero per op. Program build
-// and thread spawn happen before the timer; only the machine run is
-// measured.
+// and thread spawn happen with the timer stopped; only machine runs
+// are measured.
 func barrierScale(b *testing.B, n int) {
-	rounds := (b.N + n - 1) / n
-	m, err := barrier.Spawn(barrier.SenseReversing, barrier.Config{
-		Plat: platform.MustScaleOut(n), Threads: n, Rounds: rounds, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.Settle()
 	b.ReportAllocs()
 	b.ResetTimer()
-	m.Run()
+	for left := (b.N + n - 1) / n; left > 0; left -= barrierRounds {
+		b.StopTimer()
+		m, err := barrier.Spawn(barrier.SenseReversing, barrier.Config{
+			Plat: platform.MustScaleOut(n), Threads: n, Rounds: min(left, barrierRounds), Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Settle()
+		b.StartTimer()
+		m.Run()
+	}
 }
+
+// barrierRounds caps the rounds one barrierScale machine runs: barrier
+// programs unroll every round (5 ops per sense-reversing round), and
+// prog.MaxOps bounds a program at 65536 ops. Larger b.N values run
+// several machines back to back.
+const barrierRounds = 8192
 
 // BarrierScale64 is the sense-reversing barrier at 64 cores, one
 // thread-round per op.
@@ -239,8 +251,8 @@ func BarrierScale64(b *testing.B) { barrierScale(b, 64) }
 func BarrierScale256(b *testing.B) { barrierScale(b, 256) }
 
 // BarrierScale1024 is the sense-reversing barrier at 1024 cores — the
-// scale the sharded directory bitsets and padded thread slabs exist
-// for.
+// scale the sharded directory bitsets and exponential thread slabs
+// exist for.
 func BarrierScale1024(b *testing.B) { barrierScale(b, 1024) }
 
 // ExploreStates measures the reorder-bounded explorer's throughput:
@@ -287,4 +299,35 @@ func CellCacheHit(b *testing.B) {
 			b.Fatal("cache miss on a seeded key")
 		}
 	}
+}
+
+// LockHandoff is the many-thread closure handoff: 12 threads contend
+// for a ticket lock (locks.NewTicket, DMB st unlock barrier) on the
+// closure path, whatever the engine default, so nearly every simulated
+// op changes the serving thread and pays a coroutine switch. This is
+// the shape of the closure-driven lock, data-structure and fan-in
+// experiments that dominate the cold wall. One op is one critical
+// section (lock, counter load and store, unlock); the threads share
+// b.N of them.
+func LockHandoff(b *testing.B) {
+	const threads = 12
+	m := newBenchMachine()
+	lock := locks.NewTicket(m, isa.DMBSt)
+	ctr := m.Alloc(1)
+	per := (b.N + threads - 1) / threads
+	for i := 0; i < threads; i++ {
+		m.Spawn(topo.CoreID(4*i), func(t *sim.Thread) {
+			for j := 0; j < per; j++ {
+				lock.Lock(t)
+				t.Store(ctr, t.Load(ctr)+1)
+				lock.Unlock(t)
+			}
+		})
+	}
+	m.Settle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Run()
+	st := m.Stats()
+	b.ReportMetric(float64(st.InlineDispatches+st.ParkWakes)/float64(b.N), "simops/op")
 }

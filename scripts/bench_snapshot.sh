@@ -11,8 +11,8 @@ set -eu
 cd "$(dirname "$0")/.."
 out=BENCH_sim.json
 
-raw=$(go test -run '^$' -bench 'Rendezvous|StoreCommit|StoreDMB|CompiledDispatch|CellCacheHit|DirectoryRank|DirectorySharerChurn|BarrierScale|ExploreStates' -benchmem \
-	./internal/sim ./internal/cellcache ./internal/mesi ./internal/barrier ./internal/explore)
+raw=$(go test -run '^$' -bench 'Rendezvous|StoreCommit|StoreDMB|CompiledDispatch|CellCacheHit|DirectoryRank|DirectorySharerChurn|BarrierScale|ExploreStates|LockHandoff' -benchmem \
+	./internal/sim ./internal/cellcache ./internal/mesi ./internal/barrier ./internal/explore ./internal/locks)
 
 # Result-cache context: time `-quick all` cold (fresh cache dir) and
 # warm (same dir, every cell replayed from disk). Recorded in the
