@@ -9,9 +9,11 @@ GO ?= go
 # BENCH_sim.json. `-run 'Test'` keeps the race pass on the (fast)
 # unit tests rather than the benchmarks. scalecheck re-runs the
 # 256-core barrier smoke under the race detector so the scheduler's
-# driver loop is exercised at scale on every merge.
+# driver loop is exercised at scale on every merge. benchcheck
+# compiles and tests the perfbench module, which the root module's
+# ./... never reaches.
 .PHONY: verify
-verify: build vet lint test race scalecheck profilecheck cachecheck fencecheck perfcheck
+verify: build vet lint test race scalecheck profilecheck cachecheck fencecheck perfcheck benchcheck
 
 .PHONY: build
 build:
@@ -61,9 +63,9 @@ cachecheck:
 
 # Cycle-attribution conservation gate: with profiling enabled, every
 # simulated cycle of the fast golden subset must land in exactly one
-# cause bucket (zero gaps, attributed == engine cycles) under both
-# engines at two seeds — and the rendered output must still hash to
-# the committed golden digest.
+# cause bucket (zero gaps, attributed == engine cycles) at two seeds —
+# and the rendered output must still hash to the committed golden
+# digest.
 .PHONY: profilecheck
 profilecheck:
 	$(GO) test -run 'TestProfileConservation' -timeout 30m ./internal/sim ./internal/figures
@@ -79,6 +81,13 @@ profilecheck:
 fencecheck:
 	$(GO) run ./cmd/armvet fencevet -fuzz 220 -fuzzseed 42
 	$(GO) test -run 'TestFormulaAgreement|TestSimAgreement|TestPinnedAnomalies|TestCompiledParityShapes|TestSeedIndependentVerdicts|TestFuzzThreeOracles|TestExploreParMatchesSequential' ./internal/explore
+
+# Benchmark-harness gate: perfbench is its own module (replace
+# armbar => ../), so a change to an internal API it calls breaks only
+# the benchmark run unless this vets and tests it.
+.PHONY: benchcheck
+benchcheck:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # Live-observability smoke: run `-quick` with -serve against a cold
 # cache and curl /healthz, /metrics and /progress while it runs.

@@ -60,9 +60,6 @@ var (
 		"worker count for experiment cells (1 = sequential, 0 = GOMAXPROCS)")
 	times = flag.Bool("times", true, "report per-experiment wall time on stderr")
 
-	engineName = flag.String("engine", "compiled",
-		"simulation engine: compiled (precompiled micro-op programs, the default) or interp (original closure bodies); outputs are byte-identical")
-
 	serveAddr = flag.String("serve", "",
 		"run the observability HTTP server on this address for the duration of the run (e.g. :8377; exposes /healthz /metrics /progress /profile /debug/pprof)")
 	profileOut = flag.String("profile-out", "",
@@ -120,7 +117,6 @@ type manifest struct {
 	Seed        int64                   `json:"seed"`
 	Quick       bool                    `json:"quick"`
 	Par         int                     `json:"par"`
-	Engine      string                  `json:"engine"`
 	Args        []string                `json:"args"`
 	WallSeconds float64                 `json:"wall_seconds"`
 	Experiments []figures.ExperimentRun `json:"experiments"`
@@ -176,14 +172,9 @@ func main() {
 		os.Exit(watchMain(os.Args[2:]))
 	}
 	flag.Parse()
-	engine, err := sim.ParseEngine(*engineName)
-	if err != nil {
-		fail("%v", err)
-	}
-	sim.SetDefaultEngine(engine)
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: armbar [-quick] [-seed N] [-par N] [-csv] [-engine compiled|interp] [-cache=off] <experiment> [...]\n")
+		fmt.Fprintf(os.Stderr, "usage: armbar [-quick] [-seed N] [-par N] [-csv] [-cache=off] <experiment> [...]\n")
 		fmt.Fprintf(os.Stderr, "       armbar perfcheck [-snapshot BENCH_sim.json]\n")
 		fmt.Fprintf(os.Stderr, "       armbar cache [stats|gc|clear] [-dir .armbar-cache]\n")
 		fmt.Fprintf(os.Stderr, "       armbar watch [-addr http://127.0.0.1:8377] [-interval 1s] [-once]\n")
@@ -298,7 +289,6 @@ func main() {
 		Seed:        *seed,
 		Quick:       *quick,
 		Par:         *par,
-		Engine:      engine.String(),
 		Args:        requested,
 		MetricsFile: *metricsOut,
 		TraceFile:   *traceOut,

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"armbar/internal/perfgate"
-	"armbar/internal/sim"
 	"armbar/internal/simbench"
 )
 
@@ -59,11 +58,6 @@ func perfcheckMain(argv []string) int {
 			return 1
 		}
 	}
-	if snap.InterpColdWallSeconds > 0 && snap.ColdWallSeconds > 0 {
-		fmt.Fprintf(os.Stderr, "# snapshot engine context: `-quick all` cold interp %.1fs vs compiled %.1fs (%.2fx)\n",
-			snap.InterpColdWallSeconds, snap.ColdWallSeconds,
-			snap.InterpColdWallSeconds/snap.ColdWallSeconds)
-	}
 
 	cur := make([]perfgate.Bench, 0, len(simbench.Benches))
 	for _, nb := range simbench.Benches {
@@ -86,31 +80,6 @@ func perfcheckMain(argv []string) int {
 			best.Name, best.NsPerOp, best.BytesPerOp, best.AllocsPerOp)
 		cur = append(cur, best)
 	}
-
-	// Engine ratio: remeasure the two store-path benchmarks with the
-	// interpreted engine and report how much the compiled default buys.
-	// Informational — the gate above already holds the compiled numbers
-	// to the snapshot.
-	sim.SetDefaultEngine(sim.EngineInterp)
-	for _, nb := range simbench.Benches {
-		if nb.Name != "BenchmarkStoreCommit" && nb.Name != "BenchmarkStoreDMBFull" {
-			continue
-		}
-		var compiledNs float64
-		for _, c := range cur {
-			if c.Name == nb.Name {
-				compiledNs = c.NsPerOp
-			}
-		}
-		res := testing.Benchmark(nb.Fn)
-		if res.N == 0 || compiledNs <= 0 {
-			continue
-		}
-		interpNs := float64(res.T.Nanoseconds()) / float64(res.N)
-		fmt.Fprintf(os.Stderr, "# %-32s interp %8.1f ns/op vs compiled %8.1f ns/op (%.2fx)\n",
-			nb.Name, interpNs, compiledNs, interpNs/compiledNs)
-	}
-	sim.SetDefaultEngine(sim.EngineDefault)
 
 	deltas, ok := perfgate.Compare(snap, cur, *threshold, *improve)
 	fmt.Print(perfgate.Table(deltas, *threshold, *improve))

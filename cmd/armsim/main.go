@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"armbar/internal/scenario"
-	"armbar/internal/sim"
 	"armbar/internal/trace"
 )
 
@@ -58,21 +57,14 @@ const exampleSpec = `{
 func main() {
 	traceOut := flag.String("trace", "", "write a Chrome-trace JSON of the run")
 	example := flag.Bool("example", false, "print an example scenario and exit")
-	engineName := flag.String("engine", "compiled",
-		"simulation engine: compiled or interp (byte-identical results)")
 	flag.Parse()
 
 	if *example {
 		fmt.Println(exampleSpec)
 		return
 	}
-	engine, err := sim.ParseEngine(*engineName)
-	if err != nil {
-		fatal(err)
-	}
-	sim.SetDefaultEngine(engine)
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: armsim [-trace out.json] [-engine compiled|interp] scenario.json")
+		fmt.Fprintln(os.Stderr, "usage: armsim [-trace out.json] scenario.json")
 		os.Exit(2)
 	}
 	f, err := os.Open(flag.Arg(0))

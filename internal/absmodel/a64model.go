@@ -10,9 +10,10 @@ import (
 )
 
 // RunA64 executes the two-store abstracted model from the paper's
-// actual Algorithm-1 assembly (built by Algorithm1Source) instead of
-// the Go-closure body — a cross-validation path: both forms must agree
-// on every variant's throughput within small tolerance.
+// actual Algorithm-1 assembly (built by Algorithm1Source), interpreted
+// by package a64 on closure threads, instead of the micro-op program
+// Run compiles — a cross-validation path: both forms must agree on
+// every variant's throughput within small tolerance.
 func RunA64(cfg Config) (Result, error) {
 	if cfg.Pattern != TwoStores {
 		return Result{}, fmt.Errorf("absmodel: RunA64 supports the two-store pattern only")

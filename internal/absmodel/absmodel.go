@@ -92,10 +92,6 @@ type Config struct {
 	Iters   int // loop iterations per thread
 	Lines   int // working-set lines per operand array (default 16)
 	Seed    int64
-	// Engine selects the execution engine; the zero value resolves to
-	// the process-wide default (compiled). Both engines produce
-	// identical results — see TestEnginesAgree.
-	Engine sim.Engine
 }
 
 // Result is the outcome of one model run.
@@ -126,19 +122,11 @@ func Run(cfg Config) Result {
 	m := sim.New(sim.Config{Plat: cfg.Plat, Mode: sim.WMM, Seed: cfg.Seed})
 	arrA := m.Alloc(cfg.Lines)
 	arrB := m.Alloc(cfg.Lines)
-	if cfg.Engine.Resolve() == sim.EngineCompiled {
-		// Both threads execute the same op sequence over the same
-		// operand arrays: one program, two executors.
-		p := compile(cfg, arrA, arrB)
-		for i := 0; i < 2; i++ {
-			m.SpawnProgram(cfg.Cores[i], p)
-		}
-	} else {
-		for i := 0; i < 2; i++ {
-			m.Spawn(cfg.Cores[i], func(t *sim.Thread) {
-				body(t, cfg, arrA, arrB)
-			})
-		}
+	// Both threads execute the same op sequence over the same operand
+	// arrays: one program, two threads.
+	p := compile(cfg, arrA, arrB)
+	for i := 0; i < 2; i++ {
+		m.SpawnProgram(cfg.Cores[i], p)
 	}
 	cycles := m.Run()
 	return Result{
@@ -150,68 +138,11 @@ func Run(cfg Config) Result {
 	}
 }
 
-// body is Algorithm 1: both threads walk the same line arrays so the
-// target lines keep transferring between the cores.
-func body(t *sim.Thread, cfg Config, arrA, arrB uint64) {
-	v := cfg.Variant
-	for i := 0; i < cfg.Iters; i++ {
-		off := uint64(i%cfg.Lines) * 64
-		a, b := arrA+off, arrB+off
-
-		// add x0/x1 (address bumps): two trivial ALU ops.
-		t.Nops(2)
-
-		// First memory operation (line 4 of Algorithm 1).
-		switch cfg.Pattern {
-		case TwoStores:
-			t.Store(a, uint64(i))
-		case LoadStore, LoadLoad:
-			switch v.Barrier {
-			case isa.LDAR:
-				t.LoadAcquire(a)
-			case isa.LDAPR:
-				t.LoadAcquirePC(a)
-			default:
-				t.Load(a)
-			}
-		}
-
-		// BARRIER_LOC_1 (line 5) — dependencies attach to the access,
-		// so they execute here too.
-		if at1 := v.Loc == Loc1 || v.Barrier.IsDependency(); at1 && standalone(v.Barrier) {
-			t.Barrier(v.Barrier)
-		}
-
-		// NOPs (line 6).
-		t.Nops(cfg.Nops)
-
-		// BARRIER_LOC_2 (line 7).
-		if v.Loc == Loc2 && standalone(v.Barrier) {
-			t.Barrier(v.Barrier)
-		}
-
-		// Second memory operation (line 8).
-		switch cfg.Pattern {
-		case TwoStores, LoadStore:
-			if v.Barrier == isa.STLR {
-				t.StoreRelease(b, uint64(i))
-			} else {
-				t.Store(b, uint64(i))
-			}
-		case LoadLoad:
-			t.Load(b)
-		}
-
-		// Loop bookkeeping (lines 9-10): add + cmp.
-		t.Nops(2)
-	}
-}
-
-// compile lowers Algorithm 1 to a micro-op program: the iteration's
-// line offsets become address rings indexed by the loop counter, the
-// stored iteration index becomes a counter value, and nop padding
-// becomes pre-scaled work cycles. The op sequence matches body() op
-// for op — the differential tests compare the two engines exactly.
+// compile lowers Algorithm 1 to a micro-op program: both threads walk
+// the same line arrays so the target lines keep transferring between
+// the cores. The iteration's line offsets become address rings indexed
+// by the loop counter, the stored iteration index becomes a counter
+// value, and nop padding becomes pre-scaled work cycles.
 func compile(cfg Config, arrA, arrB uint64) *prog.Program {
 	v := cfg.Variant
 	b := prog.NewBuilder(cfg.Plat.Cost.IssueWidth)

@@ -275,9 +275,9 @@ func TestLoadLoadPatternOrderingCosts(t *testing.T) {
 }
 
 func TestA64ModelAgreesWithClosureModel(t *testing.T) {
-	// The verbatim Algorithm-1 assembly and the Go-closure body are two
-	// encodings of the same program; their throughputs must agree
-	// closely for every barrier variant.
+	// The verbatim Algorithm-1 assembly (RunA64) and the micro-op
+	// program Run compiles are two encodings of the same loop; their
+	// throughputs must agree closely for every barrier variant.
 	cores, p := kunpengSameNode()
 	for _, v := range []Variant{
 		{Barrier: isa.None},
@@ -295,7 +295,7 @@ func TestA64ModelAgreesWithClosureModel(t *testing.T) {
 		}
 		ratio := asmRes.Throughput() / goRes.Throughput()
 		if ratio < 0.65 || ratio > 1.5 {
-			t.Errorf("%s: a64 (%.3g) vs closure (%.3g) diverge: ratio %.2f",
+			t.Errorf("%s: a64 (%.3g) vs compiled (%.3g) diverge: ratio %.2f",
 				v.Name(), asmRes.Throughput(), goRes.Throughput(), ratio)
 		}
 	}

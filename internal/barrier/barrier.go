@@ -6,18 +6,14 @@
 //
 // Every algorithm is formulated with monotone epoch counters instead
 // of data-dependent branches ("if I am the last arriver..."), because
-// the compiled engine discards atomic results: a thread's whole
-// participation — who it signals, what it waits for, at which epoch —
-// is fixed by (algorithm, thread id, core count, round), so each round
-// lowers to straight-line FetchAdd/Store ops plus SpinGE waits. SpinGE
-// (wait until value >= epoch) is the load-bearing primitive: a counter
-// or epoch flag may race past the target between polls of a slow
-// spinner, so an exact-match spin could hang where >= never does.
-//
-// Both engines run the same per-thread programs: the compiled engine
-// executes them natively (sim.SpawnProgram), the interpreted engine
-// walks the identical micro-ops through the per-op Thread methods, so
-// differential tests can hold the two equal cycle for cycle.
+// a micro-op program (sim.SpawnProgram) discards atomic results: a
+// thread's whole participation — who it signals, what it waits for, at
+// which epoch — is fixed by (algorithm, thread id, core count, round),
+// so each round lowers to straight-line FetchAdd/Store ops plus SpinGE
+// waits. SpinGE (wait until value >= epoch) is the load-bearing
+// primitive: a counter or epoch flag may race past the target between
+// polls of a slow spinner, so an exact-match spin could hang where >=
+// never does.
 package barrier
 
 import (
@@ -121,7 +117,6 @@ type Config struct {
 	Rounds  int // barrier episodes (unrolled into the programs)
 	Seed    int64
 	Mode    sim.Mode
-	Engine  sim.Engine
 }
 
 // Result is one run's outcome. All fields are exported so cellcache
@@ -151,7 +146,7 @@ func Run(a Algo, cfg Config) (*Result, error) {
 }
 
 // Spawn builds the machine for one run — programs built, layout
-// placed, every thread spawned on its engine — without running it.
+// placed, every thread spawned — without running it.
 // Run wraps it; benchmarks call it directly so program construction
 // and thread startup stay outside the timed region.
 func Spawn(a Algo, cfg Config) (*sim.Machine, error) {
@@ -172,15 +167,8 @@ func Spawn(a Algo, cfg Config) (*sim.Machine, error) {
 	for k := 0; k < lay.lines; k++ {
 		m.Directory().Reserve(lay.base+uint64(k)<<mesi.LineShift, cfg.Threads)
 	}
-	if cfg.Engine.Resolve() == sim.EngineCompiled {
-		for i, p := range progs {
-			m.SpawnProgram(topo.CoreID(i), p)
-		}
-	} else {
-		for i, p := range progs {
-			p := p
-			m.Spawn(topo.CoreID(i), func(t *sim.Thread) { walk(t, p) })
-		}
+	for i, p := range progs {
+		m.SpawnProgram(topo.CoreID(i), p)
 	}
 	return m, nil
 }

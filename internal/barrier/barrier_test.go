@@ -4,56 +4,27 @@ import (
 	"testing"
 
 	"armbar/internal/platform"
-	"armbar/internal/sim"
 )
 
 // small returns a config exercising every algorithm cheaply: 16
 // threads (a power of treeRadix, so the combining tree accepts it) on
 // the 64-core Kunpeng 916 model.
-func small(engine sim.Engine) Config {
+func small() Config {
 	return Config{
 		Plat:    platform.Kunpeng916(),
 		Threads: 16,
 		Rounds:  3,
 		Seed:    42,
-		Engine:  engine,
-	}
-}
-
-func TestEngineDifferential(t *testing.T) {
-	// The interpreted walker mirrors the compiled executor op for op,
-	// so both engines must agree cycle for cycle on every algorithm.
-	for _, a := range Algos() {
-		for _, seed := range []int64{1, 42} {
-			cfg := small(sim.EngineCompiled)
-			cfg.Seed = seed
-			comp, err := Run(a, cfg)
-			if err != nil {
-				t.Fatalf("%v compiled: %v", a, err)
-			}
-			cfg.Engine = sim.EngineInterp
-			interp, err := Run(a, cfg)
-			if err != nil {
-				t.Fatalf("%v interp: %v", a, err)
-			}
-			if comp.Cycles != interp.Cycles {
-				t.Errorf("%v seed %d: compiled %.1f cycles, interp %.1f",
-					a, seed, comp.Cycles, interp.Cycles)
-			}
-			if comp.Cycles <= 0 {
-				t.Errorf("%v seed %d: non-positive cycles %.1f", a, seed, comp.Cycles)
-			}
-		}
 	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	for _, a := range Algos() {
-		first, err := Run(a, small(sim.EngineCompiled))
+		first, err := Run(a, small())
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
-		again, err := Run(a, small(sim.EngineCompiled))
+		again, err := Run(a, small())
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
@@ -65,9 +36,9 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestMoreRoundsCostMore(t *testing.T) {
 	for _, a := range Algos() {
-		short := small(sim.EngineCompiled)
+		short := small()
 		short.Rounds = 2
-		long := small(sim.EngineCompiled)
+		long := small()
 		long.Rounds = 6
 		rs, err := Run(a, short)
 		if err != nil {
@@ -85,7 +56,7 @@ func TestMoreRoundsCostMore(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	base := small(sim.EngineCompiled)
+	base := small()
 	cases := []struct {
 		name string
 		algo Algo
@@ -128,7 +99,6 @@ func TestScaleOut256(t *testing.T) {
 		Threads: 256,
 		Rounds:  2,
 		Seed:    42,
-		Engine:  sim.EngineCompiled,
 	}
 	for _, a := range []Algo{SenseReversing, Dissemination} {
 		r, err := Run(a, cfg)
@@ -141,9 +111,8 @@ func TestScaleOut256(t *testing.T) {
 	}
 }
 
-// TestScaleOut1024 is the tentpole acceptance check: a 1024-thread
-// sense-reversing barrier runs to completion under BOTH engines, and
-// they agree on the clock.
+// TestScaleOut1024 is the scale-out acceptance check: a 1024-thread
+// sense-reversing barrier runs to completion.
 func TestScaleOut1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-thread run skipped in -short")
@@ -153,19 +122,12 @@ func TestScaleOut1024(t *testing.T) {
 		Threads: 1024,
 		Rounds:  2,
 		Seed:    42,
-		Engine:  sim.EngineCompiled,
 	}
-	comp, err := Run(SenseReversing, cfg)
+	r, err := Run(SenseReversing, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engine = sim.EngineInterp
-	interp, err := Run(SenseReversing, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.Cycles != interp.Cycles {
-		t.Errorf("engines disagree at 1024 threads: compiled %.1f, interp %.1f",
-			comp.Cycles, interp.Cycles)
+	if r.Cycles <= 0 {
+		t.Errorf("non-positive cycles %.1f", r.Cycles)
 	}
 }

@@ -12,12 +12,12 @@ import (
 
 // TestProfileConservationAcrossFigures is the acceptance gate for the
 // cycle-attribution profiler: every cell of the fast subset, rendered
-// under both engines at two seeds with profiling enabled, must
-// attribute every simulated cycle (zero gaps, per-cause sum equal to
-// the engine's own clock sum up to floating-point re-association).
-// The compiled run at seed 42 doubles as the profiling-on golden
-// check — the rendered bytes must still hash to goldenFastDigest,
-// proving the profiler never perturbs simulation output.
+// at two seeds with profiling enabled, must attribute every simulated
+// cycle (zero gaps, per-cause sum equal to the engine's own clock sum
+// up to floating-point re-association). The run at seed 42 doubles as
+// the profiling-on golden check — the rendered bytes must still hash
+// to goldenFastDigest, proving the profiler never perturbs simulation
+// output.
 func TestProfileConservationAcrossFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fast-subset sweep in -short mode")
@@ -25,32 +25,28 @@ func TestProfileConservationAcrossFigures(t *testing.T) {
 	pc := sim.NewProfileCollector()
 	sim.SetGlobalProfile(pc)
 	defer sim.SetGlobalProfile(nil)
-	defer sim.SetDefaultEngine(sim.EngineDefault)
 
-	for _, eng := range []sim.Engine{sim.EngineCompiled, sim.EngineInterp} {
-		for _, seed := range []int64{42, 7} {
-			sim.SetDefaultEngine(eng)
-			pc.Reset()
-			out := render(figures.Options{Quick: true, Seed: seed}, fastSubset)
-			p := pc.Snapshot()
-			if p.Machines == 0 {
-				t.Fatalf("%v seed %d: no machines folded into the collector", eng, seed)
-			}
-			if !p.Conserved() {
-				t.Errorf("%v seed %d: %d attribution gaps across %d machines",
-					eng, seed, p.Gaps, p.Machines)
-			}
-			attr, eng2 := p.Attributed(), p.EngineCycles
-			if rel := math.Abs(attr-eng2) / math.Max(eng2, 1); rel > 1e-9 {
-				t.Errorf("%v seed %d: attributed %v vs engine %v (rel %v)",
-					eng, seed, attr, eng2, rel)
-			}
-			if eng == sim.EngineCompiled && seed == 42 {
-				sum := sha256.Sum256([]byte(out))
-				if got := hex.EncodeToString(sum[:]); got != goldenFastDigest {
-					t.Errorf("profiling-on output digest %s != golden %s — profiler perturbed simulation output",
-						got, goldenFastDigest)
-				}
+	for _, seed := range []int64{42, 7} {
+		pc.Reset()
+		out := render(figures.Options{Quick: true, Seed: seed}, fastSubset)
+		p := pc.Snapshot()
+		if p.Machines == 0 {
+			t.Fatalf("seed %d: no machines folded into the collector", seed)
+		}
+		if !p.Conserved() {
+			t.Errorf("seed %d: %d attribution gaps across %d machines",
+				seed, p.Gaps, p.Machines)
+		}
+		attr, eng := p.Attributed(), p.EngineCycles
+		if rel := math.Abs(attr-eng) / math.Max(eng, 1); rel > 1e-9 {
+			t.Errorf("seed %d: attributed %v vs engine %v (rel %v)",
+				seed, attr, eng, rel)
+		}
+		if seed == 42 {
+			sum := sha256.Sum256([]byte(out))
+			if got := hex.EncodeToString(sum[:]); got != goldenFastDigest {
+				t.Errorf("profiling-on output digest %s != golden %s — profiler perturbed simulation output",
+					got, goldenFastDigest)
 			}
 		}
 	}

@@ -37,11 +37,7 @@ type Snapshot struct {
 	GOMAXPROCS      int     `json:"gomaxprocs"`
 	ColdWallSeconds float64 `json:"cold_wall_seconds,omitempty"`
 	WarmWallSeconds float64 `json:"warm_wall_seconds,omitempty"`
-	// InterpColdWallSeconds is the same cold `-quick all` run under
-	// -engine=interp, so the compiled engine's whole-pipeline speedup
-	// is visible next to the per-op benchmarks.
-	InterpColdWallSeconds float64 `json:"interp_cold_wall_seconds,omitempty"`
-	Benchmarks            []Bench `json:"benchmarks"`
+	Benchmarks      []Bench `json:"benchmarks"`
 }
 
 // Load reads and validates a snapshot file.

@@ -210,7 +210,9 @@ func (b *Builder) Loop(n int) (dep int) {
 	return d
 }
 
-// EndLoop closes the innermost open loop.
+// EndLoop closes the innermost open loop. A body that emitted no
+// machine-visible op gets no backedge: iterating it takes no simulated
+// time, and the executor would see a cycle of free control ops.
 func (b *Builder) EndLoop() {
 	if len(b.loopStack) == 0 {
 		b.fail("EndLoop without Loop")
@@ -221,12 +223,21 @@ func (b *Builder) EndLoop() {
 	switch {
 	case f.skipIdx >= 0:
 		b.p.Ops[f.skipIdx].Target = int32(len(b.p.Ops))
-	case f.count > 1:
+	case f.count > 1 && hasMachineOp(b.p.Ops[f.start:]):
 		b.emit(Op{Code: LoopEnd, Dep: f.dep, Target: f.start, Count: f.count})
 	}
 	if int(f.dep)+1 > b.p.Depth {
 		b.p.Depth = int(f.dep) + 1
 	}
+}
+
+func hasMachineOp(ops []Op) bool {
+	for _, op := range ops {
+		if !op.Code.IsControl() {
+			return true
+		}
+	}
+	return false
 }
 
 // Build validates and returns the program. The builder must not be

@@ -1,19 +1,21 @@
-// Package prog defines precompiled micro-op programs for the
-// simulator's compiled engine. A program is a flat []Op lowered from a
-// deterministic op sequence (an abstracted-model loop, a scenario
-// thread spec): every operand is pre-resolved at build time —
+// Package prog defines precompiled micro-op programs, the form every
+// fixed op sequence runs in on the simulator (sim.SpawnProgram). A
+// program is a flat []Op lowered from such a sequence (an
+// abstracted-model loop, a barrier-zoo round, a scenario thread spec):
+// every operand is pre-resolved at build time —
 // addresses to absolute values or per-iteration address tables, nop
 // counts to cycle latencies, barrier names to isa values — so the
 // executor in package sim dispatches through a per-opcode function
 // table with no per-op decoding, switch, or request staging.
 //
 // Machine-visible codes (loads, stores, barriers, work, atomics, spin
-// loads) map 1:1 to the interpreted engine's thread operations: the
-// compiled engine must replay the exact same operation sequence, so
-// control flow is expressed only through free codes (Jump, LoopEnd)
-// that the executor folds into pc updates between machine ops. That
-// 1:1 mapping is what lets the golden digest and differential tests
-// prove the two engines byte-identical.
+// loads) map 1:1 to the sim.Thread operations a closure thread calls:
+// a program presents the exact operation sequence a closure making
+// those calls would, so control flow is expressed only through free
+// codes (Jump, LoopEnd) that the executor folds into pc updates
+// between machine ops. That 1:1 mapping is what lets sim's
+// differential tests hold a program and its closure transcription
+// byte-identical.
 package prog
 
 import (
@@ -43,8 +45,8 @@ const (
 	SpinGE                 // relaxed load; fall through until value >= Val, then jump to Target
 
 	// Free control codes: pure pc/counter updates, no simulated time,
-	// no dispatch — they correspond to Go-level control flow in the
-	// interpreted engine's closures.
+	// no dispatch — they correspond to Go-level control flow in a
+	// closure thread's body.
 	Jump    // pc = Target
 	LoopEnd // counters[Dep]++; pc = Target while count not reached
 
@@ -101,7 +103,7 @@ const MaxLoopDepth = 8
 // MaxOps bounds a program's flat op count. Loops express repetition
 // through trip counts, so any legitimate program stays tiny; a body
 // exceeding this was almost certainly built by unrolling, which
-// defeats the compiled engine's cache-density premise.
+// defeats the flat program's cache-density premise.
 const MaxOps = 1 << 16
 
 // Op is one micro-op. The flat value layout (no pointers, no

@@ -101,6 +101,21 @@ func TestBuilderSingleTripLoopEmitsNoLoopEnd(t *testing.T) {
 	}
 }
 
+func TestBuilderEmptyLoopEmitsNoLoopEnd(t *testing.T) {
+	// A body with no machine op (nothing, or only an elided None
+	// barrier): a backedge would be a cycle of free control ops.
+	b := NewBuilder(1)
+	b.Loop(5)
+	b.EndLoop()
+	b.Loop(5)
+	b.Barrier(isa.None)
+	b.EndLoop()
+	p := b.MustBuild()
+	if p.Len() != 0 {
+		t.Fatalf("empty loops must emit nothing: %+v", p.Ops)
+	}
+}
+
 func TestBuilderRing(t *testing.T) {
 	b := NewBuilder(1)
 	tab := b.Table([]uint64{64, 128, 192})

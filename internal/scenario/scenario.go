@@ -31,7 +31,9 @@ type Op struct {
 	// New is CAS's replacement value.
 	New uint64 `json:"new,omitempty"`
 	// Barrier names the order-preserving approach for op=barrier
-	// ("DMB st", "DSB full", "ADDR DEP", ...).
+	// ("DMB st", "DSB full", "ADDR DEP", ...). The operand barriers
+	// are ops of their own: loadacq (LDAR), loadacqpc (LDAPR) and
+	// storerel (STLR).
 	Barrier string `json:"barrier,omitempty"`
 	// N is the count for nops, or cycles for work.
 	N int `json:"n,omitempty"`
@@ -84,6 +86,14 @@ func barrierByName(name string) (isa.Barrier, error) {
 	return 0, fmt.Errorf("scenario: unknown barrier %q", name)
 }
 
+// operandBarrierOps maps the operand barriers, which order through the
+// access they are part of, to the op that performs that access.
+var operandBarrierOps = map[isa.Barrier]string{
+	isa.LDAR:  "loadacq",
+	isa.LDAPR: "loadacqpc",
+	isa.STLR:  "storerel",
+}
+
 // Validate checks the spec statically.
 func (s *Spec) Validate() error {
 	p := platform.ByName(s.Platform)
@@ -95,6 +105,9 @@ func (s *Spec) Validate() error {
 	}
 	vars := map[string]bool{}
 	for _, v := range s.Vars {
+		if vars[v] {
+			return fmt.Errorf("scenario: duplicate var %q", v)
+		}
 		vars[v] = true
 	}
 	if len(s.Threads) == 0 {
@@ -113,8 +126,13 @@ func (s *Spec) Validate() error {
 					return fmt.Errorf("scenario: thread %d op %d: unknown var %q", ti, oi, op.Var)
 				}
 			case "barrier":
-				if _, err := barrierByName(op.Barrier); err != nil {
+				bar, err := barrierByName(op.Barrier)
+				if err != nil {
 					return fmt.Errorf("thread %d op %d: %w", ti, oi, err)
+				}
+				if alt, ok := operandBarrierOps[bar]; ok {
+					return fmt.Errorf("scenario: thread %d op %d: %s attaches to an access, not a standalone barrier; use op %q",
+						ti, oi, op.Barrier, alt)
 				}
 			case "nops", "work":
 				if op.N <= 0 {
@@ -161,29 +179,22 @@ func (s *Spec) Run(tr sim.Tracer) (*Result, error) {
 		m.SetInitial(a, s.Init[v])
 	}
 
-	compiled := sim.EngineDefault.Resolve() == sim.EngineCompiled
-	stats := make([]sim.ThreadStats, len(s.Threads))
+	threads := make([]*sim.Thread, len(s.Threads))
 	for ti, th := range s.Threads {
-		ti, th := ti, th
-		loops := th.Loop
-		if loops <= 0 {
-			loops = 1
+		tp, err := compileThread(th, addr, p.Cost.IssueWidth)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: thread %d: %w", ti, err)
 		}
-		var handle *sim.Thread
-		if compiled {
-			handle = m.SpawnProgram(topo.CoreID(th.Core), compileThread(th, loops, addr, p.Cost.IssueWidth))
-		} else {
-			handle = m.Spawn(topo.CoreID(th.Core), func(t *sim.Thread) {
-				for l := 0; l < loops; l++ {
-					for _, op := range th.Ops {
-						runOp(t, op, addr)
-					}
-				}
-			})
-		}
-		defer func() { stats[ti] = handle.Stats() }()
+		threads[ti] = m.SpawnProgram(topo.CoreID(th.Core), tp)
 	}
-	cycles := m.Run()
+	cycles, err := run(m)
+	if err != nil {
+		return nil, err
+	}
+	stats := make([]sim.ThreadStats, len(threads))
+	for ti, t := range threads {
+		stats[ti] = t.Stats()
+	}
 	final := make(map[string]uint64, len(addr))
 	for v, a := range addr {
 		final[v] = m.Directory().Committed(a)
@@ -197,17 +208,29 @@ func (s *Spec) Run(tr sim.Tracer) (*Result, error) {
 	}, nil
 }
 
-// spinPadNops is the padding between spin polls, matching runOp's
-// interpreted spin loops.
+// run serves the machine to completion. A simulation abort — the
+// MaxTime watchdog stopping a spin no thread ever satisfies, say —
+// comes back as an error: the spec is outside input, so whatever it
+// makes the simulator give up on is the caller's to report.
+func run(m *sim.Machine) (cycles float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("scenario: simulation aborted: %v", r)
+		}
+	}()
+	return m.Run(), nil
+}
+
+// spinPadNops is the padding, in nops, between the polls of a spin op.
 const spinPadNops = 4
 
 // compileThread lowers one thread spec to a micro-op program: var
 // names resolve to absolute addresses, barrier names to isa values,
 // the loop to a counted loop, and spins to poll/pad/backedge
-// triplets. The op sequence matches the interpreted closure op for op.
-func compileThread(th ThreadSpec, loops int, addr map[string]uint64, issueWidth float64) *prog.Program {
+// triplets.
+func compileThread(th ThreadSpec, addr map[string]uint64, issueWidth float64) (*prog.Program, error) {
 	b := prog.NewBuilder(issueWidth)
-	b.Loop(loops)
+	b.Loop(max(th.Loop, 1))
 	for _, op := range th.Ops {
 		a := prog.Abs(addr[op.Var])
 		switch op.Op {
@@ -243,50 +266,5 @@ func compileThread(th ThreadSpec, loops int, addr map[string]uint64, issueWidth 
 		}
 	}
 	b.EndLoop()
-	return b.MustBuild()
-}
-
-// runOp executes one op on a thread.
-func runOp(t *sim.Thread, op Op, addr map[string]uint64) {
-	a := addr[op.Var]
-	switch op.Op {
-	case "load":
-		t.Load(a)
-	case "loadacq":
-		t.LoadAcquire(a)
-	case "loadacqpc":
-		t.LoadAcquirePC(a)
-	case "store":
-		t.Store(a, op.Value)
-	case "storerel":
-		t.StoreRelease(a, op.Value)
-	case "fetchadd":
-		t.FetchAdd(a, op.Value)
-	case "swap":
-		t.Swap(a, op.Value)
-	case "cas":
-		t.CompareAndSwap(a, op.Value, op.New)
-	case "barrier":
-		b, _ := barrierByName(op.Barrier)
-		t.Barrier(b)
-	case "nops":
-		t.Nops(op.N)
-	case "work":
-		t.Work(float64(op.N))
-	case "spin_eq":
-		// Wait until the variable equals Value.
-		for t.Load(a) != op.Value {
-			t.Nops(4)
-		}
-	case "spin_ne":
-		for t.Load(a) == op.Value {
-			t.Nops(4)
-		}
-	case "spin_ge":
-		// Wait until the variable reaches Value (epoch-safe: the value
-		// may be advanced past the target between polls).
-		for t.Load(a) < op.Value {
-			t.Nops(4)
-		}
-	}
+	return b.Build()
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -60,6 +61,10 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown barrier", `{"platform":"Kunpeng916","vars":[],"threads":[{"core":0,"ops":[{"op":"barrier","barrier":"MFENCE"}]}]}`, "unknown barrier"},
 		{"unknown op", `{"platform":"Kunpeng916","vars":[],"threads":[{"core":0,"ops":[{"op":"jump"}]}]}`, "unknown op"},
 		{"bad nops", `{"platform":"Kunpeng916","vars":[],"threads":[{"core":0,"ops":[{"op":"nops"}]}]}`, "needs n > 0"},
+		{"duplicate var", `{"platform":"Kunpeng916","vars":["x","x"],"threads":[{"core":0,"ops":[{"op":"load","var":"x"}]}]}`, "duplicate var"},
+		{"LDAR barrier", `{"platform":"Kunpeng916","vars":[],"threads":[{"core":0,"ops":[{"op":"barrier","barrier":"LDAR"}]}]}`, `op "loadacq"`},
+		{"LDAPR barrier", `{"platform":"Kunpeng916","vars":[],"threads":[{"core":0,"ops":[{"op":"barrier","barrier":"LDAPR"}]}]}`, `op "loadacqpc"`},
+		{"STLR barrier", `{"platform":"Kunpeng916","vars":[],"threads":[{"core":0,"ops":[{"op":"barrier","barrier":"STLR"}]}]}`, `op "storerel"`},
 	}
 	for _, c := range cases {
 		spec, err := Parse(strings.NewReader(c.json))
@@ -70,6 +75,42 @@ func TestValidationErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error = %v, want containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+// watchdogSpec passes Validate but works past the simulator's MaxTime
+// watchdog (5e10 cycles) before its first memory op.
+const watchdogSpec = `{"platform":"Kunpeng916","vars":["x"],"threads":[{"core":0,"ops":[
+  {"op":"work","n":100000000000},{"op":"load","var":"x"}]}]}`
+
+func TestRunReturnsSimulationAbort(t *testing.T) {
+	spec, err := Parse(strings.NewReader(watchdogSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := spec.Run(nil)
+	if err == nil || !strings.Contains(err.Error(), "watchdog") {
+		t.Fatalf("Run = %+v, %v; want the watchdog abort as an error", res, err)
+	}
+}
+
+// emptyLoopSpec loops over bodies that emit no machine op.
+const emptyLoopSpec = `{"platform":"Kunpeng916","vars":["x"],"threads":[
+  {"core":0,"loop":3,"ops":[]},
+  {"core":1,"loop":5,"ops":[{"op":"barrier","barrier":"No Barrier"}]},
+  {"core":2,"loop":2,"ops":[{"op":"store","var":"x","value":4}]}]}`
+
+func TestEmptyLoopBodyRuns(t *testing.T) {
+	spec, err := Parse(strings.NewReader(emptyLoopSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := spec.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Final["x"] != 4 || len(res.Threads) != 3 {
+		t.Fatalf("final %v, %d thread stats", res.Final, len(res.Threads))
 	}
 }
 
@@ -127,4 +168,59 @@ func TestTSOMode(t *testing.T) {
 	if res.Final["x"] != 9 {
 		t.Fatalf("x = %d", res.Final["x"])
 	}
+}
+
+// fuzzMaxOps bounds the machine ops (loop count x ops, summed over the
+// threads) of a spec FuzzScenario runs, so every input stays fast.
+const fuzzMaxOps = 4096
+
+// fuzzable reports whether FuzzScenario should run the spec: it has no
+// spin op (a spin on a variable nobody writes polls until the
+// 5e10-cycle watchdog) and at most fuzzMaxOps machine ops.
+func fuzzable(s *Spec) bool {
+	ops := 0
+	for _, th := range s.Threads {
+		for _, op := range th.Ops {
+			if strings.HasPrefix(op.Op, "spin_") {
+				return false
+			}
+		}
+		ops += min(max(th.Loop, 1), fuzzMaxOps+1) * len(th.Ops)
+		if ops > fuzzMaxOps {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzScenario checks that scenario JSON, which comes from outside the
+// program, can never panic Parse, Validate or Run: a spec either fails
+// with an error or runs to a Result with one ThreadStats per thread.
+func FuzzScenario(f *testing.F) {
+	f.Add([]byte(mpSpec))
+	f.Add([]byte(watchdogSpec))
+	f.Add([]byte(emptyLoopSpec))
+	f.Add([]byte(`{"platform":"Kunpeng916","vars":["x","x"],"threads":[{"core":0,"ops":[{"op":"load","var":"x"}]}]}`))
+	for _, bar := range []string{"LDAR", "LDAPR", "STLR"} {
+		f.Add([]byte(`{"platform":"Kunpeng916","vars":[],"threads":[{"core":0,"ops":[{"op":"barrier","barrier":"` + bar + `"}]}]}`))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := Parse(bytes.NewReader(data))
+		if err != nil || spec.Validate() != nil || !fuzzable(spec) {
+			return
+		}
+		res, err := spec.Run(nil)
+		if err != nil {
+			// With Validate passed and no spin to hang, Run may only
+			// reject an init of an undeclared var or abort on a work
+			// op that runs past the MaxTime watchdog.
+			if msg := err.Error(); !strings.Contains(msg, "init of unknown var") && !strings.Contains(msg, "watchdog") {
+				t.Fatalf("Run: %v", err)
+			}
+			return
+		}
+		if len(res.Threads) != len(spec.Threads) {
+			t.Fatalf("%d ThreadStats for %d threads", len(res.Threads), len(spec.Threads))
+		}
+	})
 }

@@ -7,9 +7,10 @@ import (
 	"armbar/internal/topo"
 )
 
-// This file is the compiled engine's executor. A thread spawned with
-// SpawnProgram runs a precompiled micro-op program (package prog)
-// instead of a Go closure: operands are pre-resolved, so each
+// This file is the program executor, which runs every fixed op
+// sequence (workloads with data-dependent control flow run as closure
+// threads instead). A thread spawned with SpawnProgram runs a
+// precompiled micro-op program (package prog): operands are pre-resolved, so each
 // machine-visible op dispatches through the per-opcode function table
 // below with no request staging and no per-op switch, and free control
 // codes (jumps, counted-loop backedges) fold into pc updates between
@@ -17,9 +18,9 @@ import (
 // loop (sched.go) steps it one op at a time whenever it is the run-heap
 // minimum. Ops are therefore serviced in the same global min-(now, id)
 // order as closure threads', retries advance only the thread's clock,
-// and noteServed sees the identical service sequence, which is why the
-// golden digests and the differential engine test hold bit-for-bit
-// across engines.
+// and noteServed sees the identical service sequence, which is why
+// TestEngineDifferential holds a program and a closure issuing the
+// same ops bit-for-bit equal.
 
 // SpawnProgram starts a simulated thread pinned to the given core
 // executing the compiled program. Like Spawn, it must be called before
@@ -65,8 +66,8 @@ func (e *execEnv) value(op *prog.Op) uint64 {
 
 // stepControl folds free control codes (Jump, LoopEnd) into pc and
 // counter updates until the program counter rests on a machine-visible
-// op or past the end. These correspond to Go-level control flow in the
-// interpreted engine and consume no simulated time. The transition
+// op or past the end. These correspond to Go-level control flow in a
+// closure thread and consume no simulated time. The transition
 // bound catches malformed control cycles (a program of only jumps)
 // instead of hanging.
 func (e *execEnv) stepControl() {
@@ -118,7 +119,7 @@ func (m *Machine) execStep(t *Thread, e *execEnv) bool {
 	return true
 }
 
-// opExec is the compiled engine's dispatch table: one function per
+// opExec is the program executor's dispatch table: one function per
 // machine-visible opcode, mirroring the corresponding case of
 // Machine.process exactly (clock updates, stats, trace emissions, rng
 // draw order). Control codes never reach dispatch — stepControl folds

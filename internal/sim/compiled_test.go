@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,13 +9,15 @@ import (
 	"armbar/internal/isa"
 	"armbar/internal/platform"
 	"armbar/internal/prog"
+	"armbar/internal/topo"
 )
 
-// Tests of the compiled engine: the differential check against the
-// interpreted engine (identical traces, stats, memory, and clock at
-// several seeds), and the scheduler edge cases — store-buffer-full
-// retry, the watchdog, a program finishing while peers still run —
-// rerun through SpawnProgram. These run under `make race`.
+// Tests of the program executor: the differential check against
+// closure threads running the same op sequence (identical traces,
+// stats, memory, and clock at several seeds), and the scheduler edge
+// cases — store-buffer-full retry, the watchdog, a program finishing
+// while peers still run — rerun through SpawnProgram. These run under
+// `make race`.
 
 // recTracer records every event for byte-for-byte comparison.
 type recTracer struct{ events []TraceEvent }
@@ -108,41 +111,99 @@ func runDifferential(t *testing.T, mode Mode, seed int64, compiled bool) diffRun
 	return diffRun{elapsed: elapsed, stats: m.Stats(), final: final, events: tr.events}
 }
 
-// TestEngineDifferential proves the two engines produce byte-identical
-// behavior: same traced event sequence, same stats, same final memory,
-// same clock — in both memory modes, at two seeds (the rng draw
-// sequence differs per seed, so agreement at both rules out
-// accidental alignment).
+// runEpochBarrier runs the program shape of package barrier's
+// algorithms, compiled or as closures: 16 threads on both nodes wait
+// with SpinNE for thread 0 to open a start gate, then run rounds of an
+// epoch barrier — fetch-add the arrival counter, SpinGE until it
+// reaches threads*round — and returns the full observation.
+func runEpochBarrier(t *testing.T, mode Mode, seed int64, compiled bool) diffRun {
+	t.Helper()
+	const threads, rounds, pad = 16, 3, 8
+	m := newTestMachine(mode, seed)
+	tr := &recTracer{}
+	m.SetTracer(tr)
+	gate, ctr := m.Alloc(1), m.Alloc(1)
+	for i := 0; i < threads; i++ {
+		core := topo.CoreID(4 * i)
+		if compiled {
+			b := prog.NewBuilder(m.cfg.Plat.Cost.IssueWidth)
+			if i == 0 {
+				b.Store(prog.Abs(gate), prog.Imm(1))
+			} else {
+				b.SpinNE(prog.Abs(gate), 0, pad)
+			}
+			for r := 1; r <= rounds; r++ {
+				b.FetchAdd(prog.Abs(ctr), prog.Imm(1))
+				b.SpinGE(prog.Abs(ctr), uint64(threads*r), pad)
+			}
+			m.SpawnProgram(core, b.MustBuild())
+			continue
+		}
+		i := i
+		m.Spawn(core, func(th *Thread) {
+			if i == 0 {
+				th.Store(gate, 1)
+			} else {
+				for th.Load(gate) == 0 {
+					th.Nops(pad)
+				}
+			}
+			for r := 1; r <= rounds; r++ {
+				th.FetchAdd(ctr, 1)
+				for th.Load(ctr) < uint64(threads*r) {
+					th.Nops(pad)
+				}
+			}
+		})
+	}
+	elapsed := m.Run()
+	dir := m.Directory()
+	final := []uint64{dir.Committed(gate), dir.Committed(ctr)}
+	return diffRun{elapsed: elapsed, stats: m.Stats(), final: final, events: tr.events}
+}
+
+// TestEngineDifferential proves that a compiled program and a closure
+// running the same op sequence behave byte-identically: same traced
+// event sequence, same stats, same final memory, same clock — for each
+// input, in both memory modes, at two seeds (the rng draw sequence
+// differs per seed, so agreement at both rules out accidental
+// alignment).
 func TestEngineDifferential(t *testing.T) {
-	for _, mode := range []Mode{WMM, TSO} {
-		for _, seed := range []int64{42, 7} {
-			interp := runDifferential(t, mode, seed, false)
-			comp := runDifferential(t, mode, seed, true)
-			if interp.elapsed != comp.elapsed {
-				t.Errorf("mode %v seed %d: elapsed interp %v != compiled %v",
-					mode, seed, interp.elapsed, comp.elapsed)
-			}
-			if interp.stats != comp.stats {
-				t.Errorf("mode %v seed %d: stats diverge\ninterp:   %+v\ncompiled: %+v",
-					mode, seed, interp.stats, comp.stats)
-			}
-			if !reflect.DeepEqual(interp.final, comp.final) {
-				t.Errorf("mode %v seed %d: final memory diverges\ninterp:   %v\ncompiled: %v",
-					mode, seed, interp.final, comp.final)
-			}
-			if !reflect.DeepEqual(interp.events, comp.events) {
-				n := len(interp.events)
-				if len(comp.events) < n {
-					n = len(comp.events)
+	inputs := []struct {
+		name string
+		run  func(t *testing.T, mode Mode, seed int64, compiled bool) diffRun
+	}{
+		{"opcodes", runDifferential},
+		{"epoch-barrier", runEpochBarrier},
+	}
+	for _, in := range inputs {
+		for _, mode := range []Mode{WMM, TSO} {
+			for _, seed := range []int64{42, 7} {
+				where := fmt.Sprintf("%s mode %v seed %d", in.name, mode, seed)
+				interp := in.run(t, mode, seed, false)
+				comp := in.run(t, mode, seed, true)
+				if interp.elapsed != comp.elapsed {
+					t.Errorf("%s: elapsed interp %v != compiled %v", where, interp.elapsed, comp.elapsed)
 				}
-				for i := 0; i < n; i++ {
-					if interp.events[i] != comp.events[i] {
-						t.Fatalf("mode %v seed %d: trace diverges at event %d\ninterp:   %+v\ncompiled: %+v",
-							mode, seed, i, interp.events[i], comp.events[i])
+				if interp.stats != comp.stats {
+					t.Errorf("%s: stats diverge\ninterp:   %+v\ncompiled: %+v", where, interp.stats, comp.stats)
+				}
+				if !reflect.DeepEqual(interp.final, comp.final) {
+					t.Errorf("%s: final memory diverges\ninterp:   %v\ncompiled: %v", where, interp.final, comp.final)
+				}
+				if !reflect.DeepEqual(interp.events, comp.events) {
+					n := len(interp.events)
+					if len(comp.events) < n {
+						n = len(comp.events)
 					}
+					for i := 0; i < n; i++ {
+						if interp.events[i] != comp.events[i] {
+							t.Fatalf("%s: trace diverges at event %d\ninterp:   %+v\ncompiled: %+v",
+								where, i, interp.events[i], comp.events[i])
+						}
+					}
+					t.Fatalf("%s: trace length %d (interp) != %d (compiled)", where, len(interp.events), len(comp.events))
 				}
-				t.Fatalf("mode %v seed %d: trace length %d (interp) != %d (compiled)",
-					mode, seed, len(interp.events), len(comp.events))
 			}
 		}
 	}

@@ -5,11 +5,10 @@
 // in-process `armbar perfcheck` regression gate, which reruns them via
 // testing.Benchmark and compares against that snapshot.
 //
-// The workload bodies respect the process-wide engine default: under
-// the compiled engine (the default) each body is lowered to a micro-op
-// program, so the snapshot measures the path the figure generators
-// actually take. `armbar perfcheck` flips the default to measure both
-// engines and print their ratio.
+// The fixed op-sequence bodies are lowered to micro-op programs, the
+// path the figure generators take for such workloads; LockHandoff runs
+// closure threads, the path of the data-dependent lock and
+// data-structure bodies.
 package simbench
 
 import (
@@ -55,40 +54,25 @@ func newBenchMachine() *sim.Machine {
 	return sim.New(sim.Config{Plat: platform.Kunpeng916(), Seed: 1, MaxTime: 1e18})
 }
 
-// spawnLoop starts a thread running n iterations of the given body on
-// whichever engine is the process default: compiled engines get the
-// body lowered once into a counted-loop program, the interpreted
-// engine replays the Thread calls per iteration. Both issue the
-// identical machine-visible op sequence.
-func spawnLoop(m *sim.Machine, core topo.CoreID, n int,
-	lower func(b *prog.Builder, i int), interp func(t *sim.Thread, i int)) {
-	if sim.EngineDefault.Resolve() == sim.EngineCompiled {
-		b := prog.NewBuilder(platform.Kunpeng916().Cost.IssueWidth)
-		i := b.Loop(n)
-		lower(b, i)
-		b.EndLoop()
-		m.SpawnProgram(core, b.MustBuild())
-		return
-	}
-	m.Spawn(core, func(t *sim.Thread) {
-		for i := 0; i < n; i++ {
-			interp(t, i)
-		}
-	})
+// spawnLoop starts a thread running n iterations of the body that
+// lower appends to a counted-loop program.
+func spawnLoop(m *sim.Machine, core topo.CoreID, n int, lower func(b *prog.Builder, i int)) {
+	b := prog.NewBuilder(platform.Kunpeng916().Cost.IssueWidth)
+	i := b.Loop(n)
+	lower(b, i)
+	b.EndLoop()
+	m.SpawnProgram(core, b.MustBuild())
 }
 
 // RendezvousLoadHit is the floor of a simulated operation: cache-hit
 // loads with nothing in flight, so the measured cost is one pass
-// through the scheduler (one driver-loop step of a compiled thread, or
-// an inline process call on a closure thread that never hands off)
+// through the scheduler (one driver-loop step of a program thread)
 // plus the load bookkeeping. The name predates the scheduler rewrites
-// and is kept so snapshots stay comparable across engine generations.
+// and is kept so snapshots stay comparable across them.
 func RendezvousLoadHit(b *testing.B) {
 	m := newBenchMachine()
 	addr := m.Alloc(1)
-	spawnLoop(m, 0, b.N,
-		func(pb *prog.Builder, i int) { pb.Load(prog.Abs(addr)) },
-		func(t *sim.Thread, i int) { t.Load(addr) })
+	spawnLoop(m, 0, b.N, func(pb *prog.Builder, i int) { pb.Load(prog.Abs(addr)) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run()
@@ -96,17 +80,14 @@ func RendezvousLoadHit(b *testing.B) {
 
 // RendezvousTwoThreads interleaves two runnable threads so every
 // operation also pays the scheduler's min-(time, id) pick and, when
-// service alternates, the handoff between threads (a driver-loop step
-// for compiled threads, a coroutine switch for closures).
+// service alternates, the handoff between threads.
 func RendezvousTwoThreads(b *testing.B) {
 	m := newBenchMachine()
 	a1, a2 := m.Alloc(1), m.Alloc(1)
 	n := b.N / 2
 	for k, addr := range []uint64{a1, a2} {
 		addr := addr
-		spawnLoop(m, topo.CoreID(4*k), n,
-			func(pb *prog.Builder, i int) { pb.Load(prog.Abs(addr)) },
-			func(t *sim.Thread, i int) { t.Load(addr) })
+		spawnLoop(m, topo.CoreID(4*k), n, func(pb *prog.Builder, i int) { pb.Load(prog.Abs(addr)) })
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -121,9 +102,7 @@ func RendezvousTwoThreads(b *testing.B) {
 func StoreCommit(b *testing.B) {
 	m := newBenchMachine()
 	addr := m.Alloc(1)
-	spawnLoop(m, 0, b.N,
-		func(pb *prog.Builder, i int) { pb.Store(prog.Abs(addr), prog.Counter(i)) },
-		func(t *sim.Thread, i int) { t.Store(addr, uint64(i)) })
+	spawnLoop(m, 0, b.N, func(pb *prog.Builder, i int) { pb.Store(prog.Abs(addr), prog.Counter(i)) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run()
@@ -135,34 +114,25 @@ func StoreCommit(b *testing.B) {
 func StoreDMBFull(b *testing.B) {
 	m := newBenchMachine()
 	addr := m.Alloc(1)
-	spawnLoop(m, 0, b.N,
-		func(pb *prog.Builder, i int) {
-			pb.Store(prog.Abs(addr), prog.Counter(i))
-			pb.Barrier(isa.DMBFull)
-		},
-		func(t *sim.Thread, i int) {
-			t.Store(addr, uint64(i))
-			t.Barrier(isa.DMBFull)
-		})
+	spawnLoop(m, 0, b.N, func(pb *prog.Builder, i int) {
+		pb.Store(prog.Abs(addr), prog.Counter(i))
+		pb.Barrier(isa.DMBFull)
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run()
 }
 
-// CompiledDispatch measures the compiled engine's dispatch loop in
-// isolation — always a program, regardless of the engine default: a
-// solo counted loop of cache-hit loads, stepped op by op by the
-// scheduler's driver loop, so the per-op cost is one opExec table call
-// plus the load bookkeeping and the free LoopEnd fold. allocvet pins
-// every function on this path; the snapshot pins it at 0 allocs/op.
+// CompiledDispatch measures the program executor's dispatch loop in
+// isolation: a solo counted loop of cache-hit loads, stepped op by op
+// by the scheduler's driver loop, so the per-op cost is one opExec
+// table call plus the load bookkeeping and the free LoopEnd fold.
+// allocvet pins every function on this path; the snapshot pins it at
+// 0 allocs/op.
 func CompiledDispatch(b *testing.B) {
 	m := newBenchMachine()
 	addr := m.Alloc(1)
-	pb := prog.NewBuilder(platform.Kunpeng916().Cost.IssueWidth)
-	pb.Loop(b.N)
-	pb.Load(prog.Abs(addr))
-	pb.EndLoop()
-	m.SpawnProgram(0, pb.MustBuild())
+	spawnLoop(m, 0, b.N, func(pb *prog.Builder, i int) { pb.Load(prog.Abs(addr)) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run()
@@ -303,8 +273,7 @@ func CellCacheHit(b *testing.B) {
 
 // LockHandoff is the many-thread closure handoff: 12 threads contend
 // for a ticket lock (locks.NewTicket, DMB st unlock barrier) on the
-// closure path, whatever the engine default, so nearly every simulated
-// op changes the serving thread and pays a coroutine switch. This is
+// closure path, so nearly every simulated op changes the serving thread and pays a coroutine switch. This is
 // the shape of the closure-driven lock, data-structure and fan-in
 // experiments that dominate the cold wall. One op is one critical
 // section (lock, counter load and store, unlock); the threads share

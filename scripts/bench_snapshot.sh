@@ -17,31 +17,23 @@ raw=$(go test -run '^$' -bench 'Rendezvous|StoreCommit|StoreDMB|CompiledDispatch
 # Result-cache context: time `-quick all` cold (fresh cache dir) and
 # warm (same dir, every cell replayed from disk). Recorded in the
 # snapshot for reviewers — perfcheck prints but does not gate it.
-# The interp cold run (third, its own fresh cache dir) records the
-# whole-pipeline cost of the interpreted engine next to the compiled
-# default, so the engine speedup is visible in review diffs.
 bin=$(mktemp -d)/armbar
 cachedir=$(mktemp -d)
-interpdir=$(mktemp -d)
-trap 'rm -rf "$(dirname "$bin")" "$cachedir" "$interpdir"' EXIT
+trap 'rm -rf "$(dirname "$bin")" "$cachedir"' EXIT
 go build -o "$bin" ./cmd/armbar
 cold0=$(date +%s.%N)
 "$bin" -quick -times=false -cache-dir "$cachedir" all > /dev/null
 cold1=$(date +%s.%N)
 "$bin" -quick -times=false -cache-dir "$cachedir" all > /dev/null
 warm1=$(date +%s.%N)
-interp0=$(date +%s.%N)
-"$bin" -quick -times=false -engine=interp -cache-dir "$interpdir" all > /dev/null
-interp1=$(date +%s.%N)
 cold=$(awk -v a="$cold0" -v b="$cold1" 'BEGIN { printf "%.2f", b - a }')
 warm=$(awk -v a="$cold1" -v b="$warm1" 'BEGIN { printf "%.2f", b - a }')
-interp=$(awk -v a="$interp0" -v b="$interp1" 'BEGIN { printf "%.2f", b - a }')
 
 printf '%s\n' "$raw" | awk \
     -v goversion="$(go env GOVERSION)" \
     -v maxprocs="${GOMAXPROCS:-$(nproc)}" \
     -v date="$(date -u +%Y-%m-%d)" \
-    -v cold="$cold" -v warm="$warm" -v interp="$interp" '
+    -v cold="$cold" -v warm="$warm" '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -66,7 +58,6 @@ END {
     printf "  \"gomaxprocs\": %s,\n", maxprocs
     printf "  \"cold_wall_seconds\": %s,\n", cold
     printf "  \"warm_wall_seconds\": %s,\n", warm
-    printf "  \"interp_cold_wall_seconds\": %s,\n", interp
     print "  \"benchmarks\": ["
     for (i = 1; i <= n; i++) printf "%s%s\n", benches[i], (i < n ? "," : "")
     print "  ]"
