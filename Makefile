@@ -76,11 +76,14 @@ profilecheck:
 # fencevet), fuzz a fixed-seed 220-shape generated corpus through the
 # three oracles (explorer / closed-form model / sim containment), and
 # stay a sound over-approximation of what the simulator samples (the
-# explore package's agreement and determinism tests).
+# explore package's agreement and determinism tests). Every unsafe
+# placement must carry a counterexample trace, and explored states
+# must round-trip through the packed form (TestWitness and the seed
+# corpus of FuzzPackRoundTrip).
 .PHONY: fencecheck
 fencecheck:
 	$(GO) run ./cmd/armvet fencevet -fuzz 220 -fuzzseed 42
-	$(GO) test -run 'TestFormulaAgreement|TestSimAgreement|TestPinnedAnomalies|TestCompiledParityShapes|TestSeedIndependentVerdicts|TestFuzzThreeOracles|TestExploreParMatchesSequential' ./internal/explore
+	$(GO) test -run 'TestFormulaAgreement|TestSimAgreement|TestPinnedAnomalies|TestCompiledParityShapes|TestSeedIndependentVerdicts|TestFuzzThreeOracles|TestWitness|FuzzPackRoundTrip' ./internal/explore
 
 # Benchmark-harness gate: perfbench is its own module (replace
 # armbar => ../), so a change to an internal API it calls breaks only

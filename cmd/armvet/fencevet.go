@@ -6,7 +6,6 @@ import (
 	"io"
 	"runtime"
 
-	"armbar/internal/absmodel"
 	"armbar/internal/explore"
 	"armbar/internal/platform"
 	"armbar/internal/runner"
@@ -18,10 +17,11 @@ import (
 // placement lattice is explored under the reorder-bounded semantics,
 // cross-checked against absmodel's closed-form fence requirements,
 // and the paper's Pilot transformation is machine-checked step by
-// step. Exit 0 when every shape has a safe naive placement, every
-// lattice verdict agrees with the formula oracle, and every Pilot
-// step matches its expectation; 1 on any violation; 2 on usage
-// errors.
+// step, each unsafe step printed with its counterexample trace. Exit
+// 0 when every shape has a safe naive placement, every lattice
+// verdict agrees with the formula oracle, and every Pilot step
+// matches its expectation; 1 on any violation; 2 on usage errors,
+// including a -bound outside the packed state's 0..255 budget.
 func runFenceVet(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("armvet fencevet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -41,13 +41,17 @@ func runFenceVet(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *bound < 0 || *bound > explore.MaxBound {
+		fmt.Fprintf(stderr, "armvet fencevet: -bound %d outside 0..%d\n", *bound, explore.MaxBound)
+		return 2
+	}
 
 	bad := 0
 	for _, mode := range []sim.Mode{sim.WMM, sim.TSO} {
 		fmt.Fprintf(stdout, "== %v (bound %d) ==\n", mode, *bound)
 		for _, s := range explore.All() {
 			rep := explore.Minimize(s, mode, *bound)
-			agree := latticeAgrees(s, mode, *bound)
+			agree := explore.ModelAgrees(s, mode, *bound)
 			status := "ok"
 			if !rep.NaiveSafe {
 				status = "NAIVE UNSAFE"
@@ -68,6 +72,9 @@ func runFenceVet(args []string, stdout, stderr io.Writer) int {
 				bad++
 			}
 			fmt.Fprintf(stdout, "pilot: %-16s safe=%-5v expect=%-5v %s\n", st.Name, st.Safe, st.ExpectSafe, verdict)
+			for _, line := range st.Witness {
+				fmt.Fprintf(stdout, "         %s\n", line)
+			}
 		}
 	}
 	if *fuzz > 0 {
@@ -130,20 +137,4 @@ func runFuzz(stdout io.Writer, n int, seed int64, runs, par int) int {
 		fmt.Fprintf(stdout, "first disagreement:\n%s\n", firstErr)
 	}
 	return rep.Bad
-}
-
-// latticeAgrees checks every placement of the shape against absmodel's
-// closed-form fence requirements.
-func latticeAgrees(s *explore.Shape, mode sim.Mode, bound int) bool {
-	if !absmodel.KnownShape(s.Name) {
-		return false
-	}
-	for pl := explore.Placement(0); pl <= explore.Naive(s); pl++ {
-		got := explore.Explore(s, pl, mode, bound).Safe()
-		want := absmodel.FenceSafe(s.Name, explore.SlotBarriers(s, pl), mode)
-		if got != want {
-			return false
-		}
-	}
-	return true
 }

@@ -52,7 +52,8 @@ func TestListFlag(t *testing.T) {
 // TestFenceVetSubcommand runs the program-level verifier end to end:
 // every shape must minimize cleanly, agree with the formula oracle,
 // and the Pilot derivation must machine-check, so the subcommand
-// exits 0 and reports the load-side removal as the safe one.
+// exits 0, reports the load-side removal as the safe one and prints
+// the stale-payload counterexample under the unsafe removals.
 func TestFenceVetSubcommand(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"fencevet"}, &out, &errb)
@@ -60,9 +61,10 @@ func TestFenceVetSubcommand(t *testing.T) {
 		t.Fatalf("exit code = %d, want 0 (stdout %q, stderr %q)", code, out.String(), errb.String())
 	}
 	for _, want := range []string{
-		"minimal={push pull}",  // MP under WMM
-		"pilot: chan - avail",  // the removal the paper derives
+		"minimal={push pull}", // MP under WMM
+		"pilot: chan - avail", // the removal the paper derives
 		"pilot: chan - publish",
+		"\n         outcome ready=1 flag=1 local=0\n", // WMM witness
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("fencevet output missing %q:\n%s", want, out.String())
@@ -74,9 +76,15 @@ func TestFenceVetSubcommand(t *testing.T) {
 }
 
 func TestFenceVetUsageExitsTwo(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"fencevet", "extra-arg"}, &out, &errb); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
+	for _, args := range [][]string{
+		{"extra-arg"},
+		{"-bound", "300"}, // past the one-byte reorder budget
+		{"-bound", "-1"},  // would wrap to a 255 budget with no bits
+	} {
+		var out, errb bytes.Buffer
+		if code := run(append([]string{"fencevet"}, args...), &out, &errb); code != 2 {
+			t.Errorf("fencevet %v: exit code = %d, want 2", args, code)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"reflect"
 	"testing"
 
 	"armbar/internal/absmodel"
@@ -11,7 +12,10 @@ import (
 // TestFormulaAgreement checks every placement of every shape under
 // both modes against absmodel's closed-form fence requirements: the
 // operational explorer and the axiomatic formula must give the same
-// verdict everywhere on the lattice.
+// verdict everywhere on the lattice. Along the way the traced engine
+// (Explore) must match the untraced one on a recycled engine (the
+// Minimize path) state for state: tracing is bookkeeping outside the
+// state identity.
 func TestFormulaAgreement(t *testing.T) {
 	for _, mode := range []sim.Mode{sim.WMM, sim.TSO} {
 		for _, s := range All() {
@@ -19,8 +23,19 @@ func TestFormulaAgreement(t *testing.T) {
 				t.Errorf("%s: no closed-form fence requirements", s.Name)
 				continue
 			}
+			var scr *fastExplorer
 			for pl := Placement(0); pl <= Naive(s); pl++ {
-				got := Explore(s, pl, mode, DefaultBound).Safe()
+				traced := Explore(s, pl, mode, DefaultBound)
+				plain, re := exploreReuse(s, pl, mode, DefaultBound, false, scr)
+				scr = re
+				if traced.States != plain.States ||
+					!reflect.DeepEqual(traced.Outcomes, plain.Outcomes) ||
+					!reflect.DeepEqual(traced.Forbidden, plain.Forbidden) {
+					t.Errorf("%s%s under %v: traced run (%d states, %v, forbidden %v) differs from untraced (%d states, %v, forbidden %v)",
+						s.Name, pl.Describe(s), mode, traced.States, traced.Outcomes, traced.Forbidden,
+						plain.States, plain.Outcomes, plain.Forbidden)
+				}
+				got := traced.Safe()
 				want := absmodel.FenceSafe(s.Name, SlotBarriers(s, pl), mode)
 				if got != want {
 					t.Errorf("%s%s under %v: explorer safe=%v, formula safe=%v",

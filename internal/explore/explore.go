@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"armbar/internal/litmus"
-	"armbar/internal/runner"
 	"armbar/internal/sim"
 )
 
@@ -13,6 +12,10 @@ import (
 // unit; the classic suite's reachable sets are saturated well below
 // this (TestBoundSaturation pins that raising it changes nothing).
 const DefaultBound = 4
+
+// MaxBound is the largest reorder budget the packed state holds (one
+// byte per state).
+const MaxBound = 255
 
 // Result is the exact reachable-outcome set of one shape under one
 // placement.
@@ -40,74 +43,23 @@ func (r *Result) Reaches(o litmus.Outcome) bool {
 	return false
 }
 
-// bufEntry is one pending store: level counts the store fences issued
-// before it (an entry may drain past same-level neighbors but never
-// past a lower level), rel marks an STLR-like release that must wait
-// until it is the oldest entry.
-type bufEntry struct {
-	addr  uint8
-	val   uint64
-	level uint8
-	rel   bool
-}
-
-// staleEntry is one value a thread may still observe for addr after a
-// remote commit overwrote it — the union of the simulator's
-// invalidated-copy window and its early-binding race on in-flight
-// misses. clearable is set once a subsequent load of this thread
-// completes (the entry then predates the thread's last load, so a
-// load-side barrier discards it).
-type staleEntry struct {
-	addr      uint8
-	val       uint64
-	clearable bool
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
 // Explore enumerates every interleaving of the shape under the
-// placement, up to the reorder bound.
+// placement, up to the reorder bound, and records the first forbidden
+// trace in DFS order as the witness.
 func Explore(s *Shape, pl Placement, mode sim.Mode, bound int) *Result {
-	return exploreRun(s, pl, mode, bound, nil, true)
-}
-
-// ExplorePar is Explore with the search fanned out over the pool:
-// the packed engine expands a frontier sequentially, shards the
-// unexpanded subtrees over the workers, and merges the per-worker
-// visited tables and outcome sets at quiescence. The reachable set is
-// the split-independent union of the subtree reachable sets, so the
-// Result — outcomes, forbidden set, state count, witness — is
-// bit-identical to the sequential explorer at every pool width. A nil
-// pool (or a single worker) runs sequentially.
-func ExplorePar(s *Shape, pl Placement, mode sim.Mode, bound int, pool *runner.Pool) *Result {
-	return exploreRun(s, pl, mode, bound, pool, true)
-}
-
-// exploreRun is the shared engine driver. The witness replay is
-// skipped when the caller only needs the verdict (the Minimize
-// lattice walk), keeping unsafe lattice points on the packed path.
-func exploreRun(s *Shape, pl Placement, mode sim.Mode, bound int, pool *runner.Pool, wantWitness bool) *Result {
-	r, _ := exploreReuse(s, pl, mode, bound, pool, wantWitness, nil)
+	r, _ := exploreReuse(s, pl, mode, bound, true, nil)
 	return r
 }
 
-// exploreReuse is exploreRun with engine recycling: re (possibly nil)
-// is a retired engine whose slabs are salvaged, and the engine used
-// here is returned for the caller's next placement.
-func exploreReuse(s *Shape, pl Placement, mode sim.Mode, bound int, pool *runner.Pool, wantWitness bool, re *fastExplorer) (*Result, *fastExplorer) {
-	tso := mode == sim.TSO
-	x := newFastExplorer(s, pl, tso, bound, re)
+// exploreReuse is Explore with engine recycling: re (possibly nil) is
+// a retired engine whose slabs are salvaged, and the engine used here
+// is returned for the caller's next placement. The path tracing that
+// builds the witness runs only when wantWitness is set; lattice walks
+// that need only verdicts (Minimize, CheckCase) leave it off.
+func exploreReuse(s *Shape, pl Placement, mode sim.Mode, bound int, wantWitness bool, re *fastExplorer) (*Result, *fastExplorer) {
+	x := newFastExplorer(s, pl, mode == sim.TSO, bound, wantWitness, re)
 	x.pushInit()
-	if pool == nil || pool.Workers() <= 1 {
-		x.run()
-	} else {
-		x.runSharded(pool)
-	}
+	x.run()
 	x.noteMetrics()
 
 	res := &Result{
@@ -116,6 +68,7 @@ func exploreReuse(s *Shape, pl Placement, mode sim.Mode, bound int, pool *runner
 		Placement: pl,
 		Bound:     bound,
 		States:    x.table.n,
+		Witness:   x.witness,
 	}
 	for o := range x.outcomes {
 		res.Outcomes = append(res.Outcomes, o)
@@ -125,9 +78,6 @@ func exploreReuse(s *Shape, pl Placement, mode sim.Mode, bound int, pool *runner
 	}
 	sortOutcomes(res.Outcomes)
 	sortOutcomes(res.Forbidden)
-	if x.sawForbidden && wantWitness {
-		res.Witness = findWitness(s, x.ops, tso, bound)
-	}
 	return res, x
 }
 

@@ -2,8 +2,11 @@ package explore
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"armbar/internal/litmus"
 	"armbar/internal/sim"
 )
 
@@ -105,18 +108,34 @@ func TestPilotCheck(t *testing.T) {
 	}
 }
 
-// TestWitness pins that an unsafe verdict carries a replayable trace
-// ending in the forbidden outcome.
+// TestWitness pins the traced engine's counterexamples: at every
+// placement of every fixed shape, in both modes, an unsafe verdict
+// carries a trace of at least one step ending in one of its forbidden
+// outcomes, and a safe verdict carries none.
 func TestWitness(t *testing.T) {
-	r := Explore(MP(), 0, sim.WMM, DefaultBound)
-	if r.Safe() {
-		t.Fatal("MP with no barriers must be unsafe under WMM")
-	}
-	if len(r.Witness) == 0 {
-		t.Fatal("no witness")
-	}
-	last := r.Witness[len(r.Witness)-1]
-	if want := "outcome "; len(last) < len(want) || last[:len(want)] != want {
-		t.Fatalf("witness does not end in an outcome line: %q", last)
+	for _, mode := range []sim.Mode{sim.WMM, sim.TSO} {
+		for _, s := range All() {
+			for pl := Placement(0); pl <= Naive(s); pl++ {
+				r := Explore(s, pl, mode, DefaultBound)
+				if r.Safe() {
+					if r.Witness != nil {
+						t.Errorf("%s%s under %v: safe placement carries a witness %q",
+							s.Name, pl.Describe(s), mode, r.Witness)
+					}
+					continue
+				}
+				if len(r.Witness) < 2 {
+					t.Errorf("%s%s under %v: unsafe placement carries witness %q",
+						s.Name, pl.Describe(s), mode, r.Witness)
+					continue
+				}
+				last := r.Witness[len(r.Witness)-1]
+				o, ok := strings.CutPrefix(last, "outcome ")
+				if !ok || !slices.Contains(r.Forbidden, litmus.Outcome(o)) {
+					t.Errorf("%s%s under %v: witness ends in %q, want \"outcome \" plus one of %v",
+						s.Name, pl.Describe(s), mode, last, r.Forbidden)
+				}
+			}
+		}
 	}
 }

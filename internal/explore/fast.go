@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"bytes"
+	"fmt"
 	"sync/atomic"
 
 	"armbar/internal/isa"
@@ -8,23 +10,26 @@ import (
 	"armbar/internal/metrics"
 )
 
-// This file is the explorer's throughput engine: an iterative
-// worklist search over compressed states (see pack.go for the two
-// representations). Where the witness replayer (witness.go) clones
-// heap states and builds string keys, this engine mutates exactly two
-// flat scratch states — the frame being expanded and the successor
-// under construction — and touches the heap only through the packed
-// visited table and the flat frame stack, both of which reach
-// steady-state capacity early. The visit loop (pop → mutate scratch →
-// pack → probe → push) allocates nothing; allocvet pins it. Popping a
-// frame is one memmove — the stack holds flat states, so no decode
-// step exists on the hot path at all.
+// This file is the explorer's engine: an iterative worklist search
+// over compressed states (see pack.go for the two representations).
+// It mutates exactly two flat scratch states — the frame being
+// expanded and the successor under construction — and touches the
+// heap only through the packed visited table and the flat frame
+// stack, both of which reach steady-state capacity early. The visit
+// loop (pop → mutate scratch → pack → probe → push) allocates
+// nothing; allocvet pins it. Popping a frame is one memmove — the
+// stack holds flat states, so no decode step exists on the hot path
+// at all.
 //
-// The engine and the replayer implement the same abstract semantics
-// (see the package comment) and the same state identity — the packed
-// encoding is injective over exactly the fields the old string key
-// enumerated — so reachable sets, outcome sets, and distinct-state
-// counts are bit-identical to the PR 9 explorer.
+// A traced run also records the first forbidden trace. The worklist
+// is LIFO, so a frame is popped only after every one of its
+// ancestors, and the ancestors of the frame being expanded are
+// exactly the frames last popped at each shallower depth. Traced
+// frames therefore carry their depth (a field outside the packed
+// identity), and expandOne keeps the path of popped frames indexed by
+// depth; the witness is rendered from that path by diffing each frame
+// with its parent. Untraced runs (the lattice walks of Minimize and
+// CheckCase) skip both, paying one predictable branch per pop.
 
 // fop is a placed op pre-lowered against the layout: the address fits
 // a byte and the store/swap value is replaced by its dictionary
@@ -42,35 +47,38 @@ type fop struct {
 type fastExplorer struct {
 	shape *Shape
 	pl    Placement
-	ops   [][]SOp // placed program, kept for the witness replayer
+	ops   [][]SOp // placed program, the layout's input
 	fops  [][]fop // the same program lowered against the layout
 	tso   bool
 	bound int
+	trace bool // keep the DFS path and record the first forbidden trace
 	lay   layout
 
 	table  *vtable
 	stack  []byte   // flat frames, lay.stride bytes each
 	cur    []byte   // frame being expanded
 	next   []byte   // successor scratch
+	path   []byte   // traced: the popped frame and its ancestors, by depth
 	pbuf   []uint64 // pack scratch, lay.words
 	writes []int    // layout-build scratch
 
 	rawRegs []uint64 // terminal rendering scratch (dictionary-decoded)
 	rawMem  []uint64
 
-	sigs         map[uint64]struct{} // terminal signatures already rendered
-	outcomes     map[litmus.Outcome]bool
-	forbidden    map[litmus.Outcome]bool
-	sawForbidden bool
+	sigs      map[uint64]struct{} // terminal signatures already rendered
+	outcomes  map[litmus.Outcome]bool
+	forbidden map[litmus.Outcome]bool
+	witness   []string // traced: the first forbidden trace
 }
 
-// newFastExplorer builds an engine for one placed program. A non-nil
-// re recycles a previous engine's slabs — visited table (an epoch
-// bump, keeping the grown capacity), program and lowering buffers,
-// scratch states, frame stack and result maps — which is how a
-// Minimize walk pays the allocations once for the whole lattice
-// instead of once per placement.
-func newFastExplorer(s *Shape, pl Placement, tso bool, bound int, re *fastExplorer) *fastExplorer {
+// newFastExplorer builds an engine for one placed program; trace
+// selects witness recording. A non-nil re recycles a previous
+// engine's slabs — visited table (an epoch bump, keeping the grown
+// capacity), program and lowering buffers, scratch states, frame
+// stack and result maps — which is how a Minimize walk pays the
+// allocations once for the whole lattice instead of once per
+// placement.
+func newFastExplorer(s *Shape, pl Placement, tso bool, bound int, trace bool, re *fastExplorer) *fastExplorer {
 	x := re
 	if x == nil {
 		x = &fastExplorer{
@@ -82,12 +90,13 @@ func newFastExplorer(s *Shape, pl Placement, tso bool, bound int, re *fastExplor
 		clear(x.sigs)
 		clear(x.outcomes)
 		clear(x.forbidden)
-		x.sawForbidden = false
+		x.witness = nil
 		x.stack = x.stack[:0]
+		x.path = x.path[:0]
 	}
-	x.shape, x.pl, x.tso, x.bound = s, pl, tso, bound
+	x.shape, x.pl, x.tso, x.bound, x.trace = s, pl, tso, bound, trace
 	x.buildProgram()
-	x.writes = x.lay.build(s, x.ops, bound, x.writes)
+	x.writes = x.lay.build(s, x.ops, bound, trace, x.writes)
 	x.lowerProgram()
 	if x.table == nil || x.table.words != x.lay.words {
 		x.table = newVTable(x.lay.words)
@@ -118,31 +127,16 @@ func reuseU64(b []uint64, n int) []uint64 {
 	return b[:n]
 }
 
-// buildProgram lowers the placement into x.ops, mirroring
-// Shape.program but reusing the engine's backing arrays.
+// buildProgram places the slot barriers into x.ops, reusing the
+// engine's backing arrays.
 func (x *fastExplorer) buildProgram() {
-	s, pl := x.shape, x.pl
-	if cap(x.ops) < len(s.Threads) {
-		x.ops = make([][]SOp, len(s.Threads))
+	n := len(x.shape.Threads)
+	if cap(x.ops) < n {
+		x.ops = make([][]SOp, n)
 	}
-	x.ops = x.ops[:len(s.Threads)]
-	for i := range s.Threads {
-		base := s.Threads[i]
-		t := x.ops[i][:0]
-		if cap(t) < len(base)+len(s.Slots) {
-			t = make([]SOp, 0, len(base)+len(s.Slots))
-		}
-		for at := 0; at <= len(base); at++ {
-			for si, sl := range s.Slots {
-				if sl.Thread == i && sl.At == at && pl.Has(si) {
-					t = append(t, SOp{Code: SBarrier, Bar: sl.Bar, Obs: -1})
-				}
-			}
-			if at < len(base) {
-				t = append(t, base[at])
-			}
-		}
-		x.ops[i] = t
+	x.ops = x.ops[:n]
+	for i := range x.ops {
+		x.ops[i] = x.shape.appendThread(x.ops[i][:0], i, x.pl)
 	}
 }
 
@@ -201,6 +195,13 @@ func (x *fastExplorer) expandOne() {
 	n := len(x.stack) - x.lay.stride
 	copy(x.cur, x.stack[n:])
 	x.stack = x.stack[:n]
+	if x.trace {
+		// Every frame deeper than this one has been expanded, so the
+		// path up to its depth holds exactly its ancestors.
+		d := x.lay.depth(x.cur)
+		x.path = append(x.path[:d*x.lay.stride], x.cur...)
+		x.lay.setDepth(x.cur, d+1) // inherited by every successor
+	}
 
 	progressed := false
 	for u := range x.fops {
@@ -229,9 +230,9 @@ func (x *fastExplorer) emit() {
 	}
 }
 
-// issue generates the successors of thread u's next op, mirroring
-// witExplorer.issue. It returns false when the op cannot issue yet (a
-// drain barrier or RMW waiting on a non-empty buffer).
+// issue generates the successors of thread u's next op. It returns
+// false when the op cannot issue yet (a drain barrier or RMW waiting
+// on a non-empty buffer).
 func (x *fastExplorer) issue(u int) bool {
 	tl := &x.lay.th[u]
 	op := x.fops[u][x.cur[tl.hdrOff]]
@@ -245,7 +246,7 @@ func (x *fastExplorer) issue(u int) bool {
 		x.next[tl.hdrOff]++ // pc
 		nbuf := x.next[tl.hdrOff+2]
 		b := x.next[tl.bufOff+3*int(nbuf):]
-		b[0], b[1], b[2] = op.addr, op.vidx, x.next[tl.hdrOff+1] // level; rel clear
+		b[0], b[1], b[2] = op.addr, op.vidx, x.next[tl.hdrOff+1] // drain level
 		x.next[tl.hdrOff+2] = nbuf + 1
 		x.emit()
 		return true
@@ -325,8 +326,10 @@ func (x *fastExplorer) finishLoad(u int, tl *thLayout, op fop, acq bool, val uin
 	x.emit()
 }
 
-// barrier applies a standalone barrier's ordering effect, mirroring
-// witExplorer.barrier.
+// barrier applies a standalone barrier's ordering effect. Store
+// fences bump the drain level; full and DSB barriers wait for the
+// buffer to drain and then discard every stale view; load-side
+// barriers discard the views that predate the last load.
 func (x *fastExplorer) barrier(u int, tl *thLayout, op fop) bool {
 	switch op.bar {
 	case isa.DMBSt:
@@ -363,10 +366,7 @@ func badSlotBarrier(b isa.Barrier) {
 }
 
 // commits generates one successor per eligible store-buffer entry of
-// thread u. Under TSO only the head may drain; under WMM an entry may
-// drain early unless an older entry has a lower fence level, writes
-// the same line, or the entry is a release that is not yet oldest
-// (the same rule eligibleBuf states over the replayer's heap form).
+// thread u (see eligible).
 func (x *fastExplorer) commits(u int) bool {
 	tl := &x.lay.th[u]
 	nbuf := int(x.cur[tl.hdrOff+2])
@@ -403,19 +403,17 @@ func (x *fastExplorer) commits(u int) bool {
 }
 
 // eligible reports whether buffer entry k of the current frame may
-// commit (flat-form twin of eligibleBuf).
+// commit. Under TSO only the head may drain; under WMM an entry may
+// drain early unless an older entry has a lower fence level or writes
+// the same line.
 func (x *fastExplorer) eligible(tl *thLayout, k int) bool {
 	if x.tso {
 		return k == 0
 	}
 	lv := x.cur[tl.bufOff+3*k+2]
-	if lv&0x80 != 0 && k != 0 {
-		return false // release not yet oldest
-	}
-	lv &= 0x7f
 	ea := x.cur[tl.bufOff+3*k]
 	for j := 0; j < k; j++ {
-		if x.cur[tl.bufOff+3*j+2]&0x7f < lv || x.cur[tl.bufOff+3*j] == ea {
+		if x.cur[tl.bufOff+3*j+2] < lv || x.cur[tl.bufOff+3*j] == ea {
 			return false
 		}
 	}
@@ -425,7 +423,9 @@ func (x *fastExplorer) eligible(tl *thLayout, k int) bool {
 // terminal folds the current state into the outcome set. Outcomes
 // depend only on registers and final memory, so terminal states are
 // first deduplicated by a packed (regs, mem) signature and rendered —
-// the only allocating step — once per distinct signature.
+// the only allocating step — once per distinct signature. The first
+// forbidden terminal always carries a new signature, so a traced run
+// renders its witness here.
 func (x *fastExplorer) terminal() {
 	if x.lay.sigOK {
 		var sig uint64
@@ -453,8 +453,82 @@ func (x *fastExplorer) terminal() {
 	x.outcomes[o] = true
 	if x.shape.Forbidden(x.rawRegs, x.rawMem) {
 		x.forbidden[o] = true
-		x.sawForbidden = true
+		if x.trace && x.witness == nil {
+			x.witness = x.renderPath(o)
+		}
 	}
+}
+
+// renderPath renders the recorded path to the current terminal, one
+// line per transition, ending in the outcome.
+func (x *fastExplorer) renderPath(o litmus.Outcome) []string {
+	w := x.lay.stride
+	n := len(x.path) / w
+	out := make([]string, 0, n)
+	for i := 1; i < n; i++ {
+		out = append(out, x.step(x.path[(i-1)*w:i*w], x.path[i*w:(i+1)*w]))
+	}
+	return append(out, "outcome "+string(o))
+}
+
+// step describes the transition from frame a to its successor b. The
+// thread whose pc moved issued its op at a's pc; otherwise one buffer
+// lost an entry to a commit. A transition that spent reorder budget
+// was a stale read or an out-of-order commit.
+func (x *fastExplorer) step(a, b []byte) string {
+	spent := b[0] < a[0]
+	for u := range x.fops {
+		tl := &x.lay.th[u]
+		if a[tl.hdrOff] == b[tl.hdrOff] {
+			continue
+		}
+		op := x.fops[u][a[tl.hdrOff]]
+		line := x.lineName(op.addr)
+		switch op.code {
+		case SLoad, SLoadAcq:
+			for k := int(a[tl.hdrOff+2]) - 1; k >= 0; k-- {
+				if a[tl.bufOff+3*k] == op.addr {
+					return fmt.Sprintf("T%d: load %s = %d (forwarded)", u, line, x.lay.dict[a[tl.bufOff+3*k+1]])
+				}
+			}
+			if spent {
+				return fmt.Sprintf("T%d: load %s = %d (stale)", u, line, x.lay.dict[b[x.lay.regsOff+int(op.obs)]])
+			}
+			return fmt.Sprintf("T%d: load %s = %d", u, line, x.lay.dict[a[x.lay.memOff+int(op.addr)]])
+		case SStore:
+			return fmt.Sprintf("T%d: store %s=%d (buffered)", u, line, x.lay.dict[op.vidx])
+		case SSwap:
+			return fmt.Sprintf("T%d: swap %s=%d (read %d)", u, line, x.lay.dict[op.vidx], x.lay.dict[a[x.lay.memOff+int(op.addr)]])
+		default:
+			return fmt.Sprintf("T%d: %v", u, op.bar)
+		}
+	}
+	for u := range x.fops {
+		tl := &x.lay.th[u]
+		nbuf := int(a[tl.hdrOff+2])
+		if int(b[tl.hdrOff+2]) == nbuf {
+			continue
+		}
+		// The committed entry is the first one b no longer holds in
+		// place (equal neighbors render the same line either way).
+		k := 0
+		for k < nbuf-1 && bytes.Equal(a[tl.bufOff+3*k:tl.bufOff+3*k+3], b[tl.bufOff+3*k:tl.bufOff+3*k+3]) {
+			k++
+		}
+		desc := fmt.Sprintf("T%d: commit %s=%d", u, x.lineName(a[tl.bufOff+3*k]), x.lay.dict[a[tl.bufOff+3*k+1]])
+		if spent {
+			desc += " (out of order)"
+		}
+		return desc
+	}
+	panic("explore: path frames are not a transition")
+}
+
+func (x *fastExplorer) lineName(addr uint8) string {
+	if int(addr) < len(x.shape.LineNames) {
+		return x.shape.LineNames[addr]
+	}
+	return fmt.Sprintf("line%d", addr)
 }
 
 // markClearable flags every stale entry of the successor's thread: a

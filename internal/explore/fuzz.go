@@ -92,7 +92,7 @@ func CheckCase(gs *GenShape, runs int, p *platform.Platform, seed int64) FuzzCas
 	for _, mode := range []sim.Mode{sim.WMM, sim.TSO} {
 		naive := Naive(gs.S)
 		for pl := Placement(0); pl <= naive; pl++ {
-			r, re := exploreReuse(gs.S, pl, mode, DefaultBound, nil, false, scr)
+			r, re := exploreReuse(gs.S, pl, mode, DefaultBound, false, scr)
 			scr = re
 			c.Explored++
 			c.States += r.States

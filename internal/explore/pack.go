@@ -28,9 +28,11 @@ import (
 //     hash of the packed bytes.
 //
 // Flat-form field encodings: a buffer entry is 3 bytes
-// [addr, validx, level|rel<<7]; a stale entry is 2 bytes
+// [addr, validx, level]; a stale entry is 2 bytes
 // [addr, validx|clearable<<7]. The layout guard below keeps value
-// indices and drain levels in 7 bits so the flag bits never collide.
+// indices in 7 bits so the flag bit never collides. A traced run's
+// frames end in a 2-byte little-endian depth, which pack never reads:
+// it is bookkeeping of the search, not part of the state.
 
 // thLayout is the per-thread slice of the layout: bit widths for the
 // packed form, byte offsets for the flat form. The packed header
@@ -45,7 +47,7 @@ type thLayout struct {
 	staleCap  int  // max distinct stale views = sum over lines of 1+writes
 	staleCnt  uint // bits for the stale occupancy count
 	hdrBits   uint // pc + level + both occupancy counts
-	entryBits uint // addr + value index + level + rel flag
+	entryBits uint // addr + value index + level
 	staleEnt  uint // addr + value index + clearable flag
 
 	hdrOff   int // flat: [pc, level, nbuf, nstale]
@@ -65,6 +67,7 @@ type layout struct {
 	stride        int  // bytes per flat state
 	memOff        int  // flat: nlines value indices ([0] is the budget)
 	regsOff       int  // flat: nregs value indices
+	depthOff      int  // flat, traced runs only: 2-byte search depth
 	sigOK         bool // terminal signature (regs+mem) fits one word
 }
 
@@ -76,12 +79,13 @@ func bitsFor(maxVal int) uint {
 }
 
 // build derives the layout from the placed program, reusing the
-// receiver's slices. The value dictionary is closed under the
-// semantics: memory cells hold zero, an Init value, or a store/swap
-// immediate; registers hold zero or an observed memory value;
-// buffered and stale values are past or pending memory values. The
-// writes scratch is returned for the caller to reuse.
-func (l *layout) build(s *Shape, ops [][]SOp, bound int, writes []int) []int {
+// receiver's slices; trace appends the depth field to every frame.
+// The value dictionary is closed under the semantics: memory cells
+// hold zero, an Init value, or a store/swap immediate; registers hold
+// zero or an observed memory value; buffered and stale values are
+// past or pending memory values. The writes scratch is returned for
+// the caller to reuse.
+func (l *layout) build(s *Shape, ops [][]SOp, bound int, trace bool, writes []int) []int {
 	l.nlines, l.nregs = s.Lines, len(s.Regs)
 
 	l.dict = append(l.dict[:0], 0)
@@ -127,6 +131,7 @@ func (l *layout) build(s *Shape, ops [][]SOp, bound int, writes []int) []int {
 	l.regsOff = l.memOff + l.nlines
 	off := l.regsOff + l.nregs
 	totalBits := l.budgetBits + uint(l.nlines+l.nregs)*l.vbits
+	maxDepth := 0 // every transition issues an op or commits a store
 	l.th = l.th[:0]
 	for _, tops := range ops {
 		bufCap, maxLevel := 0, 0
@@ -147,7 +152,7 @@ func (l *layout) build(s *Shape, ops [][]SOp, bound int, writes []int) []int {
 			staleCnt:  bitsFor(staleCap),
 		}
 		tl.hdrBits = tl.pcBits + tl.levelBits + tl.bufCnt + tl.staleCnt
-		tl.entryBits = l.addrBits + l.vbits + tl.levelBits + 1
+		tl.entryBits = l.addrBits + l.vbits + tl.levelBits
 		tl.staleEnt = l.addrBits + l.vbits + 1
 		tl.hdrOff = off
 		tl.bufOff = off + 4
@@ -156,6 +161,11 @@ func (l *layout) build(s *Shape, ops [][]SOp, bound int, writes []int) []int {
 		l.th = append(l.th, tl)
 		totalBits += tl.hdrBits +
 			uint(tl.bufCap)*tl.entryBits + uint(tl.staleCap)*tl.staleEnt
+		maxDepth += len(tops) + bufCap
+	}
+	l.depthOff = off
+	if trace {
+		off += 2
 	}
 	l.stride = off
 	l.words = int((totalBits + 63) / 64)
@@ -163,20 +173,30 @@ func (l *layout) build(s *Shape, ops [][]SOp, bound int, writes []int) []int {
 		l.words = 1
 	}
 	l.sigOK = uint(l.nlines+l.nregs)*l.vbits <= 64
-	// The flat form stores value indices and drain levels alongside a
-	// flag bit in one byte, and pc/occupancy counts in one byte each.
-	// These bounds hold with margin for every shape the generator can
-	// produce; a violation would silently corrupt states, so fail
-	// loudly instead.
-	if l.vbits > 7 || bound > 255 || s.Lines > 255 {
+	// The flat form stores value indices alongside a flag bit in one
+	// byte, the budget, pc, drain level and occupancy counts in one
+	// byte each, and the depth in two. These bounds hold with margin
+	// for every shape the generator can produce; a violation would
+	// silently corrupt states, so fail loudly instead.
+	if l.vbits > 7 || bound < 0 || bound > MaxBound || s.Lines > 255 || trace && maxDepth >= 0xffff {
 		panic("explore: shape exceeds the packed-state envelope")
 	}
 	for u := range l.th {
-		if l.th[u].levelBits > 7 || len(ops[u]) > 255 || l.th[u].staleCap > 255 {
+		if len(ops[u]) > 255 || l.th[u].staleCap > 255 {
 			panic("explore: thread exceeds the packed-state envelope")
 		}
 	}
 	return writes
+}
+
+// depth reads a traced frame's search depth.
+func (l *layout) depth(st []byte) int {
+	return int(st[l.depthOff]) | int(st[l.depthOff+1])<<8
+}
+
+// setDepth writes a traced frame's search depth.
+func (l *layout) setDepth(st []byte, d int) {
+	st[l.depthOff], st[l.depthOff+1] = byte(d), byte(d>>8)
 }
 
 func sortU64(vs []uint64) {
@@ -273,8 +293,7 @@ func (l *layout) pack(st []byte, out []uint64) {
 			b := st[tl.bufOff+3*k : tl.bufOff+3*k+3]
 			c.put(uint64(b[0])|
 				uint64(b[1])<<l.addrBits|
-				uint64(b[2]&0x7f)<<(l.addrBits+l.vbits)|
-				uint64(b[2]>>7)<<(l.addrBits+l.vbits+tl.levelBits),
+				uint64(b[2])<<(l.addrBits+l.vbits),
 				tl.entryBits)
 		}
 		for k := 0; k < nstale; k++ {
@@ -317,8 +336,7 @@ func (l *layout) unpack(ws []uint64, st []byte) {
 			e := c.get(tl.entryBits)
 			st[tl.bufOff+3*k] = byte(e & (1<<l.addrBits - 1))
 			st[tl.bufOff+3*k+1] = byte((e >> l.addrBits) & (1<<l.vbits - 1))
-			st[tl.bufOff+3*k+2] = byte((e>>(l.addrBits+l.vbits))&(1<<tl.levelBits-1)) |
-				byte(e>>(l.addrBits+l.vbits+tl.levelBits))<<7
+			st[tl.bufOff+3*k+2] = byte(e >> (l.addrBits + l.vbits))
 		}
 		for k := 0; k < nstale; k++ {
 			e := c.get(tl.staleEnt)

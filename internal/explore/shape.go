@@ -13,16 +13,19 @@
 // early-binding race on in-flight misses). Every behavior the
 // simulator can sample is reachable here; the explorer additionally
 // reaches timing corners sampling may miss, so a placement the
-// explorer calls safe is safe for every seed. Three entry points sit
-// on top (verify.go): Verify proves a barrier placement admits no
-// forbidden outcome, Minimize searches the placement lattice for all
-// minimal safe placements, and PilotCheck machine-checks the paper's
+// explorer calls safe is safe for every seed. Explore (explore.go)
+// proves a barrier placement admits no forbidden outcome or returns
+// the first forbidden trace as a witness; on top of it (verify.go),
+// Minimize searches the placement lattice for all minimal safe
+// placements, ModelAgrees cross-checks the lattice against absmodel's
+// closed-form requirements, and PilotCheck machine-checks the paper's
 // Pilot barrier-removal transformation.
 package explore
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -100,28 +103,28 @@ func (s *Shape) Outcome(regs, final []uint64) litmus.Outcome {
 	return litmus.Fields(names, vals...)
 }
 
-func (s *Shape) initMem() []uint64 {
-	mem := make([]uint64, s.Lines)
-	copy(mem, s.Init)
-	return mem
-}
-
 // thread returns thread i's ops with the placed slot barriers
 // inserted.
 func (s *Shape) thread(i int, pl Placement) []SOp {
+	return s.appendThread(nil, i, pl)
+}
+
+// appendThread appends thread i's ops, with the placed slot barriers
+// inserted, to dst, growing it at most once.
+func (s *Shape) appendThread(dst []SOp, i int, pl Placement) []SOp {
 	base := s.Threads[i]
-	ops := make([]SOp, 0, len(base)+len(s.Slots))
+	dst = slices.Grow(dst, len(base)+len(s.Slots))
 	for at := 0; at <= len(base); at++ {
 		for si, sl := range s.Slots {
 			if sl.Thread == i && sl.At == at && pl.Has(si) {
-				ops = append(ops, SOp{Code: SBarrier, Bar: sl.Bar, Obs: -1})
+				dst = append(dst, SOp{Code: SBarrier, Bar: sl.Bar, Obs: -1})
 			}
 		}
 		if at < len(base) {
-			ops = append(ops, base[at])
+			dst = append(dst, base[at])
 		}
 	}
-	return ops
+	return dst
 }
 
 // program returns every thread lowered under the placement.

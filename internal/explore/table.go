@@ -97,17 +97,6 @@ func (t *vtable) grow() {
 	}
 }
 
-// each calls fn for every occupied slot with its stored hash and
-// packed words — the merge path of the parallel frontier.
-func (t *vtable) each(fn func(h uint64, ps []uint64)) {
-	for s := range t.epochs {
-		if t.epochs[s] == t.epoch {
-			off := s * t.stride
-			fn(t.slots[off], t.slots[off+1:off+t.stride])
-		}
-	}
-}
-
 // occupancy returns the load factor in [0,1].
 func (t *vtable) occupancy() float64 {
 	return float64(t.n) / float64(t.mask+1)

@@ -3,16 +3,9 @@ package explore
 import (
 	"fmt"
 
-	"armbar/internal/runner"
+	"armbar/internal/absmodel"
 	"armbar/internal/sim"
 )
-
-// Verify explores the shape under one placement and reports whether
-// any forbidden outcome is reachable (Result.Safe), with the full
-// reachable set and — when unsafe — a witness trace.
-func Verify(s *Shape, pl Placement, mode sim.Mode, bound int) *Result {
-	return Explore(s, pl, mode, bound)
-}
 
 // MinReport is the result of searching a shape's placement lattice.
 type MinReport struct {
@@ -48,17 +41,9 @@ func (m *MinReport) MinimalDescribe(s *Shape) string {
 // by descending slot count, so any candidate contained in a known
 // unsafe placement is pruned without exploration; a safe placement is
 // minimal iff no safe strict subset exists, which the walk has fully
-// classified by the time it finishes.
+// classified by the time it finishes. Lattice points are explored
+// untraced on one recycled engine: Minimize only needs verdicts.
 func Minimize(s *Shape, mode sim.Mode, bound int) *MinReport {
-	return MinimizePar(s, mode, bound, nil)
-}
-
-// MinimizePar is Minimize with each lattice-point exploration fanned
-// out over the pool (see ExplorePar). The lattice walk itself stays
-// sequential — monotone pruning is order-dependent — and the report
-// is bit-identical to Minimize at every pool width. Lattice points
-// are explored without witness replay: Minimize only needs verdicts.
-func MinimizePar(s *Shape, mode sim.Mode, bound int, pool *runner.Pool) *MinReport {
 	rep := &MinReport{Shape: s.Name, Mode: mode, Bound: bound}
 	naive := Naive(s)
 
@@ -87,7 +72,7 @@ func MinimizePar(s *Shape, mode sim.Mode, bound int, pool *runner.Pool) *MinRepo
 			rep.Pruned++
 			continue
 		}
-		r, re := exploreReuse(s, pl, mode, bound, pool, false, scr)
+		r, re := exploreReuse(s, pl, mode, bound, false, scr)
 		scr = re
 		rep.Explored++
 		rep.States += r.States
@@ -115,6 +100,25 @@ func MinimizePar(s *Shape, mode sim.Mode, bound int, pool *runner.Pool) *MinRepo
 	}
 	sortPlacements(rep.Minimal)
 	return rep
+}
+
+// ModelAgrees checks every placement of the shape's lattice against
+// absmodel's closed-form fence requirements: the explorer's verdict
+// must match the formula oracle everywhere. Lattice points are
+// explored untraced on one recycled engine.
+func ModelAgrees(s *Shape, mode sim.Mode, bound int) bool {
+	if !absmodel.KnownShape(s.Name) {
+		return false
+	}
+	var scr *fastExplorer
+	for pl := Placement(0); pl <= Naive(s); pl++ {
+		r, re := exploreReuse(s, pl, mode, bound, false, scr)
+		scr = re
+		if r.Safe() != absmodel.FenceSafe(s.Name, SlotBarriers(s, pl), mode) {
+			return false
+		}
+	}
+	return true
 }
 
 // PilotStep is one machine-checked claim of the Pilot transformation.

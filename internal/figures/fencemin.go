@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"armbar/internal/absmodel"
 	"armbar/internal/explore"
 	"armbar/internal/platform"
 	"armbar/internal/report"
@@ -36,7 +35,7 @@ func FenceMin(o Options) *report.Table {
 			Naive:   rep.NaiveSafe,
 			Minimal: rep.MinimalDescribe(s),
 			States:  rep.States,
-			Model:   latticeAgreesModel(s, mode),
+			Model:   explore.ModelAgrees(s, mode, explore.DefaultBound),
 			Sim:     "agree",
 		}
 		p := platform.Kunpeng916()
@@ -63,20 +62,4 @@ func FenceMin(o Options) *report.Table {
 	}
 	t.Note = "Minimal lists every minimal safe barrier placement; Model checks the closed-form absmodel verdict across the whole lattice; Sim samples empty/naive/minimal placements against explorer reachability; chan's minimal set {publish consume} is the Pilot removal, machine-derived"
 	return t
-}
-
-// latticeAgreesModel mirrors armvet fencevet's cross-check: every
-// placement's explorer verdict must match the formula oracle.
-func latticeAgreesModel(s *explore.Shape, mode sim.Mode) bool {
-	if !absmodel.KnownShape(s.Name) {
-		return false
-	}
-	for pl := explore.Placement(0); pl <= explore.Naive(s); pl++ {
-		got := explore.Explore(s, pl, mode, explore.DefaultBound).Safe()
-		want := absmodel.FenceSafe(s.Name, explore.SlotBarriers(s, pl), mode)
-		if got != want {
-			return false
-		}
-	}
-	return true
 }
