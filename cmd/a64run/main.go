@@ -78,28 +78,38 @@ func parseFile(text string) (*spec, error) {
 			continue
 		}
 		fields := strings.Fields(line)
+		arg := "" // the first argument; missing ones fail below
+		if len(fields) > 1 {
+			arg = fields[1]
+		}
 		switch fields[0] {
 		case "platform":
-			if len(fields) < 2 {
+			if arg == "" {
 				return nil, fmt.Errorf("a64run: platform needs a name")
 			}
 			s.platform = strings.Join(fields[1:], " ")
 		case "mode":
-			s.mode = fields[1]
+			s.mode = strings.ToUpper(arg)
+			if s.mode != "WMM" && s.mode != "TSO" {
+				return nil, fmt.Errorf("a64run: mode must be WMM or TSO, not %q", arg)
+			}
 		case "seed":
-			v, err := strconv.ParseInt(fields[1], 10, 64)
+			v, err := strconv.ParseInt(arg, 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("a64run: bad seed: %w", err)
 			}
 			s.seed = v
 		case "runs":
-			v, err := strconv.Atoi(fields[1])
+			v, err := strconv.Atoi(arg)
 			if err != nil || v <= 0 {
-				return nil, fmt.Errorf("a64run: bad runs %q", fields[1])
+				return nil, fmt.Errorf("a64run: bad runs %q", arg)
 			}
 			s.runs = v
 		case "var":
-			s.vars = append(s.vars, fields[1])
+			if arg == "" {
+				return nil, fmt.Errorf("a64run: var needs a name")
+			}
+			s.vars = append(s.vars, arg)
 		case "thread":
 			core := 0
 			for _, f := range fields[1:] {
@@ -131,11 +141,20 @@ func parseFile(text string) (*spec, error) {
 	return s, nil
 }
 
-// run executes the spec once and returns each thread's final x0.
+// run executes the spec once and returns each thread's final x0. A
+// thread on a core the platform lacks, a failed instruction and a
+// simulation abort (an access the simulator cannot serve, the
+// watchdog) are errors.
 func run(s *spec, p *platform.Platform, seed int64) ([]uint64, error) {
 	mode := sim.WMM
-	if strings.EqualFold(s.mode, "TSO") {
+	if s.mode == "TSO" {
 		mode = sim.TSO
+	}
+	for i, th := range s.threads {
+		if th.core < 0 || th.core >= p.Sys.NumCores() {
+			return nil, fmt.Errorf("a64run: thread %d: core %d is not on %s (cores 0-%d)",
+				i, th.core, p.Name, p.Sys.NumCores()-1)
+		}
 	}
 	m := sim.New(sim.Config{Plat: p, Mode: mode, Seed: seed})
 	symbols := map[string]uint64{}
@@ -162,8 +181,22 @@ func run(s *spec, p *platform.Platform, seed int64) ([]uint64, error) {
 			results[i] = regs[0]
 		})
 	}
-	m.Run()
+	if err := simulate(m); err != nil {
+		return nil, err
+	}
 	return results, execErr
+}
+
+// simulate runs the machine and returns a panic out of Machine.Run as
+// an error.
+func simulate(m *sim.Machine) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("a64run: simulation aborted: %v", r)
+		}
+	}()
+	m.Run()
+	return nil
 }
 
 const example = `platform Kunpeng916

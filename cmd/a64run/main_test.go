@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"armbar/internal/a64"
 	"armbar/internal/platform"
 )
 
@@ -31,6 +32,11 @@ func TestParseFileErrors(t *testing.T) {
 		"seed x\nthread core=0\nend": "bad seed",
 		"thread core=x\nend":         "bad core",
 		"var x":                      "no threads",
+		"mode":                       "mode must be WMM or TSO",
+		"mode WWM":                   "mode must be WMM or TSO",
+		"seed":                       "bad seed",
+		"runs":                       "bad runs",
+		"var":                        "var needs a name",
 	}
 	for src, want := range cases {
 		_, err := parseFile(src)
@@ -38,6 +44,56 @@ func TestParseFileErrors(t *testing.T) {
 			t.Errorf("parseFile(%q) error = %v, want containing %q", src, err, want)
 		}
 	}
+}
+
+// TestRunErrors pins that a program the simulator cannot run fails
+// with an error rather than a panic.
+func TestRunErrors(t *testing.T) {
+	cases := map[string]string{
+		"thread core=999\n  nop\nend":                       "core 999 is not on Kunpeng916",
+		"thread core=0\n  beq out\nout:\n  nop\nend":        "conditional branch before cmp",
+		"thread core=0\n  mov x1, #-8\n  ldr x0, [x1]\nend": "simulation aborted",
+	}
+	p := platform.Kunpeng916()
+	for src, want := range cases {
+		s, err := parseFile(src)
+		if err != nil {
+			t.Fatalf("parseFile(%q): %v", src, err)
+		}
+		if _, err := run(s, p, 1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("run(%q) error = %v, want containing %q", src, err, want)
+		}
+	}
+}
+
+// FuzzParseFile feeds arbitrary runner files through the directive
+// parser and the A64 assembler, with the spec's vars as symbols:
+// neither may panic. It stops short of executing: a program can touch
+// addresses far past the allocated lines, and the coherence directory
+// grows its tables up to the highest touched address.
+func FuzzParseFile(f *testing.F) {
+	f.Add(example)
+	for _, src := range []string{
+		"mode", "seed", "runs", "var", "mode WWM",
+		"thread core=999\n  nop\nend",
+		"thread core=0\n  beq out\nout:\n  nop\nend",
+		"thread core=0\n  mov x1, #-8\n  ldr x0, [x1]\nend",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := parseFile(text)
+		if err != nil {
+			return
+		}
+		symbols := map[string]uint64{}
+		for i, v := range s.vars {
+			symbols[v] = uint64(i+1) * 64
+		}
+		for _, th := range s.threads {
+			a64.ParseWithSymbols(th.src, symbols)
+		}
+	})
 }
 
 func TestRunExampleUnderBothModes(t *testing.T) {

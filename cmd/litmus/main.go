@@ -1,7 +1,9 @@
-// Command litmus runs the memory-model litmus tests on the simulated
-// platforms and prints outcome histograms under both the weakly-ordered
-// model and TSO, reproducing the paper's Table 1 and validating the
-// barrier pairs that forbid the message-passing anomaly.
+// Command litmus samples the classic litmus shapes on a simulated
+// platform and prints their outcome histograms: every shape of
+// explore.Classic() plus IRIW, with no barriers and with every barrier
+// slot filled, under both the weakly-ordered model and TSO. MP with no
+// barriers is the paper's Table 1: the anomaly (flag=1 local=0) shows
+// under WMM and never under TSO.
 //
 // Usage:
 //
@@ -12,15 +14,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
-	"armbar/internal/isa"
-	"armbar/internal/litmus"
+	"armbar/internal/explore"
 	"armbar/internal/platform"
 	"armbar/internal/sim"
 )
 
 func main() {
-	runs := flag.Int("runs", 1000, "iterations per test")
+	runs := flag.Int("runs", 1000, "iterations per histogram")
 	seed := flag.Int64("seed", 42, "base seed")
 	plat := flag.String("platform", "Kunpeng916", "platform model name")
 	flag.Parse()
@@ -31,20 +33,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	tests := []*litmus.Test{
-		litmus.MessagePassing(isa.None, isa.None),
-		litmus.MessagePassing(isa.DMBSt, isa.DMBLd),
-		litmus.MessagePassing(isa.DMBSt, isa.AddrDep),
-		litmus.MessagePassing(isa.DMBFull, isa.DMBFull),
-		litmus.MPWithAcquireRelease(),
-		litmus.StoreBuffering(isa.None),
-		litmus.StoreBuffering(isa.DSBFull),
-		litmus.CoWW(),
-	}
-	for _, test := range tests {
-		for _, mode := range []sim.Mode{sim.WMM, sim.TSO} {
-			res := litmus.Run(p, mode, test, *runs, *seed)
-			fmt.Println(res.String())
+	for _, s := range append(explore.Classic(), explore.IRIW()) {
+		if c := int(slices.Max(s.Cores)); c >= p.Sys.NumCores() {
+			fmt.Fprintf(os.Stderr, "litmus: skipping %s: core %d is not on %s\n", s.Name, c, p.Name)
+			continue
+		}
+		pls := []explore.Placement{0}
+		if naive := explore.Naive(s); naive != 0 {
+			pls = append(pls, naive)
+		}
+		for _, pl := range pls {
+			for _, mode := range []sim.Mode{sim.WMM, sim.TSO} {
+				fmt.Println(explore.Sample(p, s, pl, mode, *runs, *seed))
+			}
 		}
 	}
 }

@@ -91,28 +91,12 @@ func (p *Program) Exec(t *sim.Thread, regs Regs, maxInstrs int) (Regs, int, erro
 			t.Barrier(isa.ISB)
 		case opB:
 			next = ins.target
-		case opBeq:
-			if mustFlags(nzSet) && cmpZero {
-				next = ins.target
+		case opBeq, opBne, opBle, opBlt, opBge, opBgt:
+			if !nzSet {
+				return regs, executed, fmt.Errorf("a64: conditional branch before cmp at pc %d (%s)",
+					pc, p.src[pc])
 			}
-		case opBne:
-			if mustFlags(nzSet) && !cmpZero {
-				next = ins.target
-			}
-		case opBle:
-			if mustFlags(nzSet) && (cmpNeg || cmpZero) {
-				next = ins.target
-			}
-		case opBlt:
-			if mustFlags(nzSet) && cmpNeg {
-				next = ins.target
-			}
-		case opBge:
-			if mustFlags(nzSet) && !cmpNeg {
-				next = ins.target
-			}
-		case opBgt:
-			if mustFlags(nzSet) && !cmpNeg && !cmpZero {
+			if taken(ins.op, cmpNeg, cmpZero) {
 				next = ins.target
 			}
 		case opCbz:
@@ -131,10 +115,20 @@ func (p *Program) Exec(t *sim.Thread, regs Regs, maxInstrs int) (Regs, int, erro
 	return regs, executed, nil
 }
 
-// mustFlags guards conditional branches against use before any cmp.
-func mustFlags(set bool) bool {
-	if !set {
-		panic("a64: conditional branch before cmp")
+// taken reports whether a conditional branch is taken under the last
+// cmp's negative and zero flags.
+func taken(op opcode, neg, zero bool) bool {
+	switch op {
+	case opBeq:
+		return zero
+	case opBne:
+		return !zero
+	case opBle:
+		return neg || zero
+	case opBlt:
+		return neg
+	case opBge:
+		return !neg
 	}
-	return true
+	return !neg && !zero // opBgt
 }

@@ -9,8 +9,8 @@ import (
 	"fmt"
 
 	"armbar/internal/absmodel"
+	"armbar/internal/explore"
 	"armbar/internal/isa"
-	"armbar/internal/litmus"
 	"armbar/internal/pc"
 	"armbar/internal/platform"
 	"armbar/internal/report"
@@ -49,8 +49,8 @@ func AnomalyVsJitter(o Options) *report.Table {
 	for _, j := range []float64{0, 10, 25, 50, 100, 200} {
 		p := platform.Kunpeng916()
 		p.Cost.DrainJitter = j
-		res := litmus.Run(p, sim.WMM, litmus.MessagePassing(isa.None, isa.None), runs, o.seed())
-		bad := res.Count["local=0"]
+		res := explore.Sample(p, explore.MP(), 0, sim.WMM, runs, o.seed())
+		bad := res.Count["flag=1 local=0"]
 		t.Row(j, bad, float64(bad)/float64(runs))
 	}
 	t.Note = "non-FIFO drain is the dominant WMM mechanism here: with zero jitter the two equal-cost stores commit in issue order and the anomaly disappears"
@@ -65,8 +65,8 @@ func AnomalyVsInvalidationDelay(o Options) *report.Table {
 	for _, d := range []float64{0, 10, 20, 40, 80, 160} {
 		p := platform.Kunpeng916()
 		p.Cost.InvalidationDelay = d
-		res := litmus.Run(p, sim.WMM, litmus.MessagePassing(isa.None, isa.None), runs, o.seed())
-		bad := res.Count["local=0"]
+		res := explore.Sample(p, explore.MP(), 0, sim.WMM, runs, o.seed())
+		bad := res.Count["flag=1 local=0"]
 		t.Row(d, bad, float64(bad)/float64(runs))
 	}
 	return t

@@ -22,7 +22,7 @@ import (
 // can never decode old records into wrong values.
 var simPackages = []string{
 	"a64", "ablation", "absmodel", "ace", "barrier", "cellcache", "core",
-	"dedup", "ds", "explore", "figures", "floorplan", "isa", "litmus",
+	"dedup", "ds", "explore", "figures", "floorplan", "isa",
 	"locks", "mesi", "metrics", "pc", "platform", "prog", "report",
 	"runner", "sb", "scenario", "sim", "topo",
 }

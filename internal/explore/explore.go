@@ -1,9 +1,8 @@
 package explore
 
 import (
-	"sort"
+	"slices"
 
-	"armbar/internal/litmus"
 	"armbar/internal/sim"
 )
 
@@ -24,17 +23,17 @@ type Result struct {
 	Mode      sim.Mode
 	Placement Placement
 	Bound     int
-	Outcomes  []litmus.Outcome // sorted, deduplicated
-	Forbidden []litmus.Outcome // sorted subset matching shape.Forbidden
-	States    int              // distinct abstract states visited
-	Witness   []string         // first forbidden trace, nil when safe
+	Outcomes  []Outcome // sorted, deduplicated
+	Forbidden []Outcome // sorted subset matching shape.Forbidden
+	States    int       // distinct abstract states visited
+	Witness   []string  // first forbidden trace, nil when safe
 }
 
 // Safe reports whether no forbidden outcome is reachable.
 func (r *Result) Safe() bool { return len(r.Forbidden) == 0 }
 
 // Reaches reports whether the outcome is in the reachable set.
-func (r *Result) Reaches(o litmus.Outcome) bool {
+func (r *Result) Reaches(o Outcome) bool {
 	for _, x := range r.Outcomes {
 		if x == o {
 			return true
@@ -76,11 +75,7 @@ func exploreReuse(s *Shape, pl Placement, mode sim.Mode, bound int, wantWitness 
 	for o := range x.forbidden {
 		res.Forbidden = append(res.Forbidden, o)
 	}
-	sortOutcomes(res.Outcomes)
-	sortOutcomes(res.Forbidden)
+	slices.Sort(res.Outcomes)
+	slices.Sort(res.Forbidden)
 	return res, x
-}
-
-func sortOutcomes(os []litmus.Outcome) {
-	sort.Slice(os, func(i, j int) bool { return os[i] < os[j] })
 }

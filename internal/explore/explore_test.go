@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"armbar/internal/litmus"
 	"armbar/internal/sim"
 )
 
@@ -131,7 +130,7 @@ func TestWitness(t *testing.T) {
 				}
 				last := r.Witness[len(r.Witness)-1]
 				o, ok := strings.CutPrefix(last, "outcome ")
-				if !ok || !slices.Contains(r.Forbidden, litmus.Outcome(o)) {
+				if !ok || !slices.Contains(r.Forbidden, Outcome(o)) {
 					t.Errorf("%s%s under %v: witness ends in %q, want \"outcome \" plus one of %v",
 						s.Name, pl.Describe(s), mode, last, r.Forbidden)
 				}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"armbar/internal/isa"
-	"armbar/internal/litmus"
 	"armbar/internal/metrics"
 )
 
@@ -66,8 +65,8 @@ type fastExplorer struct {
 	rawMem  []uint64
 
 	sigs      map[uint64]struct{} // terminal signatures already rendered
-	outcomes  map[litmus.Outcome]bool
-	forbidden map[litmus.Outcome]bool
+	outcomes  map[Outcome]bool
+	forbidden map[Outcome]bool
 	witness   []string // traced: the first forbidden trace
 }
 
@@ -83,8 +82,8 @@ func newFastExplorer(s *Shape, pl Placement, tso bool, bound int, trace bool, re
 	if x == nil {
 		x = &fastExplorer{
 			sigs:      make(map[uint64]struct{}),
-			outcomes:  make(map[litmus.Outcome]bool),
-			forbidden: make(map[litmus.Outcome]bool),
+			outcomes:  make(map[Outcome]bool),
+			forbidden: make(map[Outcome]bool),
 		}
 	} else {
 		clear(x.sigs)
@@ -237,7 +236,7 @@ func (x *fastExplorer) issue(u int) bool {
 	tl := &x.lay.th[u]
 	op := x.fops[u][x.cur[tl.hdrOff]]
 	switch op.code {
-	case SLoad, SLoadAcq:
+	case SLoad:
 		x.loads(u, tl, op)
 		return true
 
@@ -283,18 +282,17 @@ func (x *fastExplorer) issue(u int) bool {
 // from the own buffer, otherwise the fresh committed value plus — for
 // observed loads under WMM — every distinct stale view.
 func (x *fastExplorer) loads(u int, tl *thLayout, op fop) {
-	acq := op.code == SLoadAcq
 	nbuf := int(x.cur[tl.hdrOff+2])
 	// Store-buffer forwarding is mandatory when the buffer holds the
 	// line: read the newest pending value.
 	for k := nbuf - 1; k >= 0; k-- {
 		if x.cur[tl.bufOff+3*k] == op.addr {
-			x.finishLoad(u, tl, op, acq, x.cur[tl.bufOff+3*k+1], false)
+			x.finishLoad(u, tl, op, x.cur[tl.bufOff+3*k+1], false)
 			return
 		}
 	}
 	fresh := x.cur[x.lay.memOff+int(op.addr)]
-	x.finishLoad(u, tl, op, acq, fresh, false)
+	x.finishLoad(u, tl, op, fresh, false)
 	if op.obs < 0 || x.cur[0] == 0 {
 		// Unobserved loads need no stale branch: the value is
 		// discarded, and the state effects are identical.
@@ -306,20 +304,17 @@ func (x *fastExplorer) loads(u int, tl *thLayout, op fop) {
 		if a != op.addr || vf == fresh {
 			continue
 		}
-		x.finishLoad(u, tl, op, acq, vf, true)
+		x.finishLoad(u, tl, op, vf, true)
 	}
 }
 
-func (x *fastExplorer) finishLoad(u int, tl *thLayout, op fop, acq bool, val uint8, stale bool) {
+func (x *fastExplorer) finishLoad(u int, tl *thLayout, op fop, val uint8, stale bool) {
 	copy(x.next, x.cur)
 	if stale {
 		x.next[0]-- // budget
 	}
 	x.next[tl.hdrOff]++
 	x.markClearable(tl)
-	if acq {
-		x.next[tl.hdrOff+3] = 0
-	}
 	if op.obs >= 0 {
 		x.next[x.lay.regsOff+int(op.obs)] = val
 	}
@@ -461,7 +456,7 @@ func (x *fastExplorer) terminal() {
 
 // renderPath renders the recorded path to the current terminal, one
 // line per transition, ending in the outcome.
-func (x *fastExplorer) renderPath(o litmus.Outcome) []string {
+func (x *fastExplorer) renderPath(o Outcome) []string {
 	w := x.lay.stride
 	n := len(x.path) / w
 	out := make([]string, 0, n)
@@ -485,7 +480,7 @@ func (x *fastExplorer) step(a, b []byte) string {
 		op := x.fops[u][a[tl.hdrOff]]
 		line := x.lineName(op.addr)
 		switch op.code {
-		case SLoad, SLoadAcq:
+		case SLoad:
 			for k := int(a[tl.hdrOff+2]) - 1; k >= 0; k-- {
 				if a[tl.bufOff+3*k] == op.addr {
 					return fmt.Sprintf("T%d: load %s = %d (forwarded)", u, line, x.lay.dict[a[tl.bufOff+3*k+1]])

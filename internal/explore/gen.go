@@ -485,7 +485,7 @@ func describeOp(s *Shape, op SOp) string {
 		name = s.LineNames[op.Addr]
 	}
 	switch op.Code {
-	case SLoad, SLoadAcq:
+	case SLoad:
 		if op.Obs < 0 {
 			return fmt.Sprintf("ld %s (noise)", name)
 		}

@@ -2,32 +2,56 @@ package explore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
-	"armbar/internal/litmus"
 	"armbar/internal/platform"
 	"armbar/internal/prog"
 	"armbar/internal/sim"
 )
 
-// This file is the differential bridge to the simulator: the same
-// shape the explorer enumerates runs as seeded simulations, rendered
-// through the identical outcome path, so sampled histograms and
-// reachable sets compare directly. Sampling can only ever observe a
+// This file is the bridge to the simulator: the same shape the
+// explorer enumerates runs as seeded simulations, rendered through
+// the identical outcome path, so sampled histograms and reachable
+// sets compare directly. Table 1, the MP ablations and cmd/litmus
+// read their histograms from here. Sampling can only ever observe a
 // subset of what the explorer reaches — the agreement gates assert
 // exactly that subset relation, plus that safe placements never
 // sample a forbidden outcome.
 
+// Histogram counts the outcomes of a shape's seeded simulator runs.
+type Histogram struct {
+	Name  string // shape and placement, e.g. "MP{push pull}"
+	Mode  sim.Mode
+	Runs  int
+	Count map[Outcome]int
+}
+
+// String renders the histogram sorted by outcome.
+func (h *Histogram) String() string {
+	keys := make([]Outcome, 0, len(h.Count))
+	for o := range h.Count {
+		keys = append(keys, o)
+	}
+	slices.Sort(keys)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s under %v (%d runs):\n", h.Name, h.Mode, h.Runs)
+	for _, o := range keys {
+		fmt.Fprintf(&b, "  %-24s %6d\n", o, h.Count[o])
+	}
+	return b.String()
+}
+
 // Sample runs the shape under the placement `runs` times with seeds
 // baseSeed..baseSeed+runs-1 and returns the outcome histogram. Ops
-// marked Spin wait for their signal value the way the litmus tests
-// do; every other op maps 1:1 onto a Thread operation.
-func Sample(p *platform.Platform, s *Shape, pl Placement, mode sim.Mode, runs int, baseSeed int64) *litmus.Result {
-	res := &litmus.Result{
-		Test:  fmt.Sprintf("%s%s", s.Name, pl.Describe(s)),
+// marked Spin retry until they read their signal value; every other
+// op maps 1:1 onto a Thread operation.
+func Sample(p *platform.Platform, s *Shape, pl Placement, mode sim.Mode, runs int, baseSeed int64) *Histogram {
+	res := &Histogram{
+		Name:  s.Name + pl.Describe(s),
 		Mode:  mode,
 		Runs:  runs,
-		Count: make(map[litmus.Outcome]int),
+		Count: make(map[Outcome]int),
 	}
 	ops := s.program(pl)
 	for r := 0; r < runs; r++ {
@@ -52,11 +76,11 @@ func Sample(p *platform.Platform, s *Shape, pl Placement, mode sim.Mode, runs in
 func Agreement(p *platform.Platform, s *Shape, pl Placement, mode sim.Mode, runs int, baseSeed int64) error {
 	r := Explore(s, pl, mode, DefaultBound)
 	res := Sample(p, s, pl, mode, runs, baseSeed)
-	sampled := make([]litmus.Outcome, 0, len(res.Count))
+	sampled := make([]Outcome, 0, len(res.Count))
 	for o := range res.Count {
 		sampled = append(sampled, o)
 	}
-	sort.Slice(sampled, func(i, j int) bool { return sampled[i] < sampled[j] })
+	slices.Sort(sampled)
 	for _, o := range sampled {
 		if !r.Reaches(o) {
 			return fmt.Errorf("%s%s under %v: sampled outcome %q (%d/%d runs) is not explorer-reachable",
@@ -98,16 +122,6 @@ func runOps(t *sim.Thread, ops []SOp, addr []uint64, regs []uint64) {
 			if op.Obs >= 0 {
 				regs[op.Obs] = v
 			}
-		case SLoadAcq:
-			v := t.LoadAcquire(addr[op.Addr])
-			if op.Spin {
-				for v != op.Val {
-					v = t.LoadAcquire(addr[op.Addr])
-				}
-			}
-			if op.Obs >= 0 {
-				regs[op.Obs] = v
-			}
 		case SStore:
 			t.Store(addr[op.Addr], op.Val)
 		case SBarrier:
@@ -136,8 +150,6 @@ func Compile(s *Shape, pl Placement, thread int, issueWidth float64, addr []uint
 			} else {
 				b.Load(prog.Abs(addr[op.Addr]))
 			}
-		case SLoadAcq:
-			b.LoadAcquire(prog.Abs(addr[op.Addr]))
 		case SStore:
 			b.Store(prog.Abs(addr[op.Addr]), prog.Imm(op.Val))
 		case SBarrier:

@@ -1,10 +1,11 @@
-// Package explore is a reorder-bounded state-space explorer for
-// litmus shapes: it runs a straight-line multi-threaded program under
-// an abstract operational semantics of the simulator's WMM (per-thread
-// non-FIFO store buffers plus bounded-stale load views) or TSO
-// (FIFO buffers, no staleness), enumerating every interleaving up to a
-// reorder bound via DFS with state hashing and reporting the exact set
-// of reachable outcomes.
+// Package explore holds the repository's litmus shapes (Shape, the
+// one litmus IR) and a reorder-bounded state-space explorer for them:
+// it runs a straight-line multi-threaded program under an abstract
+// operational semantics of the simulator's WMM (per-thread non-FIFO
+// store buffers plus bounded-stale load views) or TSO (FIFO buffers,
+// no staleness), enumerating every interleaving up to a reorder bound
+// via DFS with state hashing and reporting the exact set of reachable
+// outcomes.
 //
 // The abstraction is calibrated against internal/sim, not against the
 // architectural ARM model: in-order issue per thread, weak behavior
@@ -19,7 +20,8 @@
 // Minimize searches the placement lattice for all minimal safe
 // placements, ModelAgrees cross-checks the lattice against absmodel's
 // closed-form requirements, and PilotCheck machine-checks the paper's
-// Pilot barrier-removal transformation.
+// Pilot barrier-removal transformation. Sample (sample.go) runs the
+// same shapes on the simulator; Table 1 is its histogram of MP.
 package explore
 
 import (
@@ -27,10 +29,10 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"armbar/internal/isa"
-	"armbar/internal/litmus"
 	"armbar/internal/topo"
 )
 
@@ -44,7 +46,6 @@ type SCode uint8
 
 const (
 	SLoad    SCode = iota // relaxed load
-	SLoadAcq              // LDAR
 	SStore                // relaxed store (into the store buffer)
 	SBarrier              // standalone barrier
 	SSwap                 // LSE atomic swap (drains, acts on memory)
@@ -70,10 +71,12 @@ type Slot struct {
 	Label  string
 }
 
-// Shape is a litmus program with optional barrier slots. Regs names
-// the observed registers (indexed by SOp.Obs), Finals names rendered
+// Shape is a litmus program with optional barrier slots — the one
+// litmus IR: the explorer enumerates it, the clause oracle judges its
+// placements, and Sample runs it on the simulator. Regs names the
+// observed registers (indexed by SOp.Obs), Finals names rendered
 // final-memory lines; outcomes render registers first, then finals,
-// through litmus.Fields — the same path the litmus tests use.
+// through Shape.Outcome.
 type Shape struct {
 	Name      string
 	Doc       string
@@ -89,18 +92,32 @@ type Shape struct {
 	Forbidden func(regs []uint64, final []uint64) bool
 }
 
-// Outcome renders one terminal state exactly as the litmus package
-// would.
-func (s *Shape) Outcome(regs, final []uint64) litmus.Outcome {
-	names := make([]string, 0, len(s.Regs)+len(s.Finals))
-	vals := make([]uint64, 0, len(s.Regs)+len(s.Finals))
-	names = append(names, s.Regs...)
-	vals = append(vals, regs...)
-	for i, line := range s.Finals {
-		names = append(names, s.FinalTags[i])
-		vals = append(vals, final[line])
+// Outcome is one terminal state of a shape rendered as "name=value"
+// pairs separated by single spaces, e.g. "r0=1 r1=0".
+type Outcome string
+
+// Outcome renders one terminal state: the observed registers, then
+// the final values of the Finals lines. It is the one renderer, so
+// the explorer's reachable sets and the simulator's sampled
+// histograms compare byte for byte.
+func (s *Shape) Outcome(regs, final []uint64) Outcome {
+	var b strings.Builder
+	for i, name := range s.Regs {
+		field(&b, name, regs[i])
 	}
-	return litmus.Fields(names, vals...)
+	for i, line := range s.Finals {
+		field(&b, s.FinalTags[i], final[line])
+	}
+	return Outcome(b.String())
+}
+
+func field(b *strings.Builder, name string, v uint64) {
+	if b.Len() > 0 {
+		b.WriteByte(' ')
+	}
+	b.WriteString(name)
+	b.WriteByte('=')
+	b.WriteString(strconv.FormatUint(v, 10))
 }
 
 // thread returns thread i's ops with the placed slot barriers

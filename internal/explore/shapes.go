@@ -8,12 +8,13 @@ import (
 // The classic litmus suite as straight-line shapes. Signal waits are
 // plain loads whose value joins the outcome, so forbidden predicates
 // condition on the observed value instead of spinning; ops marked Spin
-// let the simulator sampler wait for the signal the way the litmus
-// package's own tests do. Slot kinds mirror the barriers the paper
-// (and internal/litmus) place in each shape.
+// let the simulator sampler wait for the signal (the paper's Table 1
+// consumer spins on the flag). Slot kinds are the barriers the paper
+// places in each shape; tests swap in other kinds by copying a shape
+// and editing its Slots.
 
-func load(addr, obs int) SOp     { return SOp{Code: SLoad, Addr: addr, Obs: obs} }
-func warm(addr int) SOp          { return SOp{Code: SLoad, Addr: addr, Obs: -1} }
+func load(addr, obs int) SOp { return SOp{Code: SLoad, Addr: addr, Obs: obs} }
+func warm(addr int) SOp      { return SOp{Code: SLoad, Addr: addr, Obs: -1} }
 func store(addr int, v uint64) SOp {
 	return SOp{Code: SStore, Addr: addr, Val: v, Obs: -1}
 }
@@ -42,7 +43,7 @@ func MP() *Shape {
 			{Thread: 0, At: 1, Bar: isa.DMBSt, Label: "push"},
 			{Thread: 1, At: 2, Bar: isa.DMBLd, Label: "pull"},
 		},
-		Regs: []string{"flag", "local"},
+		Regs:      []string{"flag", "local"},
 		Forbidden: func(r, _ []uint64) bool { return r[0] == 1 && r[1] != 23 },
 	}
 }
@@ -65,7 +66,7 @@ func SB() *Shape {
 			{Thread: 0, At: 1, Bar: isa.DMBFull, Label: "t0"},
 			{Thread: 1, At: 1, Bar: isa.DMBFull, Label: "t1"},
 		},
-		Regs: []string{"r0", "r1"},
+		Regs:      []string{"r0", "r1"},
 		Forbidden: func(r, _ []uint64) bool { return r[0] == 0 && r[1] == 0 },
 	}
 }
@@ -162,7 +163,7 @@ func LB() *Shape {
 			{Thread: 0, At: 1, Bar: isa.DataDep, Label: "t0"},
 			{Thread: 1, At: 1, Bar: isa.DataDep, Label: "t1"},
 		},
-		Regs: []string{"r0", "r1"},
+		Regs:      []string{"r0", "r1"},
 		Forbidden: func(r, _ []uint64) bool { return r[0] == 1 && r[1] == 1 },
 	}
 }
@@ -211,7 +212,7 @@ func CoRR() *Shape {
 		Slots: []Slot{
 			{Thread: 1, At: 1, Bar: isa.AddrDep, Label: "dep"},
 		},
-		Regs: []string{"r1", "r2"},
+		Regs:      []string{"r1", "r2"},
 		Forbidden: func(r, _ []uint64) bool { return r[0] == 1 && r[1] == 0 },
 	}
 }
@@ -249,7 +250,7 @@ func SBRMW() *Shape {
 			{swap(0, 1, -1), load(1, 0)},
 			{swap(1, 1, -1), load(0, 1)},
 		},
-		Regs: []string{"r0", "r1"},
+		Regs:      []string{"r0", "r1"},
 		Forbidden: func(r, _ []uint64) bool { return r[0] == 0 && r[1] == 0 },
 	}
 }
@@ -278,7 +279,7 @@ func Chan() *Shape {
 			{Thread: 0, At: 2, Bar: isa.DMBSt, Label: "publish"},
 			{Thread: 1, At: 2, Bar: isa.DMBLd, Label: "consume"},
 		},
-		Regs: []string{"ready", "flag", "local"},
+		Regs:      []string{"ready", "flag", "local"},
 		Forbidden: func(r, _ []uint64) bool { return r[1] == 1 && r[2] != 23 },
 	}
 }
@@ -301,8 +302,39 @@ func Pilot() *Shape {
 			{store(0, msg)},
 			{warm(0), load(0, 0)},
 		},
-		Regs: []string{"word"},
+		Regs:      []string{"word"},
 		Forbidden: func(r, _ []uint64) bool { return r[0] != old && r[0] != msg },
+	}
+}
+
+// IRIW is independent reads of independent writes: two writers store
+// x and y, two readers read them in opposite orders. Forbidden: the
+// readers disagree on the order of the writes, which a multi-copy
+// atomic machine (ARMv8, and the simulator: a store reaches every
+// other core at one commit) rules out once each reader's loads are
+// ordered. It stays out of All(), whose shapes fix the fencemin figure
+// and the fence benchmark's cells, and absmodel has no clauses for it.
+func IRIW() *Shape {
+	return &Shape{
+		Name:      "IRIW",
+		Doc:       "IRIW: the readers see the x and y writes in opposite orders",
+		Cores:     []topo.CoreID{0, 32, 4, 36},
+		Lines:     2,
+		LineNames: []string{"x", "y"},
+		Threads: [][]SOp{
+			{store(0, 1)},
+			{store(1, 1)},
+			{load(0, 0), load(1, 1)},
+			{load(1, 2), load(0, 3)},
+		},
+		Slots: []Slot{
+			{Thread: 2, At: 1, Bar: isa.DMBLd, Label: "t2"},
+			{Thread: 3, At: 1, Bar: isa.DMBLd, Label: "t3"},
+		},
+		Regs: []string{"r1", "r2", "r3", "r4"},
+		Forbidden: func(r, _ []uint64) bool {
+			return r[0] == 1 && r[1] == 0 && r[2] == 1 && r[3] == 0
+		},
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 	"armbar/internal/runner"
 )
 
-// fastSubset spans every experiment package (litmus, absmodel, pc,
-// dedup, locks, ds, floorplan, a64, ablation) while staying cheap
+// fastSubset spans every experiment package (explore sampling,
+// absmodel, pc, dedup, locks, ds, floorplan, a64) while staying cheap
 // enough for every `go test` run; ARMBAR_DETERMINISM_FULL=1 widens the
 // guardrail to the whole registry (minutes, run before perf PRs).
 var fastSubset = []string{

@@ -18,9 +18,9 @@ import (
 	"armbar/internal/absmodel"
 	"armbar/internal/dedup"
 	"armbar/internal/ds"
+	"armbar/internal/explore"
 	"armbar/internal/floorplan"
 	"armbar/internal/isa"
-	"armbar/internal/litmus"
 	"armbar/internal/locks"
 	"armbar/internal/pc"
 	"armbar/internal/platform"
@@ -168,19 +168,19 @@ func Table1(o Options) *report.Table {
 	t := report.New("Table 1: message passing under TSO vs WMM",
 		"Model", "Outcome local=23", "Outcome local!=23", "Anomaly")
 	p := platform.Kunpeng916()
-	test := litmus.MessagePassing(isa.None, isa.None)
+	mp := explore.MP() // the consumer spins, so every run reads flag=1
 	modes := []sim.Mode{sim.TSO, sim.WMM}
-	results := cellMap(o, len(modes), func(i int) *litmus.Result {
-		return litmus.Run(p, modes[i], test, runs, o.seed())
+	results := cellMap(o, len(modes), func(i int) *explore.Histogram {
+		return explore.Sample(p, mp, 0, modes[i], runs, o.seed())
 	})
 	for i, mode := range modes {
 		res := results[i]
-		bad := res.Count["local=0"]
+		bad := res.Count["flag=1 local=0"]
 		verdict := "forbidden"
 		if bad > 0 {
 			verdict = "ALLOWED"
 		}
-		t.Row(mode.String(), res.Count["local=23"], bad, verdict)
+		t.Row(mode.String(), res.Count["flag=1 local=23"], bad, verdict)
 	}
 	t.Note = "thread1: data=23; flag=DONE / thread2: spin(flag); local=data — no barriers"
 	return t

@@ -131,7 +131,7 @@ func TestLoadCommittedSnapshot(t *testing.T) {
 			t.Fatalf("snapshot entry %q has no ns/op", b.Name)
 		}
 	}
-	for _, want := range []string{"BenchmarkRendezvousLoadHit", "BenchmarkRendezvousTwoThreads",
+	for _, want := range []string{"BenchmarkCompiledDispatch", "BenchmarkRendezvousTwoThreads",
 		"BenchmarkStoreCommit", "BenchmarkStoreDMBFull"} {
 		if !names[want] {
 			t.Fatalf("snapshot missing %s", want)

@@ -12,7 +12,6 @@ import (
 // snapshot with `make bench-snapshot` (BENCH_sim.json); the wrapper
 // names here must match its entries.
 
-func BenchmarkRendezvousLoadHit(b *testing.B)    { simbench.RendezvousLoadHit(b) }
 func BenchmarkRendezvousTwoThreads(b *testing.B) { simbench.RendezvousTwoThreads(b) }
 func BenchmarkStoreCommit(b *testing.B)          { simbench.StoreCommit(b) }
 func BenchmarkStoreDMBFull(b *testing.B)         { simbench.StoreDMBFull(b) }

@@ -33,25 +33,52 @@ func TestSingleThreadLoadStore(t *testing.T) {
 	}
 }
 
+// TestTwoThreadsMessagePassingWithBarriers checks that both ways of
+// ordering message passing forbid the stale read over 300 seeds: a
+// DMB st / DMB ld pair, and STLR on the flag with an LDAR spin. The
+// consumer warms the data line first, so it holds a copy the
+// producer's commit must invalidate.
 func TestTwoThreadsMessagePassingWithBarriers(t *testing.T) {
-	m := newTestMachine(WMM, 2)
-	data := m.Alloc(1)
-	flag := m.Alloc(1)
-	var got uint64
-	m.Spawn(0, func(th *Thread) {
-		th.Store(data, 23)
-		th.Barrier(isa.DMBSt)
-		th.Store(flag, 1)
-	})
-	m.Spawn(32, func(th *Thread) { // other NUMA node
-		for th.Load(flag) != 1 {
+	rows := []struct {
+		name    string
+		produce func(th *Thread, data, flag uint64)
+		consume func(th *Thread, data, flag uint64) uint64
+	}{
+		{"DMB st / DMB ld", func(th *Thread, data, flag uint64) {
+			th.Store(data, 23)
+			th.Barrier(isa.DMBSt)
+			th.Store(flag, 1)
+		}, func(th *Thread, data, flag uint64) uint64 {
+			for th.Load(flag) != 1 {
+			}
+			th.Barrier(isa.DMBLd)
+			return th.Load(data)
+		}},
+		{"STLR / LDAR", func(th *Thread, data, flag uint64) {
+			th.Store(data, 23)
+			th.StoreRelease(flag, 1)
+		}, func(th *Thread, data, flag uint64) uint64 {
+			for th.LoadAcquire(flag) != 1 {
+			}
+			return th.Load(data)
+		}},
+	}
+	for _, row := range rows {
+		for seed := int64(1); seed <= 300; seed++ {
+			m := newTestMachine(WMM, seed)
+			data := m.Alloc(1)
+			flag := m.Alloc(1)
+			var got uint64
+			m.Spawn(0, func(th *Thread) { row.produce(th, data, flag) })
+			m.Spawn(32, func(th *Thread) { // other NUMA node
+				th.Load(data)
+				got = row.consume(th, data, flag)
+			})
+			m.Run()
+			if got != 23 {
+				t.Fatalf("%s, seed %d: consumer read %d, want 23", row.name, seed, got)
+			}
 		}
-		th.Barrier(isa.DMBLd)
-		got = th.Load(data)
-	})
-	m.Run()
-	if got != 23 {
-		t.Fatalf("message passing with barriers: got %d, want 23", got)
 	}
 }
 

@@ -35,7 +35,6 @@ type Bench struct {
 
 // Benches is the canonical hot-path set, in snapshot order.
 var Benches = []Bench{
-	{"BenchmarkRendezvousLoadHit", RendezvousLoadHit},
 	{"BenchmarkRendezvousTwoThreads", RendezvousTwoThreads},
 	{"BenchmarkStoreCommit", StoreCommit},
 	{"BenchmarkStoreDMBFull", StoreDMBFull},
@@ -62,20 +61,6 @@ func spawnLoop(m *sim.Machine, core topo.CoreID, n int, lower func(b *prog.Build
 	lower(b, i)
 	b.EndLoop()
 	m.SpawnProgram(core, b.MustBuild())
-}
-
-// RendezvousLoadHit is the floor of a simulated operation: cache-hit
-// loads with nothing in flight, so the measured cost is one pass
-// through the scheduler (one driver-loop step of a program thread)
-// plus the load bookkeeping. The name predates the scheduler rewrites
-// and is kept so snapshots stay comparable across them.
-func RendezvousLoadHit(b *testing.B) {
-	m := newBenchMachine()
-	addr := m.Alloc(1)
-	spawnLoop(m, 0, b.N, func(pb *prog.Builder, i int) { pb.Load(prog.Abs(addr)) })
-	b.ReportAllocs()
-	b.ResetTimer()
-	m.Run()
 }
 
 // RendezvousTwoThreads interleaves two runnable threads so every
