@@ -48,6 +48,7 @@ var HotPathFuncs = map[string]bool{
 	// threads' op loop and their coroutine handoff, and the run heap.
 	"armbar/internal/sim.Machine.drive":      true,
 	"armbar/internal/sim.Thread.dispatch":    true,
+	"armbar/internal/sim.Machine.serve":      true,
 	"armbar/internal/sim.Thread.suspend":     true,
 	"armbar/internal/sim.Machine.noteServed": true,
 	"armbar/internal/sim.runHeap.len":        true,
@@ -67,11 +68,15 @@ var HotPathFuncs = map[string]bool{
 	"armbar/internal/sim.Thread.Store":         true,
 	"armbar/internal/sim.Thread.StoreRelease":  true,
 	"armbar/internal/sim.Thread.Barrier":       true,
+	"armbar/internal/sim.Thread.SpinUntil":     true,
+	"armbar/internal/sim.SpinCmp.holds":        true,
 	"armbar/internal/sim.Machine.process":      true,
 	"armbar/internal/sim.Machine.doLoad":       true,
 	"armbar/internal/sim.Machine.doStore":      true,
 	"armbar/internal/sim.Machine.doBarrier":    true,
 	"armbar/internal/sim.Machine.doRMW":        true,
+	"armbar/internal/sim.Machine.spinStep":     true,
+	"armbar/internal/sim.Machine.spinPoll":     true,
 	"armbar/internal/sim.Machine.forward":      true,
 	"armbar/internal/sim.Machine.readCache":    true,
 	"armbar/internal/sim.Machine.retireStores": true,
@@ -105,6 +110,7 @@ var HotPathFuncs = map[string]bool{
 	"armbar/internal/sim.execSpinEQ":          true,
 	"armbar/internal/sim.execSpinNE":          true,
 	"armbar/internal/sim.execSpinGE":          true,
+	"armbar/internal/sim.execSpin":            true,
 	"armbar/internal/sim.storeStall":          true,
 	"armbar/internal/sim.rmwStall":            true,
 

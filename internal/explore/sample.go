@@ -113,11 +113,11 @@ func runOps(t *sim.Thread, ops []SOp, addr []uint64, regs []uint64) {
 	for _, op := range ops {
 		switch op.Code {
 		case SLoad:
-			v := t.Load(addr[op.Addr])
+			var v uint64
 			if op.Spin {
-				for v != op.Val {
-					v = t.Load(addr[op.Addr])
-				}
+				v = t.SpinUntil(addr[op.Addr], false, sim.SpinEQ, op.Val, 0)
+			} else {
+				v = t.Load(addr[op.Addr])
 			}
 			if op.Obs >= 0 {
 				regs[op.Obs] = v

@@ -122,18 +122,10 @@ func (l *CCSynchLock) Exec(t *sim.Thread, client int, cs CS, arg uint64) uint64 
 			}
 			t.Nops(spinPause)
 		}
-	} else {
-		for {
-			st := t.LoadAcquire(wait)
-			if st == 2 {
-				t.Barrier(isa.DMBLd)
-				return t.Load(cur + 16)
-			}
-			if st == 0 {
-				break
-			}
-			t.Nops(spinPause)
-		}
+	} else if t.SpinUntil(wait, true, sim.SpinNE, 1, spinPause) == 2 {
+		// 2 = served; 0 = the combiner role was handed over.
+		t.Barrier(isa.DMBLd)
+		return t.Load(cur + 16)
 	}
 	return l.combineFrom(t, cur)
 }

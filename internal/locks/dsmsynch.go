@@ -145,18 +145,10 @@ func (l *DSMSynchLock) Exec(t *sim.Thread, client int, cs CS, arg uint64) uint64
 				}
 				t.Nops(spinPause)
 			}
-		} else {
-			for {
-				st := t.LoadAcquire(state)
-				if st == 2 {
-					t.Barrier(isa.DMBLd)
-					return t.Load(node + 16)
-				}
-				if st == 0 {
-					break // handoff: become combiner
-				}
-				t.Nops(spinPause)
-			}
+		} else if t.SpinUntil(state, true, sim.SpinNE, 1, spinPause) == 2 {
+			// 2 = served; 0 = handoff: become combiner.
+			t.Barrier(isa.DMBLd)
+			return t.Load(node + 16)
 		}
 	}
 	return l.combine(t, node, idx)
@@ -183,16 +175,12 @@ func (l *DSMSynchLock) combine(t *sim.Thread, node uint64, ownIdx int) uint64 {
 		}
 		if next == 0 {
 			// Queue looks empty: try to detach; a racing enqueuer will
-			// re-link, so wait for the link if the CAS fails.
+			// re-link, so wait for the link if the CAS fails, polling
+			// it as loadLink reads it.
 			if t.CompareAndSwap(l.tail, cur, 0) {
 				return myRet
 			}
-			for next == 0 {
-				next = l.loadLink(t, cur)
-				if next == 0 {
-					t.Nops(spinPause)
-				}
-			}
+			next = t.SpinUntil(cur+0, l.barX == isa.LDAR, sim.SpinNE, 0, spinPause)
 		}
 		if served+1 >= l.h {
 			// Hand the combiner role to the next waiter: state=0. The

@@ -157,9 +157,7 @@ func (l *FFWDLock) Exec(t *sim.Thread, c int, cs CS, arg uint64) uint64 {
 	t.Store(l.req[c], l.cReqFlag[c])
 	// Plain response: spin on the response flag line, then read the
 	// value line behind a load barrier (two RMR lines; Pilot needs one).
-	for t.Load(l.resp[c]) == l.cRespFlag[c] {
-		t.Nops(spinPause)
-	}
+	t.SpinUntil(l.resp[c], false, sim.SpinNE, l.cRespFlag[c], spinPause)
 	l.cRespFlag[c] ^= 1
 	t.Barrier(isa.DMBLd)
 	return t.Load(l.respVal[c])

@@ -25,9 +25,7 @@ func (l *TASLock) Name() string { return "TAS" }
 func (l *TASLock) Lock(t *sim.Thread) {
 	for {
 		// Test-and-test-and-set: poll read-only first.
-		for t.Load(l.word) != 0 {
-			t.Nops(spinPause)
-		}
+		t.SpinUntil(l.word, false, sim.SpinEQ, 0, spinPause)
 		if t.CompareAndSwap(l.word, 0, 1) {
 			return
 		}
@@ -93,9 +91,7 @@ func (l *CLHLock) Lock(t *sim.Thread, c int) {
 	t.Barrier(isa.DMBSt) // the node must read "pending" before it is linked
 	pred := t.Swap(l.tail, node)
 	l.pred[c] = pred
-	for t.LoadAcquire(pred) != 0 {
-		t.Nops(spinPause)
-	}
+	t.SpinUntil(pred, true, sim.SpinEQ, 0, spinPause)
 }
 
 // Unlock publishes the critical section, releases the own node, and

@@ -42,9 +42,7 @@ func (l *MCSLock) Lock(t *sim.Thread, c int) {
 		return
 	}
 	t.Store(pred+0, node)
-	for t.LoadAcquire(node+8) == 1 {
-		t.Nops(spinPause)
-	}
+	t.SpinUntil(node+8, true, sim.SpinNE, 1, spinPause)
 }
 
 // Unlock releases the lock held by client c.
@@ -56,12 +54,7 @@ func (l *MCSLock) Unlock(t *sim.Thread, c int) {
 		if t.CompareAndSwap(l.tail, node, 0) {
 			return
 		}
-		for next == 0 {
-			next = t.Load(node + 0)
-			if next == 0 {
-				t.Nops(spinPause)
-			}
-		}
+		next = t.SpinUntil(node+0, false, sim.SpinNE, 0, spinPause)
 	}
 	// Publish the critical section before waking the successor — the
 	// barrier that strictly follows the CS's last (likely remote)

@@ -35,12 +35,7 @@ func (l *TicketLock) Name() string { return "Ticket" }
 // Lock acquires the lock for thread t.
 func (l *TicketLock) Lock(t *sim.Thread) {
 	my := t.FetchAdd(l.next, 1)
-	for {
-		if t.LoadAcquire(l.serving) == my {
-			return
-		}
-		t.Nops(spinPause)
-	}
+	t.SpinUntil(l.serving, true, sim.SpinEQ, my, spinPause)
 }
 
 // Unlock releases the lock: publish the critical section, then bump

@@ -3,6 +3,7 @@ package pc
 import (
 	"armbar/internal/core"
 	"armbar/internal/isa"
+	"armbar/internal/locks"
 	"armbar/internal/platform"
 	"armbar/internal/sim"
 	"armbar/internal/topo"
@@ -111,22 +112,9 @@ func RunMPMC(cfg MPMCConfig) MPMCResult {
 // accesses under a ticket lock; the paper's "locks are required" case.
 func runLockedRing(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, consCore topo.CoreID, sum *uint64) {
 	const slots = 16
-	lockNext := m.Alloc(1)
-	lockServing := m.Alloc(1)
+	lock := locks.NewTicket(m, isa.DMBSt)
 	meta := m.Alloc(1) // +0 head, +8 tail
 	buf := m.Alloc(slots)
-
-	lock := func(t *sim.Thread) {
-		my := t.FetchAdd(lockNext, 1)
-		for t.LoadAcquire(lockServing) != my {
-			t.Nops(8)
-		}
-	}
-	unlock := func(t *sim.Thread) {
-		t.Barrier(isa.DMBSt)
-		s := t.Load(lockServing)
-		t.Store(lockServing, s+1)
-	}
 
 	for p := range prodCores {
 		p := p
@@ -135,17 +123,17 @@ func runLockedRing(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, cons
 				v := payload(p*cfg.Messages+i, 0)
 				t.Nops(cfg.MsgWork)
 				for {
-					lock(t)
+					lock.Lock(t)
 					head := t.Load(meta + 0)
 					tail := t.Load(meta + 8)
 					if tail-head < slots {
 						t.Store(buf+(tail%slots)<<6, v)
 						t.Barrier(isa.DMBSt)
 						t.Store(meta+8, tail+1)
-						unlock(t)
+						lock.Unlock(t)
 						break
 					}
-					unlock(t)
+					lock.Unlock(t)
 					t.Nops(16)
 				}
 			}
@@ -155,7 +143,7 @@ func runLockedRing(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, cons
 	m.Spawn(consCore, func(t *sim.Thread) {
 		got := 0
 		for got < total {
-			lock(t)
+			lock.Lock(t)
 			head := t.Load(meta + 0)
 			tail := t.Load(meta + 8)
 			if tail > head {
@@ -164,7 +152,7 @@ func runLockedRing(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, cons
 				t.Store(meta+0, head+1)
 				got++
 			}
-			unlock(t)
+			lock.Unlock(t)
 			if tail == head {
 				t.Nops(16)
 			}
@@ -189,9 +177,7 @@ func runPilotFanIn(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, cons
 			for i := 0; i < cfg.Messages; i++ {
 				t.Nops(cfg.MsgWork)
 				s.Send(t, payload(p*cfg.Messages+i, 0))
-				for t.Load(acks[p]) != uint64(i+1) {
-					t.Nops(8)
-				}
+				t.SpinUntil(acks[p], false, sim.SpinEQ, uint64(i+1), 8)
 			}
 		})
 	}

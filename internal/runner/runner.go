@@ -228,13 +228,19 @@ func (f *Future[T]) Err() error {
 	return f.err
 }
 
-// run executes fn guarding against panics; it is the single execution
-// path for inline and pooled cells.
-func (f *Future[T]) run(fn func() T) {
+// run executes fn guarding against panics, then resolves the future;
+// it is the single execution path for inline and pooled cells. A
+// pooled cell passes its pool's done counter, which counts the cell
+// before the future resolves, so whoever Get wakes already sees the
+// cell in TasksDone.
+func (f *Future[T]) run(fn func() T, done *atomic.Uint64) {
 	defer close(f.done)
 	defer func() {
 		if r := recover(); r != nil {
 			f.err = fmt.Errorf("runner: cell panicked: %v\n%s", r, debug.Stack())
+		}
+		if done != nil {
+			done.Add(1)
 		}
 	}()
 	f.val = fn()
@@ -248,7 +254,7 @@ func (f *Future[T]) run(fn func() T) {
 func Submit[T any](p *Pool, fn func() T) *Future[T] {
 	f := &Future[T]{done: make(chan struct{})}
 	if p == nil {
-		f.run(fn)
+		f.run(fn, nil)
 		return f
 	}
 	obs := p.obs   //armvet:ignore lockvet — set-once before the first Submit; see the field contract
@@ -265,8 +271,7 @@ func Submit[T any](p *Pool, fn func() T) *Future[T] {
 			prog.CellStarted()
 		}
 		if obs == nil {
-			f.run(fn)
-			p.done.Add(1)
+			f.run(fn, &p.done)
 			if prog != nil {
 				prog.CellDone()
 			}
@@ -274,9 +279,8 @@ func Submit[T any](p *Pool, fn func() T) *Future[T] {
 		}
 		started := time.Now() //armvet:ignore determvet — service-time histogram only
 		obs.queueWait.Observe(started.Sub(submitted).Seconds())
-		f.run(fn)
+		f.run(fn, &p.done)
 		d := time.Since(started) //armvet:ignore determvet — service-time histogram only
-		p.done.Add(1)
 		obs.service.Observe(d.Seconds())
 		obs.busyNs.Add(uint64(d.Nanoseconds()))
 		obs.tasks.Inc()

@@ -260,46 +260,21 @@ func execRMW(m *Machine, t *Thread, e *execEnv, op *prog.Op, kind opKind) bool {
 }
 
 func execSpinEQ(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
-	start := t.now
-	a := e.addr(op)
-	// Spin-wait loads attribute to CauseSpin, not their service cause:
-	// the spinning flag remaps inside the attribution helpers and never
-	// touches the simulation itself.
-	t.spinning = true
-	v := m.doLoad(t, a, false)
-	t.spinning = false
-	m.emit(t, TraceLoad, a, start, t.now, "")
-	if v == op.Val {
-		e.pc = op.Target
-	} else {
-		e.pc++
-	}
-	return true
+	return execSpin(m, t, e, op, SpinEQ)
 }
 
 func execSpinNE(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
-	start := t.now
-	a := e.addr(op)
-	t.spinning = true
-	v := m.doLoad(t, a, false)
-	t.spinning = false
-	m.emit(t, TraceLoad, a, start, t.now, "")
-	if v != op.Val {
-		e.pc = op.Target
-	} else {
-		e.pc++
-	}
-	return true
+	return execSpin(m, t, e, op, SpinNE)
 }
 
 func execSpinGE(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
-	start := t.now
-	a := e.addr(op)
-	t.spinning = true
-	v := m.doLoad(t, a, false)
-	t.spinning = false
-	m.emit(t, TraceLoad, a, start, t.now, "")
-	if v >= op.Val {
+	return execSpin(m, t, e, op, SpinGE)
+}
+
+// execSpin is one relaxed poll of a compiled spin-wait; the pad and
+// the jump back are ops of their own.
+func execSpin(m *Machine, t *Thread, e *execEnv, op *prog.Op, cmp SpinCmp) bool {
+	if cmp.holds(m.spinPoll(t, e.addr(op), false), op.Val) {
 		e.pc = op.Target
 	} else {
 		e.pc++

@@ -12,11 +12,13 @@ import (
 	"armbar/internal/topo"
 )
 
-// Tests of the program executor: the differential check against
-// closure threads running the same op sequence (identical traces,
-// stats, memory, and clock at several seeds), and the scheduler edge
-// cases — store-buffer-full retry, the watchdog, a program finishing
-// while peers still run — rerun through SpawnProgram. These run under
+// Tests of the program executor and of SpinUntil: the differential
+// check of closure threads with hand-written poll loops (the reference)
+// against closures waiting with SpinUntil and against compiled
+// programs running the same op sequence (identical traces, stats,
+// memory, and clock at several seeds), and the scheduler edge cases —
+// store-buffer-full retry, the watchdog, a program finishing while
+// peers still run — rerun through SpawnProgram. These run under
 // `make race`.
 
 // recTracer records every event for byte-for-byte comparison.
@@ -24,21 +26,61 @@ type recTracer struct{ events []TraceEvent }
 
 func (r *recTracer) Event(e TraceEvent) { r.events = append(r.events, e) }
 
+// engine is one way to run a differential workload's threads.
+type engine int
+
+const (
+	engLoop      engine = iota // closures with hand-written poll loops: the reference
+	engSpinUntil               // closures that wait with Thread.SpinUntil
+	engCompiled                // compiled programs (SpawnProgram)
+)
+
+func (e engine) String() string {
+	return [...]string{"loop", "spin-until", "compiled"}[e]
+}
+
 // diffRun is one observation of the differential workload: everything
 // the machine exposes, so any divergence between engines is caught.
+// woke lists, for closure engines, which thread's body ran next after
+// each completed wait, so Go code between ops is checked to run at
+// the same point of the service sequence.
 type diffRun struct {
 	elapsed float64
 	stats   Stats
 	final   []uint64
 	events  []TraceEvent
+	woke    []int
+}
+
+// spinWait is a closure's spin-wait: the hand-written loop
+//
+//	for x := load(addr); !cond(x); x = load(addr) { th.Nops(pause) }
+//
+// under engLoop, SpinUntil otherwise.
+func spinWait(th *Thread, eng engine, addr uint64, acquire bool, cmp SpinCmp, v uint64, pause int) uint64 {
+	if eng == engSpinUntil {
+		return th.SpinUntil(addr, acquire, cmp, v, pause)
+	}
+	for {
+		var x uint64
+		if acquire {
+			x = th.LoadAcquire(addr)
+		} else {
+			x = th.Load(addr)
+		}
+		if cmp == SpinEQ && x == v || cmp == SpinNE && x != v || cmp == SpinGE && x >= v {
+			return x
+		}
+		th.Nops(pause)
+	}
 }
 
 // runDifferential runs a workload exercising every opcode — ring
 // stores and loads in a counted loop, all three load flavors, both
 // store flavors, standalone barriers, nops, all three atomics, and a
-// cross-thread spin — on either engine and returns the full
-// observation.
-func runDifferential(t *testing.T, mode Mode, seed int64, compiled bool) diffRun {
+// cross-thread spin that is the waiter's first op — on one engine and
+// returns the full observation.
+func runDifferential(t *testing.T, mode Mode, seed int64, eng engine) diffRun {
 	t.Helper()
 	const iters, lines = 40, 4
 	m := newTestMachine(mode, seed)
@@ -55,7 +97,7 @@ func runDifferential(t *testing.T, mode Mode, seed int64, compiled bool) diffRun
 	d := m.Alloc(1)
 	flag := m.Alloc(1)
 
-	if compiled {
+	if eng == engCompiled {
 		b0 := prog.NewBuilder(m.cfg.Plat.Cost.IssueWidth)
 		tabA, tabB := b0.Table(ringA), b0.Table(ringB)
 		i := b0.Loop(iters)
@@ -89,9 +131,7 @@ func runDifferential(t *testing.T, mode Mode, seed int64, compiled bool) diffRun
 			th.StoreRelease(flag, 1)
 		})
 		m.Spawn(4, func(th *Thread) {
-			for th.Load(flag) != 1 {
-				th.Nops(4)
-			}
+			spinWait(th, eng, flag, false, SpinEQ, 1, 4)
 			th.LoadAcquire(c)
 			th.Barrier(isa.DMBFull)
 			th.Swap(d, 9)
@@ -112,11 +152,11 @@ func runDifferential(t *testing.T, mode Mode, seed int64, compiled bool) diffRun
 }
 
 // runEpochBarrier runs the program shape of package barrier's
-// algorithms, compiled or as closures: 16 threads on both nodes wait
-// with SpinNE for thread 0 to open a start gate, then run rounds of an
-// epoch barrier — fetch-add the arrival counter, SpinGE until it
-// reaches threads*round — and returns the full observation.
-func runEpochBarrier(t *testing.T, mode Mode, seed int64, compiled bool) diffRun {
+// algorithms on one engine: 16 threads on both nodes wait with SpinNE
+// for thread 0 to open a start gate, then run rounds of an epoch
+// barrier — fetch-add the arrival counter, SpinGE until it reaches
+// threads*round — and returns the full observation.
+func runEpochBarrier(t *testing.T, mode Mode, seed int64, eng engine) diffRun {
 	t.Helper()
 	const threads, rounds, pad = 16, 3, 8
 	m := newTestMachine(mode, seed)
@@ -125,7 +165,7 @@ func runEpochBarrier(t *testing.T, mode Mode, seed int64, compiled bool) diffRun
 	gate, ctr := m.Alloc(1), m.Alloc(1)
 	for i := 0; i < threads; i++ {
 		core := topo.CoreID(4 * i)
-		if compiled {
+		if eng == engCompiled {
 			b := prog.NewBuilder(m.cfg.Plat.Cost.IssueWidth)
 			if i == 0 {
 				b.Store(prog.Abs(gate), prog.Imm(1))
@@ -144,15 +184,11 @@ func runEpochBarrier(t *testing.T, mode Mode, seed int64, compiled bool) diffRun
 			if i == 0 {
 				th.Store(gate, 1)
 			} else {
-				for th.Load(gate) == 0 {
-					th.Nops(pad)
-				}
+				spinWait(th, eng, gate, false, SpinNE, 0, pad)
 			}
 			for r := 1; r <= rounds; r++ {
 				th.FetchAdd(ctr, 1)
-				for th.Load(ctr) < uint64(threads*r) {
-					th.Nops(pad)
-				}
+				spinWait(th, eng, ctr, false, SpinGE, uint64(threads*r), pad)
 			}
 		})
 	}
@@ -162,50 +198,115 @@ func runEpochBarrier(t *testing.T, mode Mode, seed int64, compiled bool) diffRun
 	return diffRun{elapsed: elapsed, stats: m.Stats(), final: final, events: tr.events}
 }
 
-// TestEngineDifferential proves that a compiled program and a closure
-// running the same op sequence behave byte-identically: same traced
-// event sequence, same stats, same final memory, same clock — for each
-// input, in both memory modes, at two seeds (the rng draw sequence
-// differs per seed, so agreement at both rules out accidental
-// alignment).
+// runSpinFlavors covers every SpinUntil flavor a compiled program
+// cannot express, on the two closure engines: EQ, NE and GE, acquire
+// and relaxed, pause 0 and > 0. Each waiter's first op is a wait (the
+// priming path), three waiters wake on the same store, one wait is
+// satisfied by its first poll, and one is its body's last op. After
+// every wait a waiter logs its id, so woke records which body ran
+// after each completed wait.
+func runSpinFlavors(t *testing.T, mode Mode, seed int64, eng engine) diffRun {
+	t.Helper()
+	m := newTestMachine(mode, seed)
+	tr := &recTracer{}
+	m.SetTracer(tr)
+	a, b, c, d := m.Alloc(1), m.Alloc(1), m.Alloc(1), m.Alloc(1)
+	var woke []int
+	wait := func(th *Thread, addr uint64, acquire bool, cmp SpinCmp, v uint64, pause int) uint64 {
+		x := spinWait(th, eng, addr, acquire, cmp, v, pause)
+		woke = append(woke, th.ID())
+		return x
+	}
+	m.Spawn(0, func(th *Thread) {
+		th.Nops(30)
+		th.Store(a, 1)
+		th.Nops(60)
+		th.StoreRelease(b, 7)
+		th.Work(40)
+		th.FetchAdd(c, 5)
+		th.Barrier(isa.DMBFull)
+		th.Store(a, 3)
+	})
+	m.Spawn(4, func(th *Thread) {
+		wait(th, a, true, SpinEQ, 1, 0)
+		wait(th, b, false, SpinGE, 5, 3)
+		x := wait(th, c, true, SpinNE, 0, 8)
+		th.Store(d, x)
+		wait(th, a, false, SpinEQ, 3, 0)
+	})
+	m.Spawn(8, func(th *Thread) {
+		wait(th, a, false, SpinNE, 0, 5)
+		wait(th, a, false, SpinGE, 0, 5) // satisfied by its first poll
+		th.Nops(7)
+		wait(th, d, true, SpinGE, 5, 1)
+		th.Load(b)
+	})
+	m.Spawn(16, func(th *Thread) {
+		wait(th, a, true, SpinGE, 1, 8)
+		th.Work(3)
+		wait(th, b, true, SpinEQ, 7, 0)
+	})
+	elapsed := m.Run()
+	dir := m.Directory()
+	final := []uint64{dir.Committed(a), dir.Committed(b), dir.Committed(c), dir.Committed(d)}
+	return diffRun{elapsed: elapsed, stats: m.Stats(), final: final, events: tr.events, woke: woke}
+}
+
+// TestEngineDifferential proves that closures waiting with SpinUntil
+// and compiled programs behave byte-identically to closures running
+// the same op sequence with hand-written loops: same traced event
+// sequence, same stats, same final memory, same clock, same wake
+// order — for each input, in both memory modes, at two seeds (the rng
+// draw sequence differs per seed, so agreement at both rules out
+// accidental alignment).
 func TestEngineDifferential(t *testing.T) {
 	inputs := []struct {
-		name string
-		run  func(t *testing.T, mode Mode, seed int64, compiled bool) diffRun
+		name    string
+		run     func(t *testing.T, mode Mode, seed int64, eng engine) diffRun
+		engines []engine // compared against engLoop
 	}{
-		{"opcodes", runDifferential},
-		{"epoch-barrier", runEpochBarrier},
+		{"opcodes", runDifferential, []engine{engSpinUntil, engCompiled}},
+		{"epoch-barrier", runEpochBarrier, []engine{engSpinUntil, engCompiled}},
+		{"spin-flavors", runSpinFlavors, []engine{engSpinUntil}},
 	}
 	for _, in := range inputs {
 		for _, mode := range []Mode{WMM, TSO} {
 			for _, seed := range []int64{42, 7} {
-				where := fmt.Sprintf("%s mode %v seed %d", in.name, mode, seed)
-				interp := in.run(t, mode, seed, false)
-				comp := in.run(t, mode, seed, true)
-				if interp.elapsed != comp.elapsed {
-					t.Errorf("%s: elapsed interp %v != compiled %v", where, interp.elapsed, comp.elapsed)
-				}
-				if interp.stats != comp.stats {
-					t.Errorf("%s: stats diverge\ninterp:   %+v\ncompiled: %+v", where, interp.stats, comp.stats)
-				}
-				if !reflect.DeepEqual(interp.final, comp.final) {
-					t.Errorf("%s: final memory diverges\ninterp:   %v\ncompiled: %v", where, interp.final, comp.final)
-				}
-				if !reflect.DeepEqual(interp.events, comp.events) {
-					n := len(interp.events)
-					if len(comp.events) < n {
-						n = len(comp.events)
-					}
-					for i := 0; i < n; i++ {
-						if interp.events[i] != comp.events[i] {
-							t.Fatalf("%s: trace diverges at event %d\ninterp:   %+v\ncompiled: %+v",
-								where, i, interp.events[i], comp.events[i])
-						}
-					}
-					t.Fatalf("%s: trace length %d (interp) != %d (compiled)", where, len(interp.events), len(comp.events))
+				ref := in.run(t, mode, seed, engLoop)
+				for _, eng := range in.engines {
+					where := fmt.Sprintf("%s mode %v seed %d", in.name, mode, seed)
+					compareRuns(t, where, eng, ref, in.run(t, mode, seed, eng))
 				}
 			}
 		}
+	}
+}
+
+// compareRuns fails the test on the first observation in which got
+// (from eng) differs from the reference loop run.
+func compareRuns(t *testing.T, where string, eng engine, ref, got diffRun) {
+	t.Helper()
+	if ref.elapsed != got.elapsed {
+		t.Errorf("%s: elapsed loop %v != %v %v", where, ref.elapsed, eng, got.elapsed)
+	}
+	if ref.stats != got.stats {
+		t.Errorf("%s: stats diverge\nloop: %+v\n%v: %+v", where, ref.stats, eng, got.stats)
+	}
+	if !reflect.DeepEqual(ref.final, got.final) {
+		t.Errorf("%s: final memory diverges\nloop: %v\n%v: %v", where, ref.final, eng, got.final)
+	}
+	if eng != engCompiled && !reflect.DeepEqual(ref.woke, got.woke) {
+		t.Errorf("%s: wake order diverges\nloop: %v\n%v: %v", where, ref.woke, eng, got.woke)
+	}
+	if !reflect.DeepEqual(ref.events, got.events) {
+		n := min(len(ref.events), len(got.events))
+		for i := 0; i < n; i++ {
+			if ref.events[i] != got.events[i] {
+				t.Fatalf("%s: trace diverges at event %d\nloop: %+v\n%v: %+v",
+					where, i, ref.events[i], eng, got.events[i])
+			}
+		}
+		t.Fatalf("%s: trace length %d (loop) != %d (%v)", where, len(ref.events), len(got.events), eng)
 	}
 }
 

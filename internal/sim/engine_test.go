@@ -221,12 +221,21 @@ func TestThreadBodyPanicBeforeFirstOp(t *testing.T) {
 // an op (the watchdog, a bad barrier value) unwinds every suspended
 // thread: by the time Run's panic arrives the goroutine count is back
 // at its baseline, with one live thread and with several, on both
-// engines.
+// engines and for a closure parked in an unsatisfiable SpinUntil,
+// whose polls the driver serves.
 func TestFatalLeavesNoGoroutines(t *testing.T) {
 	spinClosure := func(addr uint64) func(*Thread) {
 		return func(th *Thread) {
 			for th.Load(addr) != 99 { // never satisfied
 			}
+		}
+	}
+	// After the leading Nops a lone waiter polls inline on its own
+	// coroutine; with peers the driver serves its polls.
+	spinUntil := func(addr uint64, acquire bool) func(*Thread) {
+		return func(th *Thread) {
+			th.Nops(5)
+			th.SpinUntil(addr, acquire, SpinEQ, 99, 8) // never satisfied
 		}
 	}
 	badBarrier := func(th *Thread) {
@@ -255,6 +264,16 @@ func TestFatalLeavesNoGoroutines(t *testing.T) {
 			}
 			m.Spawn(topo.CoreID(i), spinClosure(addr))
 		}},
+		{"spin-until-watchdog", "unsatisfiable spin loop", 1, func(m *Machine, i int, addr uint64) {
+			m.Spawn(topo.CoreID(i), spinUntil(addr, false))
+		}},
+		{"spin-until-watchdog", "unsatisfiable spin loop", 4, func(m *Machine, i int, addr uint64) {
+			if i%2 == 0 {
+				m.Spawn(topo.CoreID(i), spinUntil(addr, i == 0))
+				return
+			}
+			m.Spawn(topo.CoreID(i), spinClosure(addr))
+		}},
 		{"compiled-watchdog", "watchdog", 4, func(m *Machine, i int, addr uint64) {
 			if i == 0 {
 				pb := prog.NewBuilder(m.cfg.Plat.Cost.IssueWidth)
@@ -279,5 +298,35 @@ func TestFatalLeavesNoGoroutines(t *testing.T) {
 		if n := runtime.NumGoroutine(); n > base {
 			t.Fatalf("%s/%d threads: %d goroutines after the fatal, want %d", c.name, c.threads, n, base)
 		}
+	}
+}
+
+// TestSpinUntilAllocsPerRun: serving a spin-wait allocates nothing,
+// whether the waiter's own coroutine serves its polls or the driver
+// does. A machine whose waiters poll a thousand times longer must
+// allocate exactly as much per run, so each extra poll and pause
+// costs 0 allocations.
+func TestSpinUntilAllocsPerRun(t *testing.T) {
+	run := func(delay int) func() {
+		return func() {
+			m := newTestMachine(WMM, 1)
+			flag := m.Alloc(1)
+			m.Spawn(0, func(th *Thread) {
+				th.Nops(delay)
+				th.FetchAdd(flag, 1)
+			})
+			for i := 1; i <= 3; i++ {
+				acquire := i == 2
+				m.Spawn(topo.CoreID(4*i), func(th *Thread) {
+					th.SpinUntil(flag, acquire, SpinEQ, 1, 8)
+				})
+			}
+			m.Run()
+		}
+	}
+	short := testing.AllocsPerRun(10, run(100))
+	long := testing.AllocsPerRun(10, run(100_000))
+	if long != short {
+		t.Fatalf("allocs per run: %v with long waits, %v with short ones; polls must not allocate", long, short)
 	}
 }

@@ -6,8 +6,9 @@
 // work in global (virtual time, thread id) order (see sched.go). A
 // closure thread is a coroutine that executes its own ops inline while
 // it is the thread with the smallest virtual time, and yields to the
-// driver only when another thread must run first. Given one seed, a run
-// is fully deterministic.
+// driver only when another thread must run first; the driver then
+// serves the yielded op, including every poll of a SpinUntil wait.
+// Given one seed, a run is fully deterministic.
 //
 // The model implements the mechanisms the paper identifies as the
 // sources of barrier cost on real ARM silicon:

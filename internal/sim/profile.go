@@ -65,9 +65,10 @@ const (
 	CauseSTLR
 	// CauseAtomic is the exclusive-acquisition cost of LSE atomics.
 	CauseAtomic
-	// CauseSpin is any cycle spent inside a spin-wait loop (compiled
-	// engine: SpinEQ/SpinNE ops). It overrides the underlying cause so
-	// lock-acquisition spinning is separable from useful loads.
+	// CauseSpin is a spin-wait poll: a compiled SpinEQ/SpinNE/SpinGE
+	// op or a Thread.SpinUntil poll (the pauses between polls are
+	// CauseWork). It overrides the underlying cause so lock-acquisition
+	// spinning is separable from useful loads.
 	CauseSpin
 	// CauseWork is local computation (Work/Nops).
 	CauseWork

@@ -29,23 +29,26 @@ func checkConserved(t *testing.T, p *Profile) {
 	}
 }
 
+// allEngines lists every way to run the differential workloads.
+var allEngines = []engine{engLoop, engSpinUntil, engCompiled}
+
 // TestProfileConservation runs the all-opcode differential workload —
 // every load flavor, both store flavors, barriers, atomics, work, and
-// a cross-thread spin — under both engines, both memory modes, and the
+// a cross-thread spin — under every engine, both memory modes, and the
 // acceptance seeds, and requires exact attribution each time.
 func TestProfileConservation(t *testing.T) {
 	pc := NewProfileCollector()
 	SetGlobalProfile(pc)
 	defer SetGlobalProfile(nil)
-	for _, compiled := range []bool{false, true} {
+	for _, eng := range allEngines {
 		for _, mode := range []Mode{WMM, TSO} {
 			for _, seed := range []int64{42, 7} {
 				pc.Reset()
-				runDifferential(t, mode, seed, compiled)
+				runDifferential(t, mode, seed, eng)
 				p := pc.Snapshot()
 				if p.Machines != 1 || p.Threads != 2 {
-					t.Fatalf("compiled=%v %v seed %d: folded %d machines / %d threads, want 1/2",
-						compiled, mode, seed, p.Machines, p.Threads)
+					t.Fatalf("%v %v seed %d: folded %d machines / %d threads, want 1/2",
+						eng, mode, seed, p.Machines, p.Threads)
 				}
 				checkConserved(t, &p)
 			}
@@ -55,44 +58,59 @@ func TestProfileConservation(t *testing.T) {
 
 // TestProfileIsHarmless proves enabling attribution changes nothing
 // observable: traced event sequence, stats, final memory, and clock are
-// byte-identical dark and profiled, on both engines.
+// byte-identical dark and profiled, on every engine.
 func TestProfileIsHarmless(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
-		dark := runDifferential(t, WMM, 42, compiled)
+	for _, eng := range allEngines {
+		dark := runDifferential(t, WMM, 42, eng)
 		pc := NewProfileCollector()
 		SetGlobalProfile(pc)
-		lit := runDifferential(t, WMM, 42, compiled)
+		lit := runDifferential(t, WMM, 42, eng)
 		SetGlobalProfile(nil)
 		if !reflect.DeepEqual(dark, lit) {
-			t.Errorf("compiled=%v: profiling changed the simulation (clock %g vs %g)",
-				compiled, dark.elapsed, lit.elapsed)
+			t.Errorf("%v: profiling changed the simulation (clock %g vs %g)",
+				eng, dark.elapsed, lit.elapsed)
 		}
 	}
 }
 
-// TestProfileSpinAttribution: the compiled differential workload spins
-// on a flag with SpinEQ; those loads must land under spin_wait, and the
-// interpreted engine — whose spin loops are opaque Go control flow —
-// must see none.
+// TestProfileSpinAttribution: the differential workloads spin on flags
+// and counters. Compiled SpinEQ/NE/GE polls land under spin_wait (their
+// pads are Work ops), and SpinUntil must attribute exactly as the
+// compiled ops do: equal cycles and ops for every cause. The
+// hand-written loops are opaque Go control flow, so they attribute no
+// spin at all.
 func TestProfileSpinAttribution(t *testing.T) {
 	pc := NewProfileCollector()
 	SetGlobalProfile(pc)
 	defer SetGlobalProfile(nil)
-
-	runDifferential(t, WMM, 42, true)
-	p := pc.Snapshot()
-	if p.Ops[CauseSpin] == 0 {
-		t.Error("compiled engine attributed no spin-wait ops")
+	profile := func(run func(*testing.T, Mode, int64, engine) diffRun, eng engine) Profile {
+		pc.Reset()
+		run(t, WMM, 42, eng)
+		p := pc.Snapshot()
+		checkConserved(t, &p)
+		return p
 	}
-	checkConserved(t, &p)
-
-	pc.Reset()
-	runDifferential(t, WMM, 42, false)
-	p = pc.Snapshot()
-	if p.Ops[CauseSpin] != 0 {
-		t.Errorf("interpreted engine attributed %d spin ops; its spins are invisible by design", p.Ops[CauseSpin])
+	for _, in := range []struct {
+		name string
+		run  func(*testing.T, Mode, int64, engine) diffRun
+	}{
+		{"opcodes", runDifferential},
+		{"epoch-barrier", runEpochBarrier},
+	} {
+		comp := profile(in.run, engCompiled)
+		if comp.Ops[CauseSpin] == 0 {
+			t.Errorf("%s: compiled engine attributed no spin-wait ops", in.name)
+		}
+		spin := profile(in.run, engSpinUntil)
+		if spin.Cycles != comp.Cycles || spin.Ops != comp.Ops {
+			t.Errorf("%s: SpinUntil attribution differs from the compiled spin ops\nspin-until: %v %v\ncompiled:   %v %v",
+				in.name, spin.Cycles, spin.Ops, comp.Cycles, comp.Ops)
+		}
+		if loop := profile(in.run, engLoop); loop.Ops[CauseSpin] != 0 || loop.Cycles[CauseSpin] != 0 {
+			t.Errorf("%s: hand-written loops attributed %d spin ops; their spins are invisible by design",
+				in.name, loop.Ops[CauseSpin])
+		}
 	}
-	checkConserved(t, &p)
 }
 
 // TestProfileCauseBreakdown sanity-checks where the differential
@@ -102,7 +120,7 @@ func TestProfileCauseBreakdown(t *testing.T) {
 	pc := NewProfileCollector()
 	SetGlobalProfile(pc)
 	defer SetGlobalProfile(nil)
-	runDifferential(t, WMM, 42, true)
+	runDifferential(t, WMM, 42, engCompiled)
 	p := pc.Snapshot()
 	for _, c := range []Cause{CauseIssue, CauseDMBFull, CauseDMBSt, CauseAtomic, CauseWork, CauseSpin} {
 		if p.Ops[c] == 0 {
@@ -141,9 +159,9 @@ func TestProfileReportShape(t *testing.T) {
 	pc := NewProfileCollector()
 	SetGlobalProfile(pc)
 	defer SetGlobalProfile(nil)
-	runDifferential(t, WMM, 42, true)
+	runDifferential(t, WMM, 42, engCompiled)
 	mid := pc.Snapshot()
-	runDifferential(t, WMM, 7, true)
+	runDifferential(t, WMM, 7, engCompiled)
 	end := pc.Snapshot()
 
 	r := end.Report()
@@ -197,7 +215,7 @@ func TestProfileMetricsInto(t *testing.T) {
 	pc := NewProfileCollector()
 	SetGlobalProfile(pc)
 	defer SetGlobalProfile(nil)
-	runDifferential(t, WMM, 42, true)
+	runDifferential(t, WMM, 42, engCompiled)
 	p := pc.Snapshot()
 
 	reg := metrics.NewRegistry()

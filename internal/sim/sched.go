@@ -13,21 +13,30 @@ import (
 // it, and one driver loop (drive) serves every op in global
 // min-(now, id) order from the run heap.
 //
-// Closure threads (Spawn) run as iter.Pull coroutines. A resumed thread
+// Closure threads (Spawn) run as iter.Pull coroutines. A running thread
 // processes its own ops inline, as plain function calls, for as long as
 // it stays the heap minimum, and yields back to the driver only at the
 // entry of an op that another thread must serve first. A thread that
 // keeps the minimum (every single-thread measurement loop) never
-// switches at all. Compiled threads (SpawnProgram) have no coroutine:
-// the driver steps their programs one op at a time.
+// switches at all. The suspended thread's op stays staged in its
+// request slot: the driver serves it there when the thread becomes the
+// minimum and resumes the body only once the op completes. Most ops
+// complete at their first service, but a spin-wait (SpinUntil) is one
+// op that completes only at its satisfying poll, so the driver serves
+// every earlier poll and pause the way it steps a compiled SpinEQ,
+// with no coroutine switch. Compiled threads (SpawnProgram) have no
+// coroutine: the driver steps their programs one op at a time.
 //
 // The service order is that of every earlier engine: no op is served
 // until every thread has been primed up to its first op, and the next
 // op always belongs to the live thread with the smallest (virtual time,
 // id). Only a served op moves a clock, so a thread between two ops
 // already holds the heap key its next op will have, and a thread whose
-// body returns retires (finishThread) before the next op is served. The
-// rng draw sequence, and with it every simulated number, is unchanged.
+// body returns retires (finishThread) before the next op is served.
+// Because the driver resumes a body right after the op that completes
+// it, the body's Go code between two ops also runs at the same point
+// of the service sequence wherever the op was served. The rng draw
+// sequence, and with it every simulated number, is unchanged.
 
 // errStopped unwinds a suspended closure thread whose machine is being
 // abandoned after a panic (see stopThreads). Only stopThread recovers
@@ -57,15 +66,18 @@ func (m *Machine) prime() {
 
 // drive primes any remaining threads, then serves ops until every
 // thread has finished. Its loop is the only place that picks the next
-// thread: the heap minimum is resumed (a closure thread, which returns
-// here once it finishes or another thread must go first) or stepped
-// one op (a compiled thread).
+// thread. A closure thread at the heap minimum is suspended with its
+// op staged: the driver serves the op and, once it completes, resumes
+// the body, which returns here once it finishes or another thread must
+// go first. A compiled thread is stepped one op.
 func (m *Machine) drive() {
 	m.prime()
 	for m.runq.len() > 0 {
 		t := m.runq.min()
 		if t.next != nil {
-			t.next()
+			if m.serve(t) {
+				t.next()
+			}
 			continue
 		}
 		if t.now > m.cfg.MaxTime {
@@ -80,38 +92,46 @@ func (m *Machine) drive() {
 	}
 }
 
-// dispatch serves the op staged in t.req on the thread's coroutine and
-// returns its result. The first op only joins the run heap and
-// suspends: that is priming. After that the thread processes its op
-// inline whenever it is the heap minimum, and suspends until the
-// driver resumes it as the minimum otherwise.
+// dispatch runs the op staged in t.req to completion and returns its
+// result. The first op only joins the run heap and suspends: that is
+// priming. After that the thread serves its op inline, on its own
+// coroutine, for as long as it is the heap minimum. Otherwise it
+// suspends, and the driver serves the op from then on and resumes the
+// thread once the op has completed.
 func (t *Thread) dispatch() uint64 {
 	m := t.m
 	if t.heapIdx < 0 {
 		m.runq.push(t)
-		t.suspend()
-	}
-	for {
-		if m.runq.min() != t {
-			t.suspend()
-		}
-		if t.now > m.cfg.MaxTime {
-			m.fatalStuck(t)
-		}
-		ok := m.process(&t.req)
-		// A false op only advanced this thread's clock (waiting for its
-		// own store buffer): re-keyed, it retries once it is the
-		// minimum again, so commits apply in global time order.
-		m.runq.fix(t.heapIdx)
-		if ok {
-			return t.req.result
+	} else {
+		for m.runq.min() == t {
+			if m.serve(t) {
+				return t.req.result
+			}
 		}
 	}
+	t.suspend()
+	return t.req.result
+}
+
+// serve processes the op staged by t, the heap minimum, and re-keys
+// the thread. It reports whether the op completed. An op that did not
+// either only advanced the thread's clock (waiting for its own store
+// buffer) or was a spin-wait step that did not end the wait; it
+// retries once the thread is the minimum again, so commits apply in
+// global time order.
+func (m *Machine) serve(t *Thread) bool {
+	if t.now > m.cfg.MaxTime {
+		m.fatalStuck(t)
+	}
+	ok := m.process(&t.req)
+	m.runq.fix(t.heapIdx)
+	return ok
 }
 
 // suspend hands control back to the driver until it resumes this
-// thread as the heap minimum. A false yield means the machine is being
-// abandoned after a panic: errStopped unwinds the thread's body.
+// thread with its staged op completed. A false yield means the machine
+// is being abandoned after a panic: errStopped unwinds the thread's
+// body.
 func (t *Thread) suspend() {
 	if !t.yield(struct{}{}) {
 		panic(errStopped)

@@ -23,20 +23,27 @@ const (
 	opFetchAdd
 	opSwap
 	opCAS
+	opSpin
 )
 
-// request is one staged operation: the thread fills its own slot and
-// processes it inline once the scheduler's ordering rules allow (see
-// dispatch in sched.go).
+// request is one staged operation: the thread fills its own slot, and
+// whichever side holds the machine when the scheduler's ordering rules
+// allow serves it (see dispatch and drive in sched.go).
 type request struct {
 	t      *Thread
 	kind   opKind
 	addr   uint64
-	value  uint64
+	value  uint64 // store/RMW operand; the value a spin-wait compares against
 	value2 uint64
 	bar    isa.Barrier
-	cycles float64
+	cycles float64 // work cycles; a spin-wait's pause between polls
 	result uint64
+
+	// Spin-wait state (opSpin): the poll flavor and condition, and
+	// whether the next step is the pause after a failed poll.
+	cmp     SpinCmp
+	acquire bool
+	pausing bool
 }
 
 // ThreadStats counts one thread's activity.
@@ -69,7 +76,7 @@ type Thread struct {
 
 	// Cycle-attribution profiler state (see profile.go). profOn is
 	// latched from the machine at spawn; spinning remaps causes to
-	// CauseSpin while a compiled spin-wait op is being serviced.
+	// CauseSpin while a spin-wait poll is being served.
 	prof     threadProfile
 	profOn   bool
 	spinning bool
@@ -112,8 +119,8 @@ func (t *Thread) run(yield func(struct{}) bool) {
 }
 
 // op stages one operation and dispatches it; the thread's own
-// coroutine executes the semantics (no context switch while this
-// thread holds the minimum time).
+// coroutine executes the semantics while this thread holds the minimum
+// time, with no context switch.
 func (t *Thread) op(kind opKind, addr, value uint64, bar isa.Barrier, cycles float64) uint64 {
 	t.req = request{t: t, kind: kind, addr: addr, value: value, bar: bar, cycles: cycles}
 	return t.dispatch()
@@ -211,6 +218,55 @@ func (t *Thread) CompareAndSwap(addr, old, new uint64) bool {
 	return t.dispatch() == 1
 }
 
+// SpinCmp is the exit condition of a spin-wait, mirroring the compiled
+// SpinEQ/SpinNE/SpinGE ops.
+type SpinCmp uint8
+
+const (
+	// SpinEQ waits until the polled value equals v.
+	SpinEQ SpinCmp = iota
+	// SpinNE waits until the polled value differs from v.
+	SpinNE
+	// SpinGE waits until the polled value reaches v: the epoch-safe
+	// wait on a monotone counter that may move past v between polls.
+	SpinGE
+)
+
+// holds reports whether polled value x ends a wait for v.
+func (c SpinCmp) holds(x, v uint64) bool {
+	switch c {
+	case SpinEQ:
+		return x == v
+	case SpinNE:
+		return x != v
+	}
+	return x >= v
+}
+
+// SpinUntil polls addr until the value read satisfies cmp against v,
+// pausing pause nops between polls, and returns the satisfying value.
+// The ops are exactly those of
+//
+//	for x := load(addr); !cmp(x, v); x = load(addr) { t.Nops(pause) }
+//
+// with load a LoadAcquire if acquire is set and a Load otherwise, so
+// the wait times and outcomes are the loop's. Unlike the loop, the
+// whole wait is one staged op: once another thread holds the minimum
+// time, the scheduler's driver serves the remaining polls and pauses
+// itself and resumes this thread's body only after the satisfying
+// poll. Polls attribute to the spin_wait profile cause and pauses to
+// work, as for the compiled spin ops.
+func (t *Thread) SpinUntil(addr uint64, acquire bool, cmp SpinCmp, v uint64, pause int) uint64 {
+	if cmp > SpinGE {
+		badSpinCmp(cmp)
+	}
+	t.req = request{t: t, kind: opSpin, addr: addr, value: v, cmp: cmp, acquire: acquire}
+	if pause > 0 {
+		t.req.cycles = float64(pause) / t.m.cost.IssueWidth
+	}
+	return t.dispatch()
+}
+
 // --- scheduler-side op semantics -----------------------------------
 
 // process executes one staged request for the thread the scheduler is
@@ -219,7 +275,9 @@ func (t *Thread) CompareAndSwap(addr, old, new uint64) bool {
 // run yet and only advanced the thread's clock (the thread stays in
 // the run heap and retries at its new time) — this keeps directory
 // mutations in global start-time order, which is what makes values
-// read by one thread never come from another thread's future.
+// read by one thread never come from another thread's future. A
+// spin-wait also returns false after each served poll or pause that
+// does not end the wait, and retries the same way.
 func (m *Machine) process(r *request) bool {
 	t := r.t
 	m.retireStores(t.now)
@@ -270,11 +328,52 @@ func (m *Machine) process(r *request) bool {
 		}
 		r.result = m.doRMW(t, r.kind, r.addr, r.value, r.value2)
 		m.emit(t, TraceRMW, r.addr, start, t.now, "")
+	case opSpin:
+		done := m.spinStep(t, r)
+		m.noteServed(t)
+		return done
 	default:
 		badOp(r.kind)
 	}
 	m.noteServed(t)
 	return true
+}
+
+// spinStep serves the next op of a spin-wait: the pause after a poll
+// that failed the condition, or a poll. It reports whether the wait
+// is over, which only a satisfying poll ends.
+func (m *Machine) spinStep(t *Thread, r *request) bool {
+	if r.pausing {
+		r.pausing = false
+		start := t.now
+		t.advBy(CauseWork, r.cycles)
+		m.emit(t, TraceWork, 0, start, t.now, "")
+		return false
+	}
+	v := m.spinPoll(t, r.addr, r.acquire)
+	if r.cmp.holds(v, r.value) {
+		r.result = v
+		return true
+	}
+	r.pausing = r.cycles > 0
+	return false
+}
+
+// spinPoll serves one spin-wait load, of either engine. Its cycles
+// attribute to CauseSpin instead of their service cause: the spinning
+// flag remaps inside the attribution helpers and never touches the
+// simulation itself.
+func (m *Machine) spinPoll(t *Thread, addr uint64, acquire bool) uint64 {
+	start := t.now
+	t.spinning = true
+	v := m.doLoad(t, addr, acquire)
+	t.spinning = false
+	if acquire {
+		m.emit(t, TraceLoad, addr, start, t.now, "acquire")
+	} else {
+		m.emit(t, TraceLoad, addr, start, t.now, "")
+	}
+	return v
 }
 
 // doRMW implements LSE-style acquire-release atomics (SWPAL, LDADDAL,
@@ -568,9 +667,9 @@ func (m *Machine) doBarrier(t *Thread, b isa.Barrier) {
 	}
 }
 
-// badOp and badBarrier report malformed requests. They live outside
-// process/doBarrier so the dispatch switches carry no fmt machinery
-// or panic-operand boxing.
+// badOp, badBarrier and badSpinCmp report malformed requests. They
+// live outside the op paths so those carry no fmt machinery or
+// panic-operand boxing.
 //
 //go:noinline
 func badOp(k opKind) {
@@ -580,6 +679,11 @@ func badOp(k opKind) {
 //go:noinline
 func badBarrier(b isa.Barrier) {
 	panic(fmt.Sprintf("sim: unsupported barrier %v", b))
+}
+
+//go:noinline
+func badSpinCmp(c SpinCmp) {
+	panic(fmt.Sprintf("sim: bad spin condition %d", c))
 }
 
 func maxf(a, b float64) float64 {

@@ -258,11 +258,12 @@ func CellCacheHit(b *testing.B) {
 
 // LockHandoff is the many-thread closure handoff: 12 threads contend
 // for a ticket lock (locks.NewTicket, DMB st unlock barrier) on the
-// closure path, so nearly every simulated op changes the serving thread and pays a coroutine switch. This is
-// the shape of the closure-driven lock, data-structure and fan-in
-// experiments that dominate the cold wall. One op is one critical
-// section (lock, counter load and store, unlock); the threads share
-// b.N of them.
+// closure path, so nearly every simulated op changes the serving
+// thread. Most of those ops are the waiters' SpinUntil polls, which
+// the driver loop serves without a coroutine switch. This is the shape
+// of the closure-driven lock, data-structure and fan-in experiments
+// that dominate the cold wall. One op is one critical section (lock,
+// counter load and store, unlock); the threads share b.N of them.
 func LockHandoff(b *testing.B) {
 	const threads = 12
 	m := newBenchMachine()
