@@ -49,11 +49,12 @@ func runAllocVet(pass *Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// funcKey renders a FuncDecl as "importpath.Receiver.name" /
-// "importpath.name", the HotPathFuncs key format.
-func funcKey(pass *Pass, fn *ast.FuncDecl) string {
+// funcKey renders a FuncDecl of the package at pkgPath as
+// "importpath.Receiver.name" / "importpath.name", the HotPathFuncs key
+// format.
+func funcKey(pkgPath string, fn *ast.FuncDecl) string {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return pass.Pkg.Path() + "." + fn.Name.Name
+		return pkgPath + "." + fn.Name.Name
 	}
 	t := fn.Recv.List[0].Type
 	for {
@@ -66,15 +67,15 @@ func funcKey(pass *Pass, fn *ast.FuncDecl) string {
 			t = x.X
 		default:
 			if id, ok := t.(*ast.Ident); ok {
-				return pass.Pkg.Path() + "." + id.Name + "." + fn.Name.Name
+				return pkgPath + "." + id.Name + "." + fn.Name.Name
 			}
-			return pass.Pkg.Path() + "." + fn.Name.Name
+			return pkgPath + "." + fn.Name.Name
 		}
 	}
 }
 
 func isHotPath(pass *Pass, fn *ast.FuncDecl) bool {
-	if HotPathFuncs[funcKey(pass, fn)] {
+	if HotPathFuncs[funcKey(pass.Pkg.Path(), fn)] {
 		return true
 	}
 	if fn.Doc != nil {

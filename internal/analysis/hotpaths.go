@@ -33,7 +33,9 @@ var DeterministicPackages = map[string]bool{
 // BenchmarkRendezvousTwoThreads, BenchmarkStoreCommit,
 // BenchmarkStoreDMBFull). allocvet flags allocation-forcing constructs
 // inside them. Keys are "importpath.Receiver.name" (receiver
-// star-stripped) or "importpath.name" for plain functions.
+// star-stripped) or "importpath.name" for plain functions, and every
+// key must name a function of the module (TestHotPathFuncsExist), so
+// deleting or renaming one cannot leave a key that pins nothing.
 //
 // Deliberately excluded: addrTimes.grow and Directory.line (rare
 // resize / lazy-init paths that allocate by design and are amortized
@@ -45,10 +47,11 @@ var DeterministicPackages = map[string]bool{
 // being listed here.
 var HotPathFuncs = map[string]bool{
 	// Scheduler (internal/sim/sched.go): the driver loop, the closure
-	// threads' op loop and their coroutine handoff, and the run heap.
+	// threads' op loop and their coroutine handoff, the step every op
+	// of every thread is served through, and the run heap.
 	"armbar/internal/sim.Machine.drive":      true,
 	"armbar/internal/sim.Thread.dispatch":    true,
-	"armbar/internal/sim.Machine.serve":      true,
+	"armbar/internal/sim.Machine.step":       true,
 	"armbar/internal/sim.Thread.suspend":     true,
 	"armbar/internal/sim.Machine.noteServed": true,
 	"armbar/internal/sim.runHeap.len":        true,
@@ -60,7 +63,8 @@ var HotPathFuncs = map[string]bool{
 	"armbar/internal/sim.runHeap.up":         true,
 	"armbar/internal/sim.runHeap.down":       true,
 
-	// Operation engine (internal/sim/thread.go, machine.go).
+	// Closure op staging and op semantics (internal/sim/thread.go,
+	// machine.go).
 	"armbar/internal/sim.Thread.op":            true,
 	"armbar/internal/sim.Thread.Load":          true,
 	"armbar/internal/sim.Thread.LoadAcquire":   true,
@@ -70,13 +74,10 @@ var HotPathFuncs = map[string]bool{
 	"armbar/internal/sim.Thread.Barrier":       true,
 	"armbar/internal/sim.Thread.SpinUntil":     true,
 	"armbar/internal/sim.SpinCmp.holds":        true,
-	"armbar/internal/sim.Machine.process":      true,
 	"armbar/internal/sim.Machine.doLoad":       true,
 	"armbar/internal/sim.Machine.doStore":      true,
 	"armbar/internal/sim.Machine.doBarrier":    true,
 	"armbar/internal/sim.Machine.doRMW":        true,
-	"armbar/internal/sim.Machine.spinStep":     true,
-	"armbar/internal/sim.Machine.spinPoll":     true,
 	"armbar/internal/sim.Machine.forward":      true,
 	"armbar/internal/sim.Machine.readCache":    true,
 	"armbar/internal/sim.Machine.retireStores": true,
@@ -87,9 +88,9 @@ var HotPathFuncs = map[string]bool{
 	"armbar/internal/sim.Machine.invProc":      true,
 	"armbar/internal/sim.Machine.emit":         true,
 
-	// Compiled-engine step (internal/sim/compiled.go), which the
-	// driver loop calls once per op of a compiled thread.
-	// BenchmarkCompiledDispatch pins the whole program-execution path
+	// Executor (internal/sim/compiled.go), which Machine.step calls
+	// once per op of every thread. BenchmarkCompiledDispatch pins the
+	// program-execution path and BenchmarkLockHandoff the closure path
 	// at 0 allocs/op.
 	"armbar/internal/sim.Machine.execStep":    true,
 	"armbar/internal/sim.execEnv.addr":        true,
@@ -103,20 +104,14 @@ var HotPathFuncs = map[string]bool{
 	"armbar/internal/sim.execStoreRel":        true,
 	"armbar/internal/sim.execBarrier":         true,
 	"armbar/internal/sim.execWork":            true,
-	"armbar/internal/sim.execFetchAdd":        true,
-	"armbar/internal/sim.execSwap":            true,
-	"armbar/internal/sim.execCAS":             true,
 	"armbar/internal/sim.execRMW":             true,
-	"armbar/internal/sim.execSpinEQ":          true,
-	"armbar/internal/sim.execSpinNE":          true,
-	"armbar/internal/sim.execSpinGE":          true,
 	"armbar/internal/sim.execSpin":            true,
 	"armbar/internal/sim.storeStall":          true,
 	"armbar/internal/sim.rmwStall":            true,
 
 	// Cycle-attribution profiler (internal/sim/profile.go): every
-	// clock advance in both engines funnels through these, profiled
-	// or dark, so they must never allocate.
+	// clock advance funnels through these, profiled or dark, so they
+	// must never allocate.
 	"armbar/internal/sim.Thread.advBy":  true,
 	"armbar/internal/sim.Thread.advTo":  true,
 	"armbar/internal/sim.Thread.attrBy": true,

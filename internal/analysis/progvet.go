@@ -10,8 +10,8 @@ import (
 // composite literals — for the structural defects prog.Validate only
 // catches at run time, plus one Builder misuse it cannot see at all:
 //
-//   - Jump and spin exit targets must land in [0, len] of the literal;
-//     LoopEnd targets must additionally point backward. A raw literal's
+//   - Jump targets must land in [0, len] of the literal; LoopEnd
+//     targets must additionally point backward. A raw literal's
 //     targets are authored by hand (the Builder computes its own), so
 //     an off-by-one here survives until an executor walks off the
 //     program.
@@ -191,9 +191,6 @@ func checkOpLiteral(pass *Pass, lit *ast.CompositeLit, maxDepth, maxOps int64) {
 				pass.Reportf(el.Pos(), "loop target %d does not point backward from op %d", f.target, i)
 			}
 		case "SpinEQ", "SpinNE", "SpinGE":
-			if f.hasTarget && (f.target < 0 || f.target > n) {
-				pass.Reportf(el.Pos(), "spin exit target %d out of range [0,%d]", f.target, n)
-			}
 			if f.amode == "AddrTable" {
 				pass.Reportf(el.Pos(), "%s through an address ring re-targets mid-wait; spins must watch a fixed address", f.code)
 			}

@@ -11,11 +11,10 @@ import "armbar/internal/prog"
 func goodProgram() []prog.Op {
 	return []prog.Op{
 		{Code: prog.Store, Addr: 64, Val: 1},
-		{Code: prog.SpinEQ, Addr: 128, Val: 1, Target: 3},
-		{Code: prog.Jump, Target: 1},
+		{Code: prog.SpinEQ, Addr: 128, Val: 1},
 		{Code: prog.Load, Addr: 64},
 		{Code: prog.LoopEnd, Target: 0, Count: 8, Dep: 7},
-		{Code: prog.Jump, Target: 6}, // == len: a jump past the last op is legal
+		{Code: prog.Jump, Target: 5}, // == len: a jump past the last op is legal
 	}
 }
 
@@ -35,9 +34,8 @@ func goodBuilder(b *prog.Builder) {
 
 func badTargets() []prog.Op {
 	return []prog.Op{
-		{Code: prog.Jump, Target: 4},           // want `jump target 4 out of range \[0,3\]`
-		{Code: prog.Jump, Target: -1},          // want `jump target -1 out of range \[0,3\]`
-		{Code: prog.SpinEQ, Val: 1, Target: 9}, // want `spin exit target 9 out of range \[0,3\]`
+		{Code: prog.Jump, Target: 3},  // want `jump target 3 out of range \[0,2\]`
+		{Code: prog.Jump, Target: -1}, // want `jump target -1 out of range \[0,2\]`
 	}
 }
 
@@ -50,7 +48,7 @@ func badLoops() []prog.Op {
 
 func badRingSpin() []prog.Op {
 	return []prog.Op{
-		{Code: prog.SpinGE, AMode: prog.AddrTable, Addr: 0, Val: 3, Target: 1}, // want `SpinGE through an address ring`
+		{Code: prog.SpinGE, AMode: prog.AddrTable, Addr: 0, Val: 3}, // want `SpinGE through an address ring`
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 
 // Operand is a memory op's address, resolved at build time.
 type Operand struct {
-	mode  AddrMode
-	addr  uint64 // absolute address or table index
-	dep   uint8
+	mode AddrMode
+	addr uint64 // absolute address or table index
+	dep  uint8
 }
 
 // Abs addresses memory at a fixed address.
@@ -159,34 +159,30 @@ func (b *Builder) Work(cycles float64) {
 	b.emit(Op{Code: Work, Cyc: cycles})
 }
 
-// SpinEQ appends a spin that loads o until the value equals v, running
-// padNops of padding between polls — the lowering of
+// SpinEQ appends a spin-wait that polls o with relaxed loads until the
+// value equals v, running padNops of padding between polls. It is one
+// op, the lowering of
 //
 //	for t.Load(a) != v { t.Nops(padNops) }
 func (b *Builder) SpinEQ(o Operand, v uint64, padNops int) { b.spin(SpinEQ, o, v, padNops) }
 
-// SpinNE appends a spin that loads o until the value differs from v.
+// SpinNE appends a spin-wait until the value differs from v.
 func (b *Builder) SpinNE(o Operand, v uint64, padNops int) { b.spin(SpinNE, o, v, padNops) }
 
-// SpinGE appends a spin that loads o until the value reaches v. This
+// SpinGE appends a spin-wait until the value reaches v. This
 // is the epoch-safe wait the barrier algorithms use: a monotone
 // counter or epoch flag may be advanced past v by other threads
 // before a slow spinner polls again, so waiting for >= v never hangs
 // where an exact-match spin would.
 func (b *Builder) SpinGE(o Operand, v uint64, padNops int) { b.spin(SpinGE, o, v, padNops) }
 
+// spin emits the wait; the pad lowers to cycles as Nops does.
 func (b *Builder) spin(code Code, o Operand, v uint64, padNops int) {
-	at := int32(len(b.p.Ops))
+	op := Op{Code: code, AMode: o.mode, Dep: o.dep, Addr: o.addr, Val: v}
 	if padNops > 0 {
-		// [spin exit=+3] [pad work] [jump spin]
-		b.emit(Op{Code: code, AMode: o.mode, Dep: o.dep, Addr: o.addr, Val: v, Target: at + 3})
-		b.Nops(padNops)
-		b.emit(Op{Code: Jump, Target: at})
-	} else {
-		// [spin exit=+2] [jump spin]
-		b.emit(Op{Code: code, AMode: o.mode, Dep: o.dep, Addr: o.addr, Val: v, Target: at + 2})
-		b.emit(Op{Code: Jump, Target: at})
+		op.Cyc = float64(padNops) / b.issueWidth
 	}
+	b.emit(op)
 }
 
 // Loop opens a counted loop of n iterations — the lowering of

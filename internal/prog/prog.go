@@ -1,25 +1,25 @@
-// Package prog defines precompiled micro-op programs, the form every
-// fixed op sequence runs in on the simulator (sim.SpawnProgram). A
-// program is a flat []Op lowered from such a sequence (an
-// abstracted-model loop, a barrier-zoo round, a scenario thread spec):
-// every operand is pre-resolved at build time —
+// Package prog defines the simulator's one op representation: the
+// micro-op. A compiled program (sim.SpawnProgram) is a flat []Op
+// lowered from a fixed op sequence (an abstracted-model loop, a
+// barrier-zoo round, a scenario thread spec), and each call a closure
+// thread makes on its sim.Thread handle stages one Op as the thread's
+// one-op program. Every operand is pre-resolved at build time —
 // addresses to absolute values or per-iteration address tables, nop
 // counts to cycle latencies, barrier names to isa values — so the
-// executor in package sim dispatches through a per-opcode function
-// table with no per-op decoding, switch, or request staging.
+// executor in package sim serves both kinds of thread through one
+// per-opcode function table with no per-op decoding or switch.
 //
-// Machine-visible codes (loads, stores, barriers, work, atomics, spin
-// loads) map 1:1 to the sim.Thread operations a closure thread calls:
-// a program presents the exact operation sequence a closure making
-// those calls would, so control flow is expressed only through free
-// codes (Jump, LoopEnd) that the executor folds into pc updates
-// between machine ops. That 1:1 mapping is what lets sim's
-// differential tests hold a program and its closure transcription
-// byte-identical.
+// Machine-visible codes (loads, stores, barriers, work, atomics,
+// spin-waits) are the sim.Thread operations a closure thread calls,
+// one to one, so a program presents the exact operation sequence a
+// closure making those calls would. Control flow is expressed only
+// through free codes (Jump, LoopEnd) that the executor folds into pc
+// updates between machine ops.
 package prog
 
 import (
 	"fmt"
+	"math"
 
 	"armbar/internal/isa"
 )
@@ -31,18 +31,18 @@ const (
 	// Machine-visible ops: each dispatches exactly one simulated
 	// operation, identical to the corresponding Thread method.
 	Load      Code = iota // relaxed load
-	LoadAcq                // LDAR
-	LoadAcqPC              // LDAPR
-	Store                  // relaxed store (into the store buffer)
-	StoreRel               // STLR
-	Barrier                // standalone order-preserving instruction
-	Work                   // local computation, Cycles long
-	FetchAdd               // LSE atomic add, returns old (discarded)
-	Swap                   // LSE atomic swap
-	CAS                    // LSE compare-and-swap
-	SpinEQ                 // relaxed load; fall through until value == Val, then jump to Target
-	SpinNE                 // relaxed load; fall through until value != Val, then jump to Target
-	SpinGE                 // relaxed load; fall through until value >= Val, then jump to Target
+	LoadAcq               // LDAR
+	LoadAcqPC             // LDAPR
+	Store                 // relaxed store (into the store buffer)
+	StoreRel              // STLR
+	Barrier               // standalone order-preserving instruction
+	Work                  // local computation, Cycles long
+	FetchAdd              // LSE atomic add, returns old (discarded)
+	Swap                  // LSE atomic swap
+	CAS                   // LSE compare-and-swap
+	SpinEQ                // poll until the value == Val, pausing Cyc between polls
+	SpinNE                // poll until the value != Val, pausing Cyc between polls
+	SpinGE                // poll until the value >= Val, pausing Cyc between polls
 
 	// Free control codes: pure pc/counter updates, no simulated time,
 	// no dispatch — they correspond to Go-level control flow in a
@@ -108,19 +108,24 @@ const MaxOps = 1 << 16
 
 // Op is one micro-op. The flat value layout (no pointers, no
 // interfaces) keeps programs cache-dense and lets the executor take
-// everything it needs from one 64-byte-ish record.
+// everything it needs from one 64-byte record.
+//
+// A spin-wait (SpinEQ/SpinNE/SpinGE) is one op: it polls Addr, with an
+// acquiring load if Bar is isa.LDAR and a relaxed one if Bar is None,
+// and pauses Cyc cycles after each poll that fails the condition. The
+// executor advances past it only at its satisfying poll.
 type Op struct {
 	Code  Code
 	AMode AddrMode
 	VMode ValMode
 	Dep   uint8       // loop-counter index for AddrTable/ValCounter/LoopEnd
-	Bar   isa.Barrier // Barrier code only
+	Bar   isa.Barrier // Barrier: the instruction; spin: the poll flavor
 	Addr  uint64      // absolute address, or table index under AddrTable
 	Val   uint64      // immediate value / CAS expected / spin target value
 	Val2  uint64      // CAS replacement
-	Cyc   float64     // Work duration in cycles (pre-scaled at build time)
+	Cyc   float64     // Work duration / spin pause, in cycles (pre-scaled at build time)
 
-	Target int32 // Jump/LoopEnd destination; SpinEQ/SpinNE exit pc
+	Target int32 // Jump/LoopEnd destination
 	Count  int64 // LoopEnd total trip count
 }
 
@@ -133,8 +138,8 @@ type Program struct {
 
 // Validate checks structural well-formedness: every target in range,
 // table references valid, loop depths within bounds, barrier operands
-// legal. Executors may assume a validated program needs no per-op
-// checking.
+// legal, durations and pauses finite. Executors may assume a validated
+// program needs no per-op checking.
 func (p *Program) Validate() error {
 	if len(p.Ops) > MaxOps {
 		return fmt.Errorf("prog: %d ops exceeds MaxOps %d (use loops, not unrolling)", len(p.Ops), MaxOps)
@@ -154,19 +159,24 @@ func (p *Program) Validate() error {
 			if err := p.checkOperand(op); err != nil {
 				return bad("%v", err)
 			}
-			if op.Target < 0 || op.Target > n {
-				return bad("exit target %d out of range [0,%d]", op.Target, n)
+			if op.Bar != isa.None && op.Bar != isa.LDAR {
+				return bad("poll flavor %v is neither relaxed (None) nor acquire (LDAR)", op.Bar)
+			}
+			if !(op.Cyc >= 0) || math.IsInf(op.Cyc, 1) {
+				return bad("pause %g is not finite and >= 0", op.Cyc)
 			}
 		case Barrier:
 			switch op.Bar {
+			case isa.DMBFull, isa.DMBSt, isa.DMBLd, isa.DSBFull, isa.DSBSt, isa.DSBLd, isa.ISB,
+				isa.DataDep, isa.AddrDep, isa.CtrlDep, isa.CtrlISB:
 			case isa.None:
 				return bad("barrier None must be elided at build time")
-			case isa.LDAR, isa.LDAPR, isa.STLR:
-				return bad("operand barrier %v is not standalone", op.Bar)
+			default:
+				return bad("%v is not a standalone barrier", op.Bar)
 			}
 		case Work:
-			if op.Cyc <= 0 {
-				return bad("non-positive duration %g", op.Cyc)
+			if !(op.Cyc > 0) || math.IsInf(op.Cyc, 1) {
+				return bad("duration %g is not finite and positive", op.Cyc)
 			}
 		case Jump:
 			// Target == n jumps past the last op (a zero-trip loop at the
@@ -221,46 +231,4 @@ func (p *Program) checkOperand(op *Op) error {
 		return fmt.Errorf("unknown value mode %d", op.VMode)
 	}
 	return nil
-}
-
-// Len returns the number of micro-ops.
-func (p *Program) Len() int { return len(p.Ops) }
-
-// MachineOps returns how many machine-visible ops one full execution
-// dispatches (loop trip counts multiplied out; spins counted once,
-// since their dynamic count is data-dependent). Useful for sanity
-// checks and sizing.
-func (p *Program) MachineOps() int64 {
-	var total int64
-	var mult int64 = 1
-	// Walk with a stack of loop multipliers: ops between a loop's start
-	// (its LoopEnd target) and the LoopEnd run Count times per outer
-	// trip. Builder-produced loops nest properly.
-	type span struct {
-		start int32
-		mult  int64
-	}
-	var stack []span
-	// Pre-scan LoopEnds to know loop starts.
-	starts := map[int32]int64{}
-	for i := range p.Ops {
-		if p.Ops[i].Code == LoopEnd {
-			starts[p.Ops[i].Target] = p.Ops[i].Count
-		}
-	}
-	for i := range p.Ops {
-		if c, ok := starts[int32(i)]; ok {
-			stack = append(stack, span{start: int32(i), mult: mult})
-			mult *= c
-		}
-		op := &p.Ops[i]
-		if !op.Code.IsControl() {
-			total += mult
-		}
-		if op.Code == LoopEnd && len(stack) > 0 {
-			mult = stack[len(stack)-1].mult
-			stack = stack[:len(stack)-1]
-		}
-	}
-	return total
 }

@@ -1,10 +1,21 @@
 package prog
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"armbar/internal/isa"
 )
+
+// codes lists a program's opcodes in order.
+func codes(p *Program) []Code {
+	out := make([]Code, len(p.Ops))
+	for i := range p.Ops {
+		out[i] = p.Ops[i].Code
+	}
+	return out
+}
 
 func TestBuilderStraightLine(t *testing.T) {
 	b := NewBuilder(2)
@@ -16,14 +27,14 @@ func TestBuilderStraightLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != 4 {
-		t.Fatalf("len = %d, want 4", p.Len())
+	if got, want := codes(p), []Code{Load, Work, Store, Barrier}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("codes = %v, want %v", got, want)
 	}
-	if p.Ops[1].Code != Work || p.Ops[1].Cyc != 2 {
+	if p.Ops[1].Cyc != 2 {
 		t.Fatalf("Nops lowering: %+v", p.Ops[1])
 	}
-	if p.MachineOps() != 4 {
-		t.Fatalf("MachineOps = %d, want 4", p.MachineOps())
+	if p.Ops[0].Addr != 64 || p.Ops[2].Addr != 128 || p.Ops[2].Val != 7 || p.Ops[3].Bar != isa.DMBFull {
+		t.Fatalf("operands: %+v", p.Ops)
 	}
 }
 
@@ -35,8 +46,8 @@ func TestBuilderElidesNoneAndZero(t *testing.T) {
 	b.Work(0)
 	b.Load(Abs(64))
 	p := b.MustBuild()
-	if p.Len() != 1 {
-		t.Fatalf("None/zero ops must be elided; len = %d", p.Len())
+	if len(p.Ops) != 1 {
+		t.Fatalf("None/zero ops must be elided; len = %d", len(p.Ops))
 	}
 }
 
@@ -46,14 +57,17 @@ func TestBuilderLoop(t *testing.T) {
 	b.Store(Abs(64), Counter(dep))
 	b.EndLoop()
 	p := b.MustBuild()
-	if p.Len() != 2 || p.Ops[1].Code != LoopEnd || p.Ops[1].Count != 10 {
+	if got, want := codes(p), []Code{Store, LoopEnd}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("loop lowering: %+v", p.Ops)
+	}
+	if le := p.Ops[1]; le.Count != 10 || le.Target != 0 || int(le.Dep) != dep {
+		t.Fatalf("backedge: %+v", le)
+	}
+	if p.Ops[0].VMode != ValCounter || int(p.Ops[0].Dep) != dep {
+		t.Fatalf("counter operand: %+v", p.Ops[0])
 	}
 	if p.Depth != 1 {
 		t.Fatalf("depth = %d", p.Depth)
-	}
-	if p.MachineOps() != 10 {
-		t.Fatalf("MachineOps = %d, want 10", p.MachineOps())
 	}
 }
 
@@ -72,8 +86,15 @@ func TestBuilderNestedLoops(t *testing.T) {
 	if p.Depth != 2 {
 		t.Fatalf("depth = %d, want 2", p.Depth)
 	}
-	if got := p.MachineOps(); got != 3*(1+5) {
-		t.Fatalf("MachineOps = %d, want 18", got)
+	// [load][store][loopend inner -> 1][loopend outer -> 0]
+	if got, want := codes(p), []Code{Load, Store, LoopEnd, LoopEnd}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("nested lowering: %+v", p.Ops)
+	}
+	if in := p.Ops[2]; in.Count != 5 || in.Target != 1 || int(in.Dep) != inner {
+		t.Fatalf("inner backedge: %+v", in)
+	}
+	if out := p.Ops[3]; out.Count != 3 || out.Target != 0 || int(out.Dep) != outer {
+		t.Fatalf("outer backedge: %+v", out)
 	}
 }
 
@@ -96,7 +117,7 @@ func TestBuilderSingleTripLoopEmitsNoLoopEnd(t *testing.T) {
 	b.Load(Abs(64))
 	b.EndLoop()
 	p := b.MustBuild()
-	if p.Len() != 1 {
+	if len(p.Ops) != 1 {
 		t.Fatalf("single-trip loop must be free: %+v", p.Ops)
 	}
 }
@@ -111,7 +132,7 @@ func TestBuilderEmptyLoopEmitsNoLoopEnd(t *testing.T) {
 	b.Barrier(isa.None)
 	b.EndLoop()
 	p := b.MustBuild()
-	if p.Len() != 0 {
+	if len(p.Ops) != 0 {
 		t.Fatalf("empty loops must emit nothing: %+v", p.Ops)
 	}
 }
@@ -131,21 +152,20 @@ func TestBuilderRing(t *testing.T) {
 func TestBuilderSpin(t *testing.T) {
 	b := NewBuilder(2)
 	b.SpinEQ(Abs(64), 1, 4)
+	b.SpinNE(Abs(64), 0, 0)
+	b.SpinGE(Abs(128), 3, 1)
 	b.Store(Abs(128), Imm(9))
 	p := b.MustBuild()
-	// [spin exit=3][work][jump 0][store]
-	if p.Len() != 4 || p.Ops[0].Code != SpinEQ || p.Ops[0].Target != 3 {
-		t.Fatalf("spin lowering: %+v", p.Ops)
+	// One op per wait, relaxed polls, the pad pre-scaled like Nops and
+	// no exit target: [spin_eq][spin_ne][spin_ge][store]
+	want := []Op{
+		{Code: SpinEQ, Addr: 64, Val: 1, Cyc: 2},
+		{Code: SpinNE, Addr: 64, Val: 0},
+		{Code: SpinGE, Addr: 128, Val: 3, Cyc: 0.5},
+		{Code: Store, Addr: 128, Val: 9},
 	}
-	if p.Ops[2].Code != Jump || p.Ops[2].Target != 0 {
-		t.Fatalf("spin backedge: %+v", p.Ops[2])
-	}
-
-	b2 := NewBuilder(2)
-	b2.SpinNE(Abs(64), 0, 0)
-	p2 := b2.MustBuild()
-	if p2.Len() != 2 || p2.Ops[0].Target != 2 || p2.Ops[1].Code != Jump {
-		t.Fatalf("padless spin lowering: %+v", p2.Ops)
+	if !reflect.DeepEqual(p.Ops, want) {
+		t.Fatalf("spin lowering:\n got %+v\nwant %+v", p.Ops, want)
 	}
 }
 
@@ -183,6 +203,17 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 		"forward loopend":   {Ops: []Op{{Code: LoopEnd, Target: 1, Count: 2}, {Code: Load}}},
 		"zero work":         {Ops: []Op{{Code: Work, Cyc: 0}}},
 		"over MaxOps":       {Ops: make([]Op, MaxOps+1)},
+		"operand barrier":   {Ops: []Op{{Code: Barrier, Bar: isa.LDAR}}},
+		"unknown barrier":   {Ops: []Op{{Code: Barrier, Bar: isa.Barrier(99)}}},
+		"negative barrier":  {Ops: []Op{{Code: Barrier, Bar: isa.Barrier(-1)}}},
+		"NaN work":          {Ops: []Op{{Code: Work, Cyc: math.NaN()}}},
+		"infinite work":     {Ops: []Op{{Code: Work, Cyc: math.Inf(1)}}},
+		"NaN spin pause":    {Ops: []Op{{Code: SpinEQ, Addr: 64, Cyc: math.NaN()}}},
+		"infinite pause":    {Ops: []Op{{Code: SpinNE, Addr: 64, Cyc: math.Inf(1)}}},
+		"negative pause":    {Ops: []Op{{Code: SpinGE, Addr: 64, Val: 1, Cyc: -1}}},
+		"release spin poll": {Ops: []Op{{Code: SpinEQ, Addr: 64, Bar: isa.STLR}}},
+		"fenced spin poll":  {Ops: []Op{{Code: SpinNE, Addr: 64, Bar: isa.DMBFull}}},
+		"RCpc spin poll":    {Ops: []Op{{Code: SpinGE, Addr: 64, Bar: isa.LDAPR}}},
 	}
 	for name, p := range cases {
 		p := p

@@ -3,24 +3,22 @@ package sim
 import (
 	"fmt"
 
+	"armbar/internal/isa"
 	"armbar/internal/prog"
 	"armbar/internal/topo"
 )
 
-// This file is the program executor, which runs every fixed op
-// sequence (workloads with data-dependent control flow run as closure
-// threads instead). A thread spawned with SpawnProgram runs a
-// precompiled micro-op program (package prog): operands are pre-resolved, so each
-// machine-visible op dispatches through the per-opcode function table
-// below with no request staging and no per-op switch, and free control
-// codes (jumps, counted-loop backedges) fold into pc updates between
-// dispatches. Such a thread needs no coroutine: the scheduler's driver
-// loop (sched.go) steps it one op at a time whenever it is the run-heap
-// minimum. Ops are therefore serviced in the same global min-(now, id)
-// order as closure threads', retries advance only the thread's clock,
-// and noteServed sees the identical service sequence, which is why
-// TestEngineDifferential holds a program and a closure issuing the
-// same ops bit-for-bit equal.
+// This file is the executor, which serves every op of every thread. A
+// thread's ops come from one of two sources: a compiled thread
+// (SpawnProgram) runs a precompiled micro-op program (package prog),
+// and a closure thread stages each call it makes as a one-op program
+// (Thread.op). Either way the machine-visible op at pc dispatches
+// through the per-opcode function table below, and free control codes
+// (jumps, counted-loop backedges) fold into pc updates between
+// dispatches. The scheduler (sched.go) calls execStep, through
+// Machine.step, once per op served, in global min-(now, id) order, so a
+// program and a closure issuing the same ops are served identically
+// (TestEngineDifferential holds them bit-for-bit equal).
 
 // SpawnProgram starts a simulated thread pinned to the given core
 // executing the compiled program. Like Spawn, it must be called before
@@ -35,14 +33,18 @@ func (m *Machine) SpawnProgram(core topo.CoreID, p *prog.Program) *Thread {
 	return t
 }
 
-// execEnv is the executor's per-run state: the flat op array, the
-// program counter, and the loop counters. It lives in the Thread, in
-// the machine's thread arena: running a program allocates nothing.
+// execEnv is the executor's per-thread state: the flat op array, the
+// program counter, the loop counters, the result of the latest load,
+// atomic or spin-wait, and whether a spin-wait's next step is the
+// pause after a failed poll. It lives in the Thread, in the machine's
+// thread arena: running a program allocates nothing.
 type execEnv struct {
 	ops      []prog.Op
 	tables   [][]uint64
 	pc       int32
 	counters [prog.MaxLoopDepth]int64
+	res      uint64
+	pausing  bool
 }
 
 // addr resolves a memory op's address: an immediate, or an address
@@ -103,27 +105,34 @@ func badControlCycle() {
 // done reports whether the program has run to completion.
 func (e *execEnv) done() bool { return int(e.pc) >= len(e.ops) }
 
-// execStep dispatches the machine-visible op at pc. It returns false
-// when the op could not run yet and only advanced the thread's clock
-// (same retry contract as process); on success it advances pc and
-// folds any following control ops.
-func (m *Machine) execStep(t *Thread, e *execEnv) bool {
+// execStep serves the machine-visible op at pc. An op that could not
+// run yet only advances the thread's clock, and the thread retries it
+// once it is the run-heap minimum again: this keeps directory mutations
+// in global start-time order, which is what makes values read by one
+// thread never come from another thread's future. A served op counts
+// for noteServed, and once it completes, pc moves past it and any
+// following control ops.
+func (m *Machine) execStep(t *Thread) {
+	e := &t.env
 	m.retireStores(t.now)
 	m.now = t.now
 	op := &e.ops[e.pc]
-	if !opExec[op.Code](m, t, e, op) {
-		return false
+	if opExec[op.Code](m, t, e, op) {
+		m.noteServed(t)
+		// Most ops are followed by a machine op, or by nothing (a
+		// closure's one-op program): skip the call then.
+		if int(e.pc) < len(e.ops) && e.ops[e.pc].Code.IsControl() {
+			e.stepControl()
+		}
 	}
-	m.noteServed(t)
-	e.stepControl()
-	return true
 }
 
-// opExec is the program executor's dispatch table: one function per
-// machine-visible opcode, mirroring the corresponding case of
-// Machine.process exactly (clock updates, stats, trace emissions, rng
-// draw order). Control codes never reach dispatch — stepControl folds
-// them — so their slots stay nil.
+// opExec is the executor's dispatch table: the function serving each
+// machine-visible opcode, which reports whether it served its op
+// (false: it only advanced the clock, and the op retries). The three
+// atomics share execRMW and the three spin-waits execSpin, which read
+// the flavor from op.Code. Control codes never reach dispatch —
+// stepControl folds them — so their slots stay nil.
 var opExec = [prog.NumCodes]func(*Machine, *Thread, *execEnv, *prog.Op) bool{
 	prog.Load:      execLoad,
 	prog.LoadAcq:   execLoadAcq,
@@ -132,18 +141,18 @@ var opExec = [prog.NumCodes]func(*Machine, *Thread, *execEnv, *prog.Op) bool{
 	prog.StoreRel:  execStoreRel,
 	prog.Barrier:   execBarrier,
 	prog.Work:      execWork,
-	prog.FetchAdd:  execFetchAdd,
-	prog.Swap:      execSwap,
-	prog.CAS:       execCAS,
-	prog.SpinEQ:    execSpinEQ,
-	prog.SpinNE:    execSpinNE,
-	prog.SpinGE:    execSpinGE,
+	prog.FetchAdd:  execRMW,
+	prog.Swap:      execRMW,
+	prog.CAS:       execRMW,
+	prog.SpinEQ:    execSpin,
+	prog.SpinNE:    execSpin,
+	prog.SpinGE:    execSpin,
 }
 
 func execLoad(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	start := t.now
 	a := e.addr(op)
-	m.doLoad(t, a, false)
+	e.res = m.doLoad(t, a, false)
 	m.emit(t, TraceLoad, a, start, t.now, "")
 	e.pc++
 	return true
@@ -152,7 +161,7 @@ func execLoad(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 func execLoadAcq(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	start := t.now
 	a := e.addr(op)
-	m.doLoad(t, a, true)
+	e.res = m.doLoad(t, a, true)
 	m.emit(t, TraceLoad, a, start, t.now, "acquire")
 	e.pc++
 	return true
@@ -161,7 +170,7 @@ func execLoadAcq(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 func execLoadAcqPC(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	start := t.now
 	a := e.addr(op)
-	m.doLoad(t, a, true)
+	e.res = m.doLoad(t, a, true)
 	// RCpc: keep the in-flight horizon at the load's issue so later
 	// independent misses still overlap it.
 	t.prevLoadIssue = start
@@ -235,49 +244,48 @@ func rmwStall(t *Thread) bool {
 	return false
 }
 
-func execFetchAdd(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
-	return execRMW(m, t, e, op, opFetchAdd)
-}
-
-func execSwap(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
-	return execRMW(m, t, e, op, opSwap)
-}
-
-func execCAS(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
-	return execRMW(m, t, e, op, opCAS)
-}
-
-func execRMW(m *Machine, t *Thread, e *execEnv, op *prog.Op, kind opKind) bool {
+func execRMW(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	if rmwStall(t) {
 		return false
 	}
 	start := t.now
 	a := e.addr(op)
-	m.doRMW(t, kind, a, e.value(op), op.Val2)
+	e.res = m.doRMW(t, op.Code, a, e.value(op), op.Val2)
 	m.emit(t, TraceRMW, a, start, t.now, "")
 	e.pc++
 	return true
 }
 
-func execSpinEQ(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
-	return execSpin(m, t, e, op, SpinEQ)
-}
-
-func execSpinNE(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
-	return execSpin(m, t, e, op, SpinNE)
-}
-
-func execSpinGE(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
-	return execSpin(m, t, e, op, SpinGE)
-}
-
-// execSpin is one relaxed poll of a compiled spin-wait; the pad and
-// the jump back are ops of their own.
-func execSpin(m *Machine, t *Thread, e *execEnv, op *prog.Op, cmp SpinCmp) bool {
-	if cmp.holds(m.spinPoll(t, e.addr(op), false), op.Val) {
-		e.pc = op.Target
+// execSpin serves the next step of a spin-wait: the pause after a poll
+// that failed the condition, or a poll. Only a satisfying poll
+// completes the op; each other step is served, and the thread stays on
+// the op until it is the run-heap minimum again. Poll cycles attribute
+// to CauseSpin instead of their service cause: the spinning flag
+// remaps inside the attribution helpers and never touches the
+// simulation itself.
+func execSpin(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
+	start := t.now
+	if e.pausing {
+		e.pausing = false
+		t.advBy(CauseWork, op.Cyc)
+		m.emit(t, TraceWork, 0, start, t.now, "")
+		return true
+	}
+	a := e.addr(op)
+	acquire := op.Bar == isa.LDAR
+	t.spinning = true
+	v := m.doLoad(t, a, acquire)
+	t.spinning = false
+	if acquire {
+		m.emit(t, TraceLoad, a, start, t.now, "acquire")
 	} else {
+		m.emit(t, TraceLoad, a, start, t.now, "")
+	}
+	if SpinCmp(op.Code-prog.SpinEQ).holds(v, op.Val) {
+		e.res = v
 		e.pc++
+	} else {
+		e.pausing = op.Cyc > 0
 	}
 	return true
 }

@@ -12,14 +12,15 @@ import (
 	"armbar/internal/topo"
 )
 
-// Tests of the program executor and of SpinUntil: the differential
-// check of closure threads with hand-written poll loops (the reference)
-// against closures waiting with SpinUntil and against compiled
-// programs running the same op sequence (identical traces, stats,
-// memory, and clock at several seeds), and the scheduler edge cases —
-// store-buffer-full retry, the watchdog, a program finishing while
-// peers still run — rerun through SpawnProgram. These run under
-// `make race`.
+// Tests of the executor's two op sources and of SpinUntil: the
+// differential check of closure threads with hand-written poll loops
+// (the reference) against closures waiting with SpinUntil and against
+// compiled programs running the same op sequence (identical traces,
+// stats, memory, and clock at several seeds), the scheduler edge cases
+// — store-buffer-full retry, the watchdog, a program finishing while
+// peers still run — rerun through SpawnProgram, and FuzzValidate's
+// check that a validated program needs no per-op checking. These run
+// under `make race`.
 
 // recTracer records every event for byte-for-byte comparison.
 type recTracer struct{ events []TraceEvent }
@@ -198,19 +199,28 @@ func runEpochBarrier(t *testing.T, mode Mode, seed int64, eng engine) diffRun {
 	return diffRun{elapsed: elapsed, stats: m.Stats(), final: final, events: tr.events}
 }
 
-// runSpinFlavors covers every SpinUntil flavor a compiled program
-// cannot express, on the two closure engines: EQ, NE and GE, acquire
-// and relaxed, pause 0 and > 0. Each waiter's first op is a wait (the
-// priming path), three waiters wake on the same store, one wait is
-// satisfied by its first poll, and one is its body's last op. After
-// every wait a waiter logs its id, so woke records which body ran
-// after each completed wait.
+// runSpinFlavors covers every spin-wait flavor: EQ, NE and GE,
+// acquire and relaxed, pause 0 and > 0. Each waiter's first op is a
+// wait (the priming path), three waiters wake on the same store, one
+// wait is satisfied by its first poll, and one is its body's last op.
+// After every wait a closure waiter logs its id, so woke records which
+// body ran after each completed wait. A compiled waiter cannot feed a
+// wait's result into a later op, so where a closure stores the value a
+// wait returned, its program stores the constant the wait always
+// returns (c only ever holds 0 or 5).
 func runSpinFlavors(t *testing.T, mode Mode, seed int64, eng engine) diffRun {
 	t.Helper()
 	m := newTestMachine(mode, seed)
 	tr := &recTracer{}
 	m.SetTracer(tr)
 	a, b, c, d := m.Alloc(1), m.Alloc(1), m.Alloc(1), m.Alloc(1)
+	if eng == engCompiled {
+		spawnSpinFlavorPrograms(m, a, b, c, d)
+		elapsed := m.Run()
+		dir := m.Directory()
+		final := []uint64{dir.Committed(a), dir.Committed(b), dir.Committed(c), dir.Committed(d)}
+		return diffRun{elapsed: elapsed, stats: m.Stats(), final: final, events: tr.events}
+	}
 	var woke []int
 	wait := func(th *Thread, addr uint64, acquire bool, cmp SpinCmp, v uint64, pause int) uint64 {
 		x := spinWait(th, eng, addr, acquire, cmp, v, pause)
@@ -252,13 +262,57 @@ func runSpinFlavors(t *testing.T, mode Mode, seed int64, eng engine) diffRun {
 	return diffRun{elapsed: elapsed, stats: m.Stats(), final: final, events: tr.events, woke: woke}
 }
 
+// spawnSpinFlavorPrograms spawns runSpinFlavors' threads as compiled
+// programs. The builder emits only relaxed polls, so the waiters'
+// programs are written out as ops: an acquire poll is a spin op whose
+// Bar is LDAR, and its pause is Cyc, pre-scaled like Nops.
+func spawnSpinFlavorPrograms(m *Machine, a, b, c, d uint64) {
+	iw := m.cfg.Plat.Cost.IssueWidth
+	spin := func(code prog.Code, addr uint64, acquire bool, v uint64, pause int) prog.Op {
+		op := prog.Op{Code: code, Addr: addr, Val: v, Cyc: float64(pause) / iw}
+		if acquire {
+			op.Bar = isa.LDAR
+		}
+		return op
+	}
+	spawn := func(core topo.CoreID, ops ...prog.Op) { m.SpawnProgram(core, &prog.Program{Ops: ops}) }
+
+	b0 := prog.NewBuilder(iw)
+	b0.Nops(30)
+	b0.Store(prog.Abs(a), prog.Imm(1))
+	b0.Nops(60)
+	b0.StoreRelease(prog.Abs(b), prog.Imm(7))
+	b0.Work(40)
+	b0.FetchAdd(prog.Abs(c), prog.Imm(5))
+	b0.Barrier(isa.DMBFull)
+	b0.Store(prog.Abs(a), prog.Imm(3))
+	m.SpawnProgram(0, b0.MustBuild())
+
+	spawn(4,
+		spin(prog.SpinEQ, a, true, 1, 0),
+		spin(prog.SpinGE, b, false, 5, 3),
+		spin(prog.SpinNE, c, true, 0, 8),
+		prog.Op{Code: prog.Store, Addr: d, Val: 5},
+		spin(prog.SpinEQ, a, false, 3, 0))
+	spawn(8,
+		spin(prog.SpinNE, a, false, 0, 5),
+		spin(prog.SpinGE, a, false, 0, 5),
+		prog.Op{Code: prog.Work, Cyc: 7 / iw},
+		spin(prog.SpinGE, d, true, 5, 1),
+		prog.Op{Code: prog.Load, Addr: b})
+	spawn(16,
+		spin(prog.SpinGE, a, true, 1, 8),
+		prog.Op{Code: prog.Work, Cyc: 3},
+		spin(prog.SpinEQ, b, true, 7, 0))
+}
+
 // TestEngineDifferential proves that closures waiting with SpinUntil
 // and compiled programs behave byte-identically to closures running
 // the same op sequence with hand-written loops: same traced event
-// sequence, same stats, same final memory, same clock, same wake
-// order — for each input, in both memory modes, at two seeds (the rng
-// draw sequence differs per seed, so agreement at both rules out
-// accidental alignment).
+// sequence, same stats, same final memory, same clock, and (for the
+// closure engines) same wake order — for each input, in both memory
+// modes, at two seeds (the rng draw sequence differs per seed, so
+// agreement at both rules out accidental alignment).
 func TestEngineDifferential(t *testing.T) {
 	inputs := []struct {
 		name    string
@@ -267,7 +321,7 @@ func TestEngineDifferential(t *testing.T) {
 	}{
 		{"opcodes", runDifferential, []engine{engSpinUntil, engCompiled}},
 		{"epoch-barrier", runEpochBarrier, []engine{engSpinUntil, engCompiled}},
-		{"spin-flavors", runSpinFlavors, []engine{engSpinUntil}},
+		{"spin-flavors", runSpinFlavors, []engine{engSpinUntil, engCompiled}},
 	}
 	for _, in := range inputs {
 		for _, mode := range []Mode{WMM, TSO} {

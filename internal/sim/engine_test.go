@@ -80,7 +80,7 @@ func TestWatchdogFiresWithThreadsParked(t *testing.T) {
 }
 
 func TestStoreBufferFullRetry(t *testing.T) {
-	// A store burst far beyond the buffer capacity forces process to
+	// A store burst far beyond the buffer capacity forces execStore to
 	// return false (issue stalls until a slot drains); the thread must
 	// stay in the run heap with its advanced clock and retry, never
 	// losing a store.

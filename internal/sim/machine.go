@@ -1,14 +1,15 @@
 // Package sim is an execution-driven, discrete-event simulator of an
 // ARM-style weakly-ordered multiprocessor. Simulated threads are
 // ordinary Go closures running against a *Thread handle, or compiled
-// micro-op programs (package prog). One driver loop on the goroutine
-// that calls Run serves every memory access, barrier, or batch of local
-// work in global (virtual time, thread id) order (see sched.go). A
-// closure thread is a coroutine that executes its own ops inline while
-// it is the thread with the smallest virtual time, and yields to the
-// driver only when another thread must run first; the driver then
-// serves the yielded op, including every poll of a SpinUntil wait.
-// Given one seed, a run is fully deterministic.
+// micro-op programs (package prog); each closure call stages one
+// prog.Op, so one executor serves both (see compiled.go). One driver
+// loop on the goroutine that calls Run serves every memory access,
+// barrier, or batch of local work in global (virtual time, thread id)
+// order (see sched.go). A closure thread is a coroutine that executes
+// its own ops inline while it is the thread with the smallest virtual
+// time, and yields to the driver only when another thread must run
+// first; the driver then serves the yielded op, including every poll
+// of a SpinUntil wait. Given one seed, a run is fully deterministic.
 //
 // The model implements the mechanisms the paper identifies as the
 // sources of barrier cost on real ARM silicon:
@@ -198,6 +199,7 @@ func (m *Machine) SetInitial(addr, v uint64) {
 func (m *Machine) Spawn(core topo.CoreID, fn func(*Thread)) *Thread {
 	t := m.spawn(core)
 	t.body = fn
+	t.env.ops = t.stage[:]
 	return t
 }
 

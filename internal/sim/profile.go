@@ -65,8 +65,8 @@ const (
 	CauseSTLR
 	// CauseAtomic is the exclusive-acquisition cost of LSE atomics.
 	CauseAtomic
-	// CauseSpin is a spin-wait poll: a compiled SpinEQ/SpinNE/SpinGE
-	// op or a Thread.SpinUntil poll (the pauses between polls are
+	// CauseSpin is a spin-wait poll, of a SpinEQ/SpinNE/SpinGE op from
+	// a program or from Thread.SpinUntil (the pauses between polls are
 	// CauseWork). It overrides the underlying cause so lock-acquisition
 	// spinning is separable from useful loads.
 	CauseSpin

@@ -11,21 +11,24 @@ import (
 // This file is the scheduler. Only one simulated thread ever runs at a
 // time, so the machine needs no lock: the goroutine that calls Run owns
 // it, and one driver loop (drive) serves every op in global
-// min-(now, id) order from the run heap.
+// min-(now, id) order from the run heap. Serving an op is the same
+// call for every thread (step, then the executor's execStep in
+// compiled.go); what differs is where the ops come from.
 //
-// Closure threads (Spawn) run as iter.Pull coroutines. A running thread
-// processes its own ops inline, as plain function calls, for as long as
-// it stays the heap minimum, and yields back to the driver only at the
-// entry of an op that another thread must serve first. A thread that
-// keeps the minimum (every single-thread measurement loop) never
-// switches at all. The suspended thread's op stays staged in its
-// request slot: the driver serves it there when the thread becomes the
-// minimum and resumes the body only once the op completes. Most ops
-// complete at their first service, but a spin-wait (SpinUntil) is one
-// op that completes only at its satisfying poll, so the driver serves
-// every earlier poll and pause the way it steps a compiled SpinEQ,
-// with no coroutine switch. Compiled threads (SpawnProgram) have no
-// coroutine: the driver steps their programs one op at a time.
+// Compiled threads (SpawnProgram) have no coroutine: the driver steps
+// their programs one op at a time. Closure threads (Spawn) run as
+// iter.Pull coroutines, and each call a body makes stages one op as
+// the thread's one-op program. A running thread serves its own ops
+// inline, as plain function calls, for as long as it stays the heap
+// minimum, and yields back to the driver only at the entry of an op
+// that another thread must serve first. A thread that keeps the
+// minimum (every single-thread measurement loop) never switches at
+// all. The suspended thread's op stays staged: the driver serves it
+// when the thread becomes the minimum and resumes the body only once
+// the op completes. Most ops complete at their first service, but a
+// spin-wait (SpinUntil) is one op that completes only at its
+// satisfying poll, so the driver serves every earlier poll and pause
+// with no coroutine switch.
 //
 // The service order is that of every earlier engine: no op is served
 // until every thread has been primed up to its first op, and the next
@@ -66,33 +69,26 @@ func (m *Machine) prime() {
 
 // drive primes any remaining threads, then serves ops until every
 // thread has finished. Its loop is the only place that picks the next
-// thread. A closure thread at the heap minimum is suspended with its
-// op staged: the driver serves the op and, once it completes, resumes
-// the body, which returns here once it finishes or another thread must
-// go first. A compiled thread is stepped one op.
+// thread, and it steps whichever thread is the heap minimum. Once a
+// thread's program has run out, a compiled thread is finished, and a
+// closure thread (whose staged op just completed) resumes its body,
+// which returns here once it finishes or another thread must go first.
 func (m *Machine) drive() {
 	m.prime()
 	for m.runq.len() > 0 {
 		t := m.runq.min()
-		if t.next != nil {
-			if m.serve(t) {
-				t.next()
-			}
+		if !m.step(t) {
 			continue
 		}
-		if t.now > m.cfg.MaxTime {
-			m.fatalStuck(t)
-		}
-		if m.execStep(t, &t.env) && t.env.done() {
-			m.finishThread(t)
+		if t.next != nil {
+			t.next()
 		} else {
-			// Retried (clock advanced) or more ops to run: re-key.
-			m.runq.fix(t.heapIdx)
+			m.finishThread(t)
 		}
 	}
 }
 
-// dispatch runs the op staged in t.req to completion and returns its
+// dispatch runs the op staged in t.env to completion and returns its
 // result. The first op only joins the run heap and suspends: that is
 // priming. After that the thread serves its op inline, on its own
 // coroutine, for as long as it is the heap minimum. Otherwise it
@@ -104,28 +100,27 @@ func (t *Thread) dispatch() uint64 {
 		m.runq.push(t)
 	} else {
 		for m.runq.min() == t {
-			if m.serve(t) {
-				return t.req.result
+			if m.step(t) {
+				return t.env.res
 			}
 		}
 	}
 	t.suspend()
-	return t.req.result
+	return t.env.res
 }
 
-// serve processes the op staged by t, the heap minimum, and re-keys
-// the thread. It reports whether the op completed. An op that did not
-// either only advanced the thread's clock (waiting for its own store
-// buffer) or was a spin-wait step that did not end the wait; it
-// retries once the thread is the minimum again, so commits apply in
-// global time order.
-func (m *Machine) serve(t *Thread) bool {
+// step serves one op of t, the heap minimum, through the executor and
+// re-keys the thread. It reports whether t's program has run out: a
+// compiled thread's whole program, or the one op a closure thread
+// staged. Until then the op retries, or the program continues, once t
+// is the minimum again, so commits apply in global time order.
+func (m *Machine) step(t *Thread) bool {
 	if t.now > m.cfg.MaxTime {
 		m.fatalStuck(t)
 	}
-	ok := m.process(&t.req)
+	m.execStep(t)
 	m.runq.fix(t.heapIdx)
-	return ok
+	return t.env.done()
 }
 
 // suspend hands control back to the driver until it resumes this

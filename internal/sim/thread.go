@@ -1,50 +1,21 @@
 package sim
 
+// This file is the closure threads' API and the op semantics. Every
+// Thread call stages one prog.Op as the thread's one-op program (op),
+// and the executor (compiled.go) serves it through the same opExec
+// entry that serves a compiled program's op. The do* functions below
+// are what those entries call: the one definition of each simulated
+// operation.
+
 import (
 	"fmt"
 
 	"armbar/internal/ace"
 	"armbar/internal/isa"
+	"armbar/internal/prog"
 	"armbar/internal/sb"
 	"armbar/internal/topo"
 )
-
-// opKind enumerates the operations a thread can dispatch.
-type opKind int
-
-const (
-	opLoad opKind = iota
-	opLoadAcquire
-	opLoadAcquirePC
-	opStore
-	opStoreRelease
-	opBarrier
-	opWork
-	opFetchAdd
-	opSwap
-	opCAS
-	opSpin
-)
-
-// request is one staged operation: the thread fills its own slot, and
-// whichever side holds the machine when the scheduler's ordering rules
-// allow serves it (see dispatch and drive in sched.go).
-type request struct {
-	t      *Thread
-	kind   opKind
-	addr   uint64
-	value  uint64 // store/RMW operand; the value a spin-wait compares against
-	value2 uint64
-	bar    isa.Barrier
-	cycles float64 // work cycles; a spin-wait's pause between polls
-	result uint64
-
-	// Spin-wait state (opSpin): the poll flavor and condition, and
-	// whether the next step is the pause after a failed poll.
-	cmp     SpinCmp
-	acquire bool
-	pausing bool
-}
 
 // ThreadStats counts one thread's activity.
 type ThreadStats struct {
@@ -81,18 +52,20 @@ type Thread struct {
 	profOn   bool
 	spinning bool
 
-	req     request
 	heapIdx int // position in the machine's run heap; -1 until the thread joins it
 
-	// A closure thread (Spawn) runs body as a coroutine: next resumes
-	// it, stop abandons it, and yield is its side of the switch (see
-	// sched.go). A compiled thread (SpawnProgram) has no body; the
-	// driver loop steps its program through env.
+	// env is the executor state every op is served from (compiled.go).
+	// A compiled thread's (SpawnProgram) env holds its whole program. A
+	// closure thread's (Spawn) env runs the one-op program in stage,
+	// which each call overwrites, and the thread runs body as a
+	// coroutine: next resumes it, stop abandons it, and yield is its
+	// side of the switch (see sched.go).
+	env   execEnv
+	stage [1]prog.Op
 	body  func(*Thread)
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	env   execEnv
 }
 
 // newThread initializes a thread in place in the machine's arena: the
@@ -118,11 +91,12 @@ func (t *Thread) run(yield func(struct{}) bool) {
 	t.m.finishThread(t)
 }
 
-// op stages one operation and dispatches it; the thread's own
-// coroutine executes the semantics while this thread holds the minimum
-// time, with no context switch.
-func (t *Thread) op(kind opKind, addr, value uint64, bar isa.Barrier, cycles float64) uint64 {
-	t.req = request{t: t, kind: kind, addr: addr, value: value, bar: bar, cycles: cycles}
+// op stages o as the thread's one-op program and dispatches it: the
+// executor serves it exactly as it serves a compiled program's op, and
+// returns the result of a load, an atomic or a spin-wait.
+func (t *Thread) op(o prog.Op) uint64 {
+	t.stage[0] = o
+	t.env.pc = 0
 	return t.dispatch()
 }
 
@@ -141,13 +115,13 @@ func (t *Thread) Stats() ThreadStats { return t.stats }
 
 // Load performs a relaxed 64-bit load.
 func (t *Thread) Load(addr uint64) uint64 {
-	return t.op(opLoad, addr, 0, isa.None, 0)
+	return t.op(prog.Op{Code: prog.Load, Addr: addr})
 }
 
 // LoadAcquire performs an LDAR: a load after which no later access may
 // be satisfied before it, acting as an invalidation-processing point.
 func (t *Thread) LoadAcquire(addr uint64) uint64 {
-	return t.op(opLoadAcquire, addr, 0, isa.None, 0)
+	return t.op(prog.Op{Code: prog.LoadAcq, Addr: addr})
 }
 
 // LoadAcquirePC performs an ARMv8.3 LDAPR (RCpc acquire, the paper's
@@ -155,18 +129,18 @@ func (t *Thread) LoadAcquire(addr uint64) uint64 {
 // LDAR the in-flight window is not reset, so independent misses keep
 // overlapping across it.
 func (t *Thread) LoadAcquirePC(addr uint64) uint64 {
-	return t.op(opLoadAcquirePC, addr, 0, isa.None, 0)
+	return t.op(prog.Op{Code: prog.LoadAcqPC, Addr: addr})
 }
 
 // Store performs a relaxed 64-bit store (retires into the store buffer).
 func (t *Thread) Store(addr, v uint64) {
-	t.op(opStore, addr, v, isa.None, 0)
+	t.op(prog.Op{Code: prog.Store, Addr: addr, Val: v})
 }
 
 // StoreRelease performs an STLR: every earlier access is observable
 // before the released value is.
 func (t *Thread) StoreRelease(addr, v uint64) {
-	t.op(opStoreRelease, addr, v, isa.None, 0)
+	t.op(prog.Op{Code: prog.StoreRel, Addr: addr, Val: v})
 }
 
 // Barrier executes a standalone order-preserving instruction or
@@ -179,7 +153,7 @@ func (t *Thread) Barrier(b isa.Barrier) {
 	if b == isa.LDAR || b == isa.STLR || b == isa.LDAPR {
 		panic("sim: LDAR/LDAPR/STLR are operand barriers; use LoadAcquire/LoadAcquirePC/StoreRelease")
 	}
-	t.op(opBarrier, 0, 0, b, 0)
+	t.op(prog.Op{Code: prog.Barrier, Bar: b})
 }
 
 // Nops executes n trivial ALU instructions (the paper's nop padding).
@@ -187,7 +161,7 @@ func (t *Thread) Nops(n int) {
 	if n <= 0 {
 		return
 	}
-	t.op(opWork, 0, 0, isa.None, float64(n)/t.m.cost.IssueWidth)
+	t.op(prog.Op{Code: prog.Work, Cyc: float64(n) / t.m.cost.IssueWidth})
 }
 
 // Work advances the thread by the given number of cycles of purely
@@ -196,30 +170,30 @@ func (t *Thread) Work(cycles float64) {
 	if cycles <= 0 {
 		return
 	}
-	t.op(opWork, 0, 0, isa.None, cycles)
+	t.op(prog.Op{Code: prog.Work, Cyc: cycles})
 }
 
 // FetchAdd atomically adds delta to *addr and returns the old value.
 // Like ARM LSE atomics it acts directly on the coherent copy (no store
 // buffering) and is relaxed: it implies no ordering of other accesses.
 func (t *Thread) FetchAdd(addr, delta uint64) uint64 {
-	return t.op(opFetchAdd, addr, delta, isa.None, 0)
+	return t.op(prog.Op{Code: prog.FetchAdd, Addr: addr, Val: delta})
 }
 
 // Swap atomically stores v and returns the old value (relaxed).
 func (t *Thread) Swap(addr, v uint64) uint64 {
-	return t.op(opSwap, addr, v, isa.None, 0)
+	return t.op(prog.Op{Code: prog.Swap, Addr: addr, Val: v})
 }
 
 // CompareAndSwap atomically replaces old with new; it reports whether
 // the swap happened (relaxed ordering).
 func (t *Thread) CompareAndSwap(addr, old, new uint64) bool {
-	t.req = request{t: t, kind: opCAS, addr: addr, value: old, value2: new}
-	return t.dispatch() == 1
+	return t.op(prog.Op{Code: prog.CAS, Addr: addr, Val: old, Val2: new}) == 1
 }
 
-// SpinCmp is the exit condition of a spin-wait, mirroring the compiled
-// SpinEQ/SpinNE/SpinGE ops.
+// SpinCmp is the exit condition of a spin-wait. Its values follow
+// prog's spin codes in order: prog.SpinEQ + prog.Code(c) is the op
+// that waits for c.
 type SpinCmp uint8
 
 const (
@@ -251,130 +225,26 @@ func (c SpinCmp) holds(x, v uint64) bool {
 //
 // with load a LoadAcquire if acquire is set and a Load otherwise, so
 // the wait times and outcomes are the loop's. Unlike the loop, the
-// whole wait is one staged op: once another thread holds the minimum
-// time, the scheduler's driver serves the remaining polls and pauses
-// itself and resumes this thread's body only after the satisfying
-// poll. Polls attribute to the spin_wait profile cause and pauses to
-// work, as for the compiled spin ops.
+// whole wait is one staged op, the spin op a compiled program runs:
+// once another thread holds the minimum time, the scheduler's driver
+// serves the remaining polls and pauses itself and resumes this
+// thread's body only after the satisfying poll. Polls attribute to the
+// spin_wait profile cause and pauses to work.
 func (t *Thread) SpinUntil(addr uint64, acquire bool, cmp SpinCmp, v uint64, pause int) uint64 {
 	if cmp > SpinGE {
 		badSpinCmp(cmp)
 	}
-	t.req = request{t: t, kind: opSpin, addr: addr, value: v, cmp: cmp, acquire: acquire}
-	if pause > 0 {
-		t.req.cycles = float64(pause) / t.m.cost.IssueWidth
-	}
-	return t.dispatch()
-}
-
-// --- scheduler-side op semantics -----------------------------------
-
-// process executes one staged request for the thread the scheduler is
-// serving; only here (and in the compiled engine's execStep) are
-// machine structures mutated. It returns false when the op could not
-// run yet and only advanced the thread's clock (the thread stays in
-// the run heap and retries at its new time) — this keeps directory
-// mutations in global start-time order, which is what makes values
-// read by one thread never come from another thread's future. A
-// spin-wait also returns false after each served poll or pause that
-// does not end the wait, and retries the same way.
-func (m *Machine) process(r *request) bool {
-	t := r.t
-	m.retireStores(t.now)
-	m.now = t.now
-	start := t.now
-	switch r.kind {
-	case opLoad:
-		r.result = m.doLoad(t, r.addr, false)
-		m.emit(t, TraceLoad, r.addr, start, t.now, "")
-	case opLoadAcquire:
-		r.result = m.doLoad(t, r.addr, true)
-		m.emit(t, TraceLoad, r.addr, start, t.now, "acquire")
-	case opLoadAcquirePC:
-		r.result = m.doLoad(t, r.addr, true)
-		// RCpc: keep the in-flight horizon at the load's issue so later
-		// independent misses still overlap it.
-		t.prevLoadIssue = start
-		m.emit(t, TraceLoad, r.addr, start, t.now, "acquire-pc")
-	case opStore, opStoreRelease:
-		// A full buffer stalls issue until the earliest pending commit:
-		// advance and retry so intervening commits apply in order.
-		if t.buf.Full() {
-			if min := t.buf.MinCommit(); min > t.now {
-				t.stats.BarrierStalled += min - t.now
-				t.advTo(CauseSBDrain, min)
-				return false
-			}
-		}
-		m.doStore(t, r.addr, r.value, r.kind == opStoreRelease)
-		if r.kind == opStoreRelease {
-			m.emit(t, TraceStore, r.addr, start, t.now, "release")
-		} else {
-			m.emit(t, TraceStore, r.addr, start, t.now, "")
-		}
-	case opBarrier:
-		m.doBarrier(t, r.bar)
-		m.emit(t, TraceBarrier, 0, start, t.now, r.bar.String())
-	case opWork:
-		t.advBy(CauseWork, r.cycles)
-		m.emit(t, TraceWork, 0, start, t.now, "")
-	case opFetchAdd, opSwap, opCAS:
-		// Release half: earlier stores must have drained; wait by
-		// retrying rather than reaching into the future.
-		if need := maxf(t.buf.MaxCommit(), t.storeFloor); need > t.now {
-			t.stats.BarrierStalled += need - t.now
-			t.advTo(CauseSBDrain, need)
-			return false
-		}
-		r.result = m.doRMW(t, r.kind, r.addr, r.value, r.value2)
-		m.emit(t, TraceRMW, r.addr, start, t.now, "")
-	case opSpin:
-		done := m.spinStep(t, r)
-		m.noteServed(t)
-		return done
-	default:
-		badOp(r.kind)
-	}
-	m.noteServed(t)
-	return true
-}
-
-// spinStep serves the next op of a spin-wait: the pause after a poll
-// that failed the condition, or a poll. It reports whether the wait
-// is over, which only a satisfying poll ends.
-func (m *Machine) spinStep(t *Thread, r *request) bool {
-	if r.pausing {
-		r.pausing = false
-		start := t.now
-		t.advBy(CauseWork, r.cycles)
-		m.emit(t, TraceWork, 0, start, t.now, "")
-		return false
-	}
-	v := m.spinPoll(t, r.addr, r.acquire)
-	if r.cmp.holds(v, r.value) {
-		r.result = v
-		return true
-	}
-	r.pausing = r.cycles > 0
-	return false
-}
-
-// spinPoll serves one spin-wait load, of either engine. Its cycles
-// attribute to CauseSpin instead of their service cause: the spinning
-// flag remaps inside the attribution helpers and never touches the
-// simulation itself.
-func (m *Machine) spinPoll(t *Thread, addr uint64, acquire bool) uint64 {
-	start := t.now
-	t.spinning = true
-	v := m.doLoad(t, addr, acquire)
-	t.spinning = false
+	o := prog.Op{Code: prog.SpinEQ + prog.Code(cmp), Addr: addr, Val: v}
 	if acquire {
-		m.emit(t, TraceLoad, addr, start, t.now, "acquire")
-	} else {
-		m.emit(t, TraceLoad, addr, start, t.now, "")
+		o.Bar = isa.LDAR
 	}
-	return v
+	if pause > 0 {
+		o.Cyc = float64(pause) / t.m.cost.IssueWidth
+	}
+	return t.op(o)
 }
+
+// --- op semantics, shared by every opExec entry (compiled.go) -------
 
 // doRMW implements LSE-style acquire-release atomics (SWPAL, LDADDAL,
 // CASAL — the variants lock implementations actually use): the line is
@@ -382,8 +252,9 @@ func (m *Machine) spinPoll(t *Thread, addr uint64, acquire bool) uint64 {
 // operation applies to the committed value at the op's processing
 // point — the linearization order is the deterministic global
 // start-time order. The release half (waiting out the store buffer)
-// happened in the caller via clock-advance-and-retry.
-func (m *Machine) doRMW(t *Thread, kind opKind, addr, value, value2 uint64) uint64 {
+// happened in the caller via clock-advance-and-retry. A CAS returns 1
+// if it swapped, 0 if not.
+func (m *Machine) doRMW(t *Thread, code prog.Code, addr, value, value2 uint64) uint64 {
 	if occ := m.cost.RMWOccupancy; occ > 0 {
 		// Occupancy model (scale-out platforms): atomics to one line
 		// serialize at the line's home. Queue behind the previous one
@@ -409,14 +280,14 @@ func (m *Machine) doRMW(t *Thread, kind opKind, addr, value, value2 uint64) uint
 		m.stats.RMRStores++
 	}
 	var result uint64
-	switch kind {
-	case opFetchAdd:
+	switch code {
+	case prog.FetchAdd:
 		m.dir.CommitStore(t.core, addr, old+value, commitAt, m.invProc())
 		result = old
-	case opSwap:
+	case prog.Swap:
 		m.dir.CommitStore(t.core, addr, value, commitAt, m.invProc())
 		result = old
-	case opCAS:
+	case prog.CAS:
 		if old == value {
 			m.dir.CommitStore(t.core, addr, value2, commitAt, m.invProc())
 			result = 1
@@ -667,15 +538,10 @@ func (m *Machine) doBarrier(t *Thread, b isa.Barrier) {
 	}
 }
 
-// badOp, badBarrier and badSpinCmp report malformed requests. They
-// live outside the op paths so those carry no fmt machinery or
+// badBarrier and badSpinCmp report malformed closure calls. They live
+// outside the op paths so those carry no fmt machinery or
 // panic-operand boxing.
 //
-//go:noinline
-func badOp(k opKind) {
-	panic(fmt.Sprintf("sim: bad op %d", k))
-}
-
 //go:noinline
 func badBarrier(b isa.Barrier) {
 	panic(fmt.Sprintf("sim: unsupported barrier %v", b))

@@ -6,12 +6,18 @@
 # The gate is two-sided: perfcheck also fails on improvements beyond
 # its -improve-threshold, and this script is how that failure is
 # resolved — rerun it so the speedup becomes the enforced baseline.
+#
+# Each benchmark runs 3 times (perfcheck's default -runs), and the
+# snapshot records its fastest run, with that run's iterations, B/op
+# and allocs/op. That is the statistic perfcheck gates, so a snapshot
+# taken while the host is slow for a minute does not make untouched
+# code fail the gate as "improved".
 set -eu
 
 cd "$(dirname "$0")/.."
 out=BENCH_sim.json
 
-raw=$(go test -run '^$' -bench 'Rendezvous|StoreCommit|StoreDMB|CompiledDispatch|CellCacheHit|DirectoryRank|DirectorySharerChurn|BarrierScale|ExploreStates|LockHandoff' -benchmem \
+raw=$(go test -run '^$' -bench 'Rendezvous|StoreCommit|StoreDMB|CompiledDispatch|CellCacheHit|DirectoryRank|DirectorySharerChurn|BarrierScale|ExploreStates|LockHandoff' -benchmem -count 3 \
 	./internal/sim ./internal/cellcache ./internal/mesi ./internal/barrier ./internal/explore ./internal/locks)
 
 # Result-cache context: time `-quick all` cold (fresh cache dir) and
@@ -45,7 +51,11 @@ printf '%s\n' "$raw" | awk \
         else if ($(i+1) == "B/op") bytes = $i
         else if ($(i+1) == "allocs/op") allocs = $i
     }
-    benches[++n] = sprintf("    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}",
+    # Keep the fastest run of each benchmark, in first-seen order.
+    if (!(name in best)) order[++n] = name
+    else if (ns + 0 >= best[name] + 0) next
+    best[name] = ns
+    benches[name] = sprintf("    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}",
         name, $2, ns, bytes, allocs)
 }
 /^cpu:/ { cpu = $0; sub(/^cpu: */, "", cpu) }
@@ -59,7 +69,7 @@ END {
     printf "  \"cold_wall_seconds\": %s,\n", cold
     printf "  \"warm_wall_seconds\": %s,\n", warm
     print "  \"benchmarks\": ["
-    for (i = 1; i <= n; i++) printf "%s%s\n", benches[i], (i < n ? "," : "")
+    for (i = 1; i <= n; i++) printf "%s%s\n", benches[order[i]], (i < n ? "," : "")
     print "  ]"
     print "}"
 }' > "$out"
