@@ -7,7 +7,6 @@ import (
 	"armbar/internal/locks"
 	"armbar/internal/platform"
 	"armbar/internal/sim"
-	"armbar/internal/topo"
 )
 
 // Structure selects the benchmarked data structure.
@@ -100,7 +99,7 @@ func Run(cfg Config) Result {
 		cfg.Buckets = 1
 	}
 	m := sim.New(sim.Config{Plat: cfg.Plat, Mode: sim.WMM, Seed: cfg.Seed})
-	cores, serverCore := benchCores(cfg.Plat, cfg.Threads)
+	cores, serverCore := cfg.Plat.Sys.InterleaveCores(cfg.Threads)
 	cfg.Threads = len(cores)
 
 	nLocks := 1
@@ -185,7 +184,7 @@ func Run(cfg Config) Result {
 					b := bucketOf(key, nLocks)
 					l := lists[b]
 					for qn := 0; qn < 10; qn++ {
-						probe := uint64(2 * (qn + 1) * maxi(cfg.Preload/maxi(nLocks, 1)/11, 1))
+						probe := uint64(2 * (qn + 1) * max(cfg.Preload/max(nLocks, 1)/11, 1))
 						lks[b].Exec(t, i, func(tt *sim.Thread, arg uint64) uint64 {
 							l.contains(tt, arg)
 							return 1
@@ -209,7 +208,7 @@ func Run(cfg Config) Result {
 				case SkipList:
 					key := keyFor(i, r)
 					for qn := 0; qn < 10; qn++ {
-						probe := uint64(2 * (qn + 1) * maxi(cfg.Preload/11, 1))
+						probe := uint64(2 * (qn + 1) * max(cfg.Preload/11, 1))
 						lks[0].Exec(t, i, func(tt *sim.Thread, arg uint64) uint64 {
 							sl.contains(tt, arg)
 							return 1
@@ -299,43 +298,7 @@ func finalStateConsistent(m *sim.Machine, cfg Config, q *queue, st *stack, sl *s
 		for _, l := range lists {
 			total += listLen(m, l.head)
 		}
-		return total == (cfg.Preload/maxi(cfg.Buckets, 1))*cfg.Buckets
+		return total == (cfg.Preload/max(cfg.Buckets, 1))*cfg.Buckets
 	}
 	return true
-}
-
-// benchCores assigns n client cores round-robin across NUMA
-// nodes, the way a full-machine binding (the paper uses 63 threads on
-// both nodes) spreads them; the extra core returned hosts dedicated
-// FFWD servers.
-func benchCores(p *platform.Platform, n int) ([]topo.CoreID, topo.CoreID) {
-	total := p.Sys.NumCores()
-	if n >= total {
-		n = total - 1
-	}
-	var lists [][]topo.CoreID
-	for node := 0; node < p.Sys.NumNodes(); node++ {
-		lists = append(lists, p.Sys.NodeCores(node))
-	}
-	cores := make([]topo.CoreID, 0, n)
-	for i := 0; len(cores) < n; i++ {
-		l := lists[i%len(lists)]
-		if k := i / len(lists); k < len(l) {
-			cores = append(cores, l[k])
-		}
-	}
-	server := topo.CoreID(total - 1)
-	for _, c := range cores {
-		if c == server {
-			server = topo.CoreID(total - 2)
-		}
-	}
-	return cores, server
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

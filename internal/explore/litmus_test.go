@@ -1,11 +1,4 @@
-// Package litmus holds the classic litmus tests. Each one samples a
-// shape from internal/explore on the simulator, with the barrier pairs
-// the literature names it by, and checks the outcome that decides it:
-// the forbidden one must never appear, and where the paper's Table 1
-// says an anomaly is allowed it must surface. The shapes, and the
-// explorer that proves the same verdicts exhaustively, live in
-// internal/explore; this package has no code of its own.
-package litmus
+package explore_test
 
 import (
 	"testing"
@@ -15,6 +8,13 @@ import (
 	"armbar/internal/platform"
 	"armbar/internal/sim"
 )
+
+// The classic litmus tests. Each one samples a shape on the
+// simulator, with the barrier pairs the literature names it by, and
+// checks the outcome that decides it: the forbidden one must never
+// appear, and where the paper's Table 1 says an anomaly is allowed it
+// must surface. The explorer proves the same verdicts exhaustively
+// (TestMinimalPlacements, TestLitmusVariants).
 
 const testRuns = 300
 

@@ -19,7 +19,6 @@ import (
 	"armbar/internal/locks"
 	"armbar/internal/platform"
 	"armbar/internal/sim"
-	"armbar/internal/topo"
 )
 
 // Cell is one rectangle to place.
@@ -124,7 +123,7 @@ func Run(cfg Config) Result {
 		cfg.NodeWork = 12
 	}
 	m := sim.New(sim.Config{Plat: cfg.Plat, Mode: sim.WMM, Seed: cfg.Seed})
-	cores, serverCore := planCores(cfg.Plat, cfg.Threads)
+	cores, serverCore := cfg.Plat.Sys.InterleaveCores(cfg.Threads)
 	cfg.Threads = len(cores)
 
 	bound := m.Alloc(1) // shared best bound, read optimistically
@@ -216,33 +215,4 @@ func Run(cfg Config) Result {
 		Nodes:   nodeCount,
 		Stats:   m.Stats(),
 	}
-}
-
-// planCores assigns n client cores round-robin across NUMA
-// nodes, the way a full-machine binding (the paper uses 63 threads on
-// both nodes) spreads them; the extra core returned hosts dedicated
-// FFWD servers.
-func planCores(p *platform.Platform, n int) ([]topo.CoreID, topo.CoreID) {
-	total := p.Sys.NumCores()
-	if n >= total {
-		n = total - 1
-	}
-	var lists [][]topo.CoreID
-	for node := 0; node < p.Sys.NumNodes(); node++ {
-		lists = append(lists, p.Sys.NodeCores(node))
-	}
-	cores := make([]topo.CoreID, 0, n)
-	for i := 0; len(cores) < n; i++ {
-		l := lists[i%len(lists)]
-		if k := i / len(lists); k < len(l) {
-			cores = append(cores, l[k])
-		}
-	}
-	server := topo.CoreID(total - 1)
-	for _, c := range cores {
-		if c == server {
-			server = topo.CoreID(total - 2)
-		}
-	}
-	return cores, server
 }

@@ -12,7 +12,6 @@ import (
 	"armbar/internal/isa"
 	"armbar/internal/platform"
 	"armbar/internal/sim"
-	"armbar/internal/topo"
 )
 
 // CS is a critical section: it runs on whichever simulated thread the
@@ -135,35 +134,6 @@ func (r BenchResult) Throughput() float64 {
 	return float64(r.Ops) / r.Elapsed
 }
 
-// interleaveCores assigns n client cores round-robin across NUMA
-// nodes, the way a full-machine binding (the paper uses 63 threads on
-// both nodes) spreads them; the extra core returned hosts dedicated
-// FFWD servers.
-func interleaveCores(p *platform.Platform, n int) ([]topo.CoreID, topo.CoreID) {
-	total := p.Sys.NumCores()
-	if n >= total {
-		n = total - 1
-	}
-	var lists [][]topo.CoreID
-	for node := 0; node < p.Sys.NumNodes(); node++ {
-		lists = append(lists, p.Sys.NodeCores(node))
-	}
-	cores := make([]topo.CoreID, 0, n)
-	for i := 0; len(cores) < n; i++ {
-		l := lists[i%len(lists)]
-		if k := i / len(lists); k < len(l) {
-			cores = append(cores, l[k])
-		}
-	}
-	server := topo.CoreID(total - 1)
-	for _, c := range cores {
-		if c == server {
-			server = topo.CoreID(total - 2)
-		}
-	}
-	return cores, server
-}
-
 // Bench runs the micro-benchmark and returns the result.
 func Bench(cfg BenchConfig) BenchResult {
 	if cfg.Threads == 0 {
@@ -177,7 +147,7 @@ func Bench(cfg BenchConfig) BenchResult {
 		cfg.UnlockBarrier = isa.DMBSt
 	}
 	m := sim.New(sim.Config{Plat: cfg.Plat, Mode: sim.WMM, Seed: cfg.Seed})
-	cores, serverCore := interleaveCores(cfg.Plat, cfg.Threads)
+	cores, serverCore := cfg.Plat.Sys.InterleaveCores(cfg.Threads)
 	cfg.Threads = len(cores)
 
 	// The shared state the critical section mutates: Globals dedicated
@@ -187,7 +157,7 @@ func Bench(cfg BenchConfig) BenchResult {
 	// server-local in steady state.
 	counter := m.Alloc(1)
 	locals := m.Alloc(cfg.Threads)
-	globals := m.Alloc(maxi(cfg.Globals, 1))
+	globals := m.Alloc(max(cfg.Globals, 1))
 
 	var lock Lock
 	var server *Server
@@ -275,11 +245,4 @@ func Bench(cfg BenchConfig) BenchResult {
 		Valid:   valid,
 		Stats:   m.Stats(),
 	}
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -9,7 +9,10 @@
 // in the inner shareable domain).
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CoreID identifies a core within a System. Cores are numbered densely
 // from 0 in cluster order.
@@ -122,6 +125,34 @@ func (s *System) NodeCores(n int) []CoreID {
 		}
 	}
 	return out
+}
+
+// InterleaveCores assigns n client cores round-robin across NUMA
+// nodes, the way a full-machine binding (the paper uses 63 threads on
+// both nodes) spreads them, clamping n at NumCores-1. The spare core
+// returned is the highest-numbered core no client uses; workloads with
+// dedicated servers (FFWD) run them there.
+func (s *System) InterleaveCores(n int) (clients []CoreID, spare CoreID) {
+	total := s.NumCores()
+	if n >= total {
+		n = total - 1
+	}
+	var lists [][]CoreID
+	for node := 0; node < s.NumNodes(); node++ {
+		lists = append(lists, s.NodeCores(node))
+	}
+	clients = make([]CoreID, 0, n)
+	for i := 0; len(clients) < n; i++ {
+		l := lists[i%len(lists)]
+		if k := i / len(lists); k < len(l) {
+			clients = append(clients, l[k])
+		}
+	}
+	spare = CoreID(total - 1)
+	for slices.Contains(clients, spare) {
+		spare--
+	}
+	return clients, spare
 }
 
 // Distance classifies the communication distance between two cores.

@@ -1,6 +1,9 @@
 package topo
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func build() *System {
 	s := New()
@@ -88,4 +91,24 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
+}
+
+func TestInterleaveCores(t *testing.T) {
+	s := build() // node 0: cores 0-7, node 1: cores 8-11
+	clients, spare := s.InterleaveCores(4)
+	if want := []CoreID{0, 8, 1, 9}; !slices.Equal(clients, want) {
+		t.Errorf("InterleaveCores(4) clients = %v, want %v (round-robin across nodes)", clients, want)
+	}
+	if spare != 11 {
+		t.Errorf("InterleaveCores(4) spare = %d, want 11", spare)
+	}
+	// Past the machine, n clamps at NumCores-1; node 1 runs out first,
+	// so the highest cores are clients and the spare sits below them.
+	clients, spare = s.InterleaveCores(20)
+	if want := []CoreID{0, 8, 1, 9, 2, 10, 3, 11, 4, 5, 6}; !slices.Equal(clients, want) {
+		t.Errorf("InterleaveCores(20) clients = %v, want %v", clients, want)
+	}
+	if spare != 7 || slices.Contains(clients, spare) {
+		t.Errorf("InterleaveCores(20) spare = %d, want 7, a core no client uses", spare)
+	}
 }
