@@ -141,11 +141,12 @@ func parseFile(text string) (*spec, error) {
 	return s, nil
 }
 
-// run executes the spec once and returns each thread's final x0. A
-// thread on a core the platform lacks, a failed instruction and a
-// simulation abort (an access the simulator cannot serve, the
+// run executes the spec once and returns each thread's final x0. Each
+// thread may execute budget instructions (0 = a64's runaway guard). A
+// thread on a core the platform lacks, a failed instruction (including
+// an access outside the vars' lines) and a simulation abort (the
 // watchdog) are errors.
-func run(s *spec, p *platform.Platform, seed int64) ([]uint64, error) {
+func run(s *spec, p *platform.Platform, seed int64, budget int) ([]uint64, error) {
 	mode := sim.WMM
 	if s.mode == "TSO" {
 		mode = sim.TSO
@@ -174,7 +175,7 @@ func run(s *spec, p *platform.Platform, seed int64) ([]uint64, error) {
 	for i, th := range s.threads {
 		i, th := i, th
 		m.Spawn(topo.CoreID(th.core), func(t *sim.Thread) {
-			regs, _, err := progs[i].Exec(t, a64.Regs{}, 0)
+			regs, _, err := progs[i].Exec(t, a64.Regs{}, budget)
 			if err != nil && execErr == nil {
 				execErr = fmt.Errorf("thread %d: %w", i, err)
 			}
@@ -255,7 +256,7 @@ func main() {
 
 	hist := map[string]int{}
 	for r := 0; r < s.runs; r++ {
-		res, err := run(s, p, s.seed+int64(r))
+		res, err := run(s, p, s.seed+int64(r), 0)
 		if err != nil {
 			fatal(err)
 		}

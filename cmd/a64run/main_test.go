@@ -52,7 +52,10 @@ func TestRunErrors(t *testing.T) {
 	cases := map[string]string{
 		"thread core=999\n  nop\nend":                       "core 999 is not on Kunpeng916",
 		"thread core=0\n  beq out\nout:\n  nop\nend":        "conditional branch before cmp",
-		"thread core=0\n  mov x1, #-8\n  ldr x0, [x1]\nend": "simulation aborted",
+		"thread core=0\n  mov x1, #-8\n  ldr x0, [x1]\nend": "address 0xfffffffffffffff8 outside the allocated lines at pc 1 (ldr x0, [x1])",
+		// Far past the allocated lines: the directory would grow its
+		// tables to this address and exhaust memory.
+		"thread core=0\n  mov x1, #0x40000000\n  ldr x0, [x1]\nend": "address 0x40000000 outside the allocated lines",
 	}
 	p := platform.Kunpeng916()
 	for src, want := range cases {
@@ -60,17 +63,17 @@ func TestRunErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parseFile(%q): %v", src, err)
 		}
-		if _, err := run(s, p, 1); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := run(s, p, 1, 0); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("run(%q) error = %v, want containing %q", src, err, want)
 		}
 	}
 }
 
 // FuzzParseFile feeds arbitrary runner files through the directive
-// parser and the A64 assembler, with the spec's vars as symbols:
-// neither may panic. It stops short of executing: a program can touch
-// addresses far past the allocated lines, and the coherence directory
-// grows its tables up to the highest touched address.
+// parser and the A64 assembler, with the spec's vars as symbols, and
+// runs each file that parses once with a small instruction budget:
+// none of it may panic. Exec's address check keeps a program from
+// touching memory past the allocated lines.
 func FuzzParseFile(f *testing.F) {
 	f.Add(example)
 	for _, src := range []string{
@@ -78,6 +81,7 @@ func FuzzParseFile(f *testing.F) {
 		"thread core=999\n  nop\nend",
 		"thread core=0\n  beq out\nout:\n  nop\nend",
 		"thread core=0\n  mov x1, #-8\n  ldr x0, [x1]\nend",
+		"thread core=0\n  mov x1, #0x40000000\n  ldr x0, [x1]\nend",
 	} {
 		f.Add(src)
 	}
@@ -93,6 +97,9 @@ func FuzzParseFile(f *testing.F) {
 		for _, th := range s.threads {
 			a64.ParseWithSymbols(th.src, symbols)
 		}
+		if p := platform.ByName(s.platform); p != nil {
+			run(s, p, s.seed, 4096)
+		}
 	})
 }
 
@@ -107,7 +114,7 @@ func TestRunExampleUnderBothModes(t *testing.T) {
 	// appear at least once, and the intended 23 as well.
 	sawAnomaly, sawIntended := false, false
 	for r := 0; r < 120; r++ {
-		res, err := run(s, p, int64(100+r))
+		res, err := run(s, p, int64(100+r), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +134,7 @@ func TestRunExampleUnderBothModes(t *testing.T) {
 	// TSO: never the anomaly.
 	s.mode = "TSO"
 	for r := 0; r < 60; r++ {
-		res, err := run(s, p, int64(100+r))
+		res, err := run(s, p, int64(100+r), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,10 +116,11 @@ func TestAlgorithm1Verbatim(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sim.New(sim.Config{Plat: platform.Kunpeng916(), Mode: sim.WMM, Seed: 4})
-	const lines = 16
 	const iters = 200
-	arrA := m.Alloc(lines + iters/lines + 2)
-	arrB := m.Alloc(lines + iters/lines + 2)
+	// The loop has no wrap: each iteration stores to the next line of
+	// both arrays.
+	arrA := m.Alloc(iters)
+	arrB := m.Alloc(iters)
 	for i := 0; i < 2; i++ {
 		core := topo.CoreID(i * 4)
 		m.Spawn(core, func(th *sim.Thread) {

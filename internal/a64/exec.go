@@ -14,7 +14,9 @@ type Regs [32]uint64
 // Exec runs the program on a simulated thread, starting from the given
 // register file, until it falls off the end or executes maxInstrs
 // instructions (0 = 10 million, a runaway guard). It returns the final
-// registers and the number of instructions executed.
+// registers and the number of instructions executed. A load or store
+// whose address lies outside the machine's allocated lines stops it
+// with an error before the access.
 func (p *Program) Exec(t *sim.Thread, regs Regs, maxInstrs int) (Regs, int, error) {
 	if maxInstrs <= 0 {
 		maxInstrs = 10_000_000
@@ -75,16 +77,24 @@ func (p *Program) Exec(t *sim.Thread, regs Regs, maxInstrs int) (Regs, int, erro
 			d := int64(get(ins.rd)) - int64(get(ins.rn))
 			nzSet, cmpNeg, cmpZero = true, d < 0, d == 0
 			t.Nops(1)
-		case opLdr:
-			set(ins.rd, t.Load(get(ins.rn)+uint64(ins.imm)))
-		case opLdar:
-			set(ins.rd, t.LoadAcquire(get(ins.rn)+uint64(ins.imm)))
-		case opLdapr:
-			set(ins.rd, t.LoadAcquirePC(get(ins.rn)+uint64(ins.imm)))
-		case opStr:
-			t.Store(get(ins.rn)+uint64(ins.imm), get(ins.rd))
-		case opStlr:
-			t.StoreRelease(get(ins.rn)+uint64(ins.imm), get(ins.rd))
+		case opLdr, opLdar, opLdapr, opStr, opStlr:
+			addr := get(ins.rn) + uint64(ins.imm)
+			if !t.Allocated(addr) {
+				return regs, executed, fmt.Errorf("a64: address %#x outside the allocated lines at pc %d (%s)",
+					addr, pc, p.src[pc])
+			}
+			switch ins.op {
+			case opLdr:
+				set(ins.rd, t.Load(addr))
+			case opLdar:
+				set(ins.rd, t.LoadAcquire(addr))
+			case opLdapr:
+				set(ins.rd, t.LoadAcquirePC(addr))
+			case opStr:
+				t.Store(addr, get(ins.rd))
+			default: // opStlr
+				t.StoreRelease(addr, get(ins.rd))
+			}
 		case opDmb, opDsb:
 			t.Barrier(ins.barrier)
 		case opIsb:

@@ -18,9 +18,15 @@
 //   - a real one on sync/atomic (Go guarantees 64-bit single-copy
 //     atomicity), deliverable as a library: Word/Sender/Receiver, the
 //     batched Batch variant, and the backpressured Ring;
-//   - a simulator-side one (SimSender/SimReceiver) with the same
-//     protocol expressed against sim.Thread, used by the experiment
-//     packages to reproduce the paper's figures.
+//   - a simulator-side one (SimWord/SimSender/SimReceiver) with the
+//     same protocol expressed against sim.Thread. It is the simulator's
+//     only Pilot encoder and decoder: every simulated Pilot site (the
+//     Pilot locks, dedup's RB-P ring, pc's Pilot buffer, the seqlock
+//     writer and the MPMC fan-in) sends and polls through it, over
+//     addresses the caller places and a hash pool both endpoints
+//     share. The endpoints issue only the loads and stores; each
+//     caller charges its own shuffle work with Nops, so per-site costs
+//     stay put.
 package core
 
 import (

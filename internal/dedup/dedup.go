@@ -264,16 +264,9 @@ type hop struct {
 	prodCnt, consCnt uint64
 	slots            uint64
 
-	// RB-P flavor.
-	pilotData uint64
-	pilotFlag uint64
-	pool      []uint64
-	pOld      []uint64 // producer-side last stored word per slot
-	pFb       []uint64
-	cOld      []uint64 // consumer-side last seen word per slot
-	cFb       []uint64
-	pCnt      uint64
-	cCnt      uint64
+	// RB-P flavor: one Pilot channel per slot.
+	tx []core.SimSender
+	rx []core.SimReceiver
 
 	// Common local state.
 	sendCnt uint64
@@ -295,13 +288,14 @@ func newHop(m *sim.Machine, cfg Config, id int) *hop {
 		h.slots = m.Alloc(n)
 	case RBP:
 		h.consCnt = m.Alloc(1)
-		h.pilotData = m.Alloc(n)
-		h.pilotFlag = m.Alloc(n)
-		h.pool = core.HashPool(uint64(id) * 131)
-		h.pOld = make([]uint64, n)
-		h.pFb = make([]uint64, n)
-		h.cOld = make([]uint64, n)
-		h.cFb = make([]uint64, n)
+		data := m.Alloc(n)
+		flags := m.Alloc(n)
+		pool := core.HashPool(uint64(id) * 131)
+		for i := 0; i < n; i++ {
+			w := core.SimWord{Data: data + uint64(i)<<6, Flag: flags + uint64(i)<<6}
+			h.tx = append(h.tx, w.Sender(pool))
+			h.rx = append(h.rx, w.Receiver(pool))
+		}
 	}
 	return h
 }
@@ -338,16 +332,8 @@ func (h *hop) send(t *sim.Thread, v uint64) {
 		for h.sendCnt-t.LoadAcquire(h.consCnt) >= n {
 			t.Nops(8)
 		}
-		i := h.sendCnt % n
-		enc := v ^ h.pool[h.sendCnt%uint64(core.PoolSize)]
 		t.Nops(2)
-		if enc == h.pOld[i] {
-			h.pFb[i] ^= 1
-			t.Store(h.pilotFlag+i<<6, h.pFb[i])
-		} else {
-			t.Store(h.pilotData+i<<6, enc)
-			h.pOld[i] = enc
-		}
+		h.tx[h.sendCnt%n].Send(t, v)
 		h.sendCnt++
 	}
 }
@@ -381,20 +367,8 @@ func (h *hop) recv(t *sim.Thread) uint64 {
 		t.Store(h.consCnt, h.recvCnt)
 		return v
 	default: // RBP
-		i := h.recvCnt % n
-		for {
-			if d := t.Load(h.pilotData + i<<6); d != h.cOld[i] {
-				h.cOld[i] = d
-				break
-			}
-			if f := t.Load(h.pilotFlag + i<<6); f != h.cFb[i] {
-				h.cFb[i] = f
-				break
-			}
-			t.Nops(8)
-		}
+		v := h.rx[h.recvCnt%n].Recv(t, 8)
 		t.Nops(2)
-		v := h.cOld[i] ^ h.pool[h.recvCnt%uint64(core.PoolSize)]
 		h.recvCnt++
 		t.Store(h.consCnt, h.recvCnt)
 		return v
@@ -429,16 +403,11 @@ func (h *hop) tryRecv(t *sim.Thread) (uint64, bool) {
 		t.Store(h.consCnt, h.recvCnt)
 		return v, true
 	default: // RBP
-		i := h.recvCnt % n
-		if d := t.Load(h.pilotData + i<<6); d != h.cOld[i] {
-			h.cOld[i] = d
-		} else if f := t.Load(h.pilotFlag + i<<6); f != h.cFb[i] {
-			h.cFb[i] = f
-		} else {
+		v, ok := h.rx[h.recvCnt%n].TryRecv(t)
+		if !ok {
 			return 0, false
 		}
 		t.Nops(2)
-		v := h.cOld[i] ^ h.pool[h.recvCnt%uint64(core.PoolSize)]
 		h.recvCnt++
 		t.Store(h.consCnt, h.recvCnt)
 		return v, true

@@ -258,18 +258,11 @@ func Run(cfg Config) Result {
 func makeLocks(m *sim.Machine, cfg Config, nLocks int) ([]locks.Lock, []*locks.Server) {
 	lks := make([]locks.Lock, nLocks)
 	var servers []*locks.Server
-	for b := 0; b < nLocks; b++ {
-		switch cfg.Kind {
-		case locks.Ticket:
-			lks[b] = locks.NewTicket(m, isa.DMBSt)
-		case locks.FFWD, locks.FFWDPilot:
-			fl := locks.NewFFWD(m, cfg.Threads, cfg.Kind == locks.FFWDPilot, [2]isa.Barrier{})
-			servers = append(servers, fl.Server())
-			lks[b] = fl
-		case locks.DSMSynch, locks.DSMSynchPilot:
-			lks[b] = locks.NewDSMSynch(m, cfg.Threads, cfg.Kind == locks.DSMSynchPilot, [2]isa.Barrier{})
-		default:
-			panic("ds: unknown lock kind")
+	for b := range lks {
+		var s *locks.Server
+		lks[b], s = locks.New(m, cfg.Kind, cfg.Threads, isa.DMBSt, [2]isa.Barrier{})
+		if s != nil {
+			servers = append(servers, s)
 		}
 	}
 	return lks, servers

@@ -129,20 +129,7 @@ func Run(cfg Config) Result {
 	bound := m.Alloc(1) // shared best bound, read optimistically
 	m.SetInitial(bound, 1<<30)
 
-	var lock locks.Lock
-	var server *locks.Server
-	switch cfg.Kind {
-	case locks.Ticket:
-		lock = locks.NewTicket(m, isa.DMBSt)
-	case locks.FFWD, locks.FFWDPilot:
-		fl := locks.NewFFWD(m, cfg.Threads, cfg.Kind == locks.FFWDPilot, [2]isa.Barrier{})
-		server = fl.Server()
-		lock = fl
-	case locks.DSMSynch, locks.DSMSynchPilot:
-		lock = locks.NewDSMSynch(m, cfg.Threads, cfg.Kind == locks.DSMSynchPilot, [2]isa.Barrier{})
-	default:
-		panic("floorplan: unknown lock kind")
-	}
+	lock, server := locks.New(m, cfg.Kind, cfg.Threads, isa.DMBSt, [2]isa.Barrier{})
 
 	// The critical section: lower the shared bound if the candidate
 	// improves it; return the (possibly unchanged) bound.

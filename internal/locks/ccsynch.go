@@ -26,23 +26,22 @@ type CCSynchLock struct {
 	barY  isa.Barrier
 	h     int
 
-	tail  uint64 // holds the current dummy node address
-	nodes []uint64
+	tail  uint64            // holds the current dummy node address
 	waits map[uint64]uint64 // data-line addr -> wait-line addr
 	cs    map[uint64]CS     // per data-line pending critical section
-	pool  []uint64
-
-	// Per-node Pilot counters, keyed by data-line address; touched by
-	// the serialized combiner and by the node's current owner.
-	combOld map[uint64]uint64
-	combFb  map[uint64]uint64
-	combCnt map[uint64]int
-	ownOld  map[uint64]uint64
-	ownFb   map[uint64]uint64
-	ownCnt  map[uint64]int
+	// Per-node Pilot endpoints (pilot mode), keyed by data-line
+	// address: the serialized combiner sends, the node's current owner
+	// receives.
+	ends map[uint64]*ccEnds
 
 	// mine tracks each client's spare node (swapped back each round).
 	mine []uint64
+}
+
+// ccEnds is one CC-Synch node's Pilot channel over its ret word.
+type ccEnds struct {
+	tx core.SimSender
+	rx core.SimReceiver
 }
 
 // NewCCSynch allocates the lock for nClients on machine m.
@@ -51,26 +50,26 @@ func NewCCSynch(m *sim.Machine, nClients int, pilot bool, barY isa.Barrier) *CCS
 		barY = isa.DMBSt
 	}
 	l := &CCSynchLock{
-		pilot:   pilot,
-		barY:    barY,
-		h:       2*nClients + 1,
-		tail:    m.Alloc(1),
-		waits:   make(map[uint64]uint64),
-		cs:      make(map[uint64]CS),
-		pool:    core.HashPool(0xCC5),
-		combOld: make(map[uint64]uint64),
-		combFb:  make(map[uint64]uint64),
-		combCnt: make(map[uint64]int),
-		ownOld:  make(map[uint64]uint64),
-		ownFb:   make(map[uint64]uint64),
-		ownCnt:  make(map[uint64]int),
-		mine:    make([]uint64, nClients),
+		pilot: pilot,
+		barY:  barY,
+		h:     2*nClients + 1,
+		tail:  m.Alloc(1),
+		waits: make(map[uint64]uint64),
+		cs:    make(map[uint64]CS),
+		mine:  make([]uint64, nClients),
+	}
+	var pool []uint64
+	if pilot {
+		pool = core.HashPool(0xCC5)
+		l.ends = make(map[uint64]*ccEnds)
 	}
 	alloc := func() uint64 {
 		d := m.Alloc(1)
-		w := m.Alloc(1)
-		l.waits[d] = w
-		l.nodes = append(l.nodes, d)
+		l.waits[d] = m.Alloc(1)
+		if pilot {
+			w := core.SimWord{Data: d + 16, Flag: d + 24}
+			l.ends[d] = &ccEnds{w.Sender(pool), w.Receiver(pool)}
+		}
 		return d
 	}
 	for i := range l.mine {
@@ -105,17 +104,10 @@ func (l *CCSynchLock) Exec(t *sim.Thread, client int, cs CS, arg uint64) uint64 
 
 	wait := l.waits[cur]
 	if l.pilot {
-		h := l.pool[l.ownCnt[cur]%core.PoolSize]
+		rx := &l.ends[cur].rx
 		for {
-			if v := t.Load(cur + 16); v != l.ownOld[cur] {
-				l.ownOld[cur] = v
-				l.ownCnt[cur]++
-				return v ^ h
-			}
-			if f := t.Load(cur + 24); f != l.ownFb[cur] {
-				l.ownFb[cur] = f
-				l.ownCnt[cur]++
-				return l.ownOld[cur] ^ h
+			if v, ok := rx.TryRecv(t); ok {
+				return v
 			}
 			if t.LoadAcquire(wait) == 0 {
 				break
@@ -166,17 +158,8 @@ func (l *CCSynchLock) publish(t *sim.Thread, cur uint64, raw uint64) {
 		if l.barY != isa.None {
 			t.Barrier(l.barY)
 		}
-		h := l.pool[l.combCnt[cur]%core.PoolSize]
-		l.combCnt[cur]++
-		enc := raw ^ h
 		t.Nops(1)
-		if enc == l.combOld[cur] {
-			l.combFb[cur] ^= 1
-			t.Store(cur+24, l.combFb[cur])
-		} else {
-			t.Store(cur+16, enc)
-			l.combOld[cur] = enc
-		}
+		l.ends[cur].tx.Send(t, raw)
 		return
 	}
 	t.Store(cur+16, raw)

@@ -42,17 +42,12 @@ type DSMSynchLock struct {
 	states []uint64 // state line per node
 	cs     []CS     // per-node critical sections (combiner reads)
 
-	// Pilot bookkeeping per node, maintained by whichever thread is
-	// combining (serialized by the queue) and by the owning client.
-	pool     []uint64
-	combOld  []uint64 // last encoded ret stored, per node
-	combFb   []uint64
-	combCnt  []int
-	clOld    []uint64
-	clFb     []uint64
-	clCnt    []int
-	toggle   []int // per client: which of its two nodes to use next
-	initDone []bool
+	// Pilot endpoints per node (pilot mode): whichever thread is
+	// combining (serialized by the queue) sends, the owning client
+	// receives.
+	tx     []core.SimSender
+	rx     []core.SimReceiver
+	toggle []int // per client: which of its two nodes to use next
 }
 
 // NewDSMSynch allocates the lock for nClients on machine m.
@@ -67,26 +62,27 @@ func NewDSMSynch(m *sim.Machine, nClients int, pilot bool, barriers [2]isa.Barri
 	}
 	n := 2 * nClients
 	l := &DSMSynchLock{
-		pilot:   pilot,
-		barX:    barX,
-		barY:    barY,
-		h:       2*nClients + 1,
-		tail:    m.Alloc(1),
-		nodes:   make([]uint64, n),
-		states:  make([]uint64, n),
-		cs:      make([]CS, n),
-		pool:    core.HashPool(0xD53),
-		combOld: make([]uint64, n),
-		combFb:  make([]uint64, n),
-		combCnt: make([]int, n),
-		clOld:   make([]uint64, n),
-		clFb:    make([]uint64, n),
-		clCnt:   make([]int, n),
-		toggle:  make([]int, nClients),
+		pilot:  pilot,
+		barX:   barX,
+		barY:   barY,
+		h:      2*nClients + 1,
+		tail:   m.Alloc(1),
+		nodes:  make([]uint64, n),
+		states: make([]uint64, n),
+		cs:     make([]CS, n),
+		toggle: make([]int, nClients),
 	}
 	for i := range l.nodes {
 		l.nodes[i] = m.Alloc(1)
 		l.states[i] = m.Alloc(1)
+	}
+	if pilot {
+		pool := core.HashPool(0xD53)
+		for _, node := range l.nodes {
+			w := core.SimWord{Data: node + 16, Flag: node + 24}
+			l.tx = append(l.tx, w.Sender(pool))
+			l.rx = append(l.rx, w.Receiver(pool))
+		}
 	}
 	return l
 }
@@ -128,17 +124,9 @@ func (l *DSMSynchLock) Exec(t *sim.Thread, client int, cs CS, arg uint64) uint64
 		// Wait: in pilot mode completion arrives as a ret-word change;
 		// locked=0 with completed=0 means "you are the combiner now".
 		if l.pilot {
-			h := l.pool[l.clCnt[idx]%core.PoolSize]
 			for {
-				if v := t.Load(node + 16); v != l.clOld[idx] {
-					l.clOld[idx] = v
-					l.clCnt[idx]++
-					return v ^ h
-				}
-				if f := t.Load(node + 24); f != l.clFb[idx] {
-					l.clFb[idx] = f
-					l.clCnt[idx]++
-					return l.clOld[idx] ^ h
+				if v, ok := l.rx[idx].TryRecv(t); ok {
+					return v
 				}
 				if t.LoadAcquire(state) == 0 {
 					break // handoff: become combiner
@@ -224,17 +212,8 @@ func (l *DSMSynchLock) publish(t *sim.Thread, cur uint64, idx int, raw uint64) {
 		if l.barY != isa.None {
 			t.Barrier(l.barY)
 		}
-		h := l.pool[l.combCnt[idx]%core.PoolSize]
-		l.combCnt[idx]++
-		enc := raw ^ h
 		t.Nops(2)
-		if enc == l.combOld[idx] {
-			l.combFb[idx] ^= 1
-			t.Store(cur+24, l.combFb[idx])
-		} else {
-			t.Store(cur+16, enc)
-			l.combOld[idx] = enc
-		}
+		l.tx[idx].Send(t, raw)
 		return
 	}
 	// Plain: ret store (RMR into the waiter's data line), line-7

@@ -29,16 +29,14 @@ type FFWDLock struct {
 	resp    []uint64 // response flag line per client (plain mode)
 	respVal []uint64 // response value line per client: ret+0, fbflag+8
 	server  *Server
-	pool    []uint64
 
-	// Client-local protocol state, indexed by client id. Only the
-	// owning client touches its entry, except the hash counters the
-	// server mirrors independently.
+	// Client-local protocol state, indexed by client id: the plain
+	// mode's toggled flags, or the Pilot request sender and response
+	// receiver.
 	cReqFlag  []uint64
 	cRespFlag []uint64
-	cOldArg   []uint64
-	cOldRet   []uint64
-	cCnt      []int
+	reqTx     []core.SimSender
+	respRx    []core.SimReceiver
 }
 
 // Server is the dedicated FFWD server's state; spawn a thread running
@@ -46,11 +44,9 @@ type FFWDLock struct {
 type Server struct {
 	l        *FFWDLock
 	oldFlag  []uint64 // last seen request flag (plain mode)
-	oldArg   []uint64 // last seen encoded arg (pilot mode)
-	oldRet   []uint64 // last stored encoded ret (pilot mode)
-	respFlag []uint64
-	fbFlag   []uint64
-	cnt      []int
+	respFlag []uint64 // last stored response flag (plain mode)
+	reqRx    []core.SimReceiver
+	respTx   []core.SimSender
 	cs       []CS
 	args     []uint64
 }
@@ -72,29 +68,33 @@ func NewFFWD(m *sim.Machine, nClients int, pilot bool, barriers [2]isa.Barrier) 
 		barY:      barriers[1],
 		req:       make([]uint64, nClients),
 		resp:      make([]uint64, nClients),
-		pool:      core.HashPool(0xFF17D),
+		respVal:   make([]uint64, nClients),
 		cReqFlag:  make([]uint64, nClients),
 		cRespFlag: make([]uint64, nClients),
-		cOldArg:   make([]uint64, nClients),
-		cOldRet:   make([]uint64, nClients),
-		cCnt:      make([]int, nClients),
 	}
-	l.respVal = make([]uint64, nClients)
 	for i := 0; i < nClients; i++ {
 		l.req[i] = m.Alloc(1)
 		l.resp[i] = m.Alloc(1)
 		l.respVal[i] = m.Alloc(1)
 	}
-	l.server = &Server{
+	s := &Server{
 		l:        l,
 		oldFlag:  make([]uint64, nClients),
-		oldArg:   make([]uint64, nClients),
-		oldRet:   make([]uint64, nClients),
 		respFlag: make([]uint64, nClients),
-		fbFlag:   make([]uint64, nClients),
-		cnt:      make([]int, nClients),
 		cs:       make([]CS, nClients),
 		args:     make([]uint64, nClients),
+	}
+	l.server = s
+	if pilot {
+		pool := core.HashPool(0xFF17D)
+		for i := 0; i < nClients; i++ {
+			req := core.SimWord{Data: l.req[i] + 8, Flag: l.req[i]}
+			resp := core.SimWord{Data: l.respVal[i], Flag: l.respVal[i] + 8}
+			l.reqTx = append(l.reqTx, req.Sender(pool))
+			l.respRx = append(l.respRx, resp.Receiver(pool))
+			s.reqRx = append(s.reqRx, req.Receiver(pool))
+			s.respTx = append(s.respTx, resp.Sender(pool))
+		}
 	}
 	return l
 }
@@ -107,10 +107,6 @@ func (l *FFWDLock) Name() string {
 	return "FFWD"
 }
 
-// NoBarrierY removes the line-7 barrier (the Figure 7b
-// "LDAR-No Barrier" configuration). Plain mode only.
-func (l *FFWDLock) NoBarrierY() { l.barY = isa.None }
-
 // Server returns the dedicated server state; spawn a simulated thread
 // running Server.Run before Machine.Run.
 func (l *FFWDLock) Server() *Server { return l.server }
@@ -120,35 +116,11 @@ func (l *FFWDLock) Exec(t *sim.Thread, c int, cs CS, arg uint64) uint64 {
 	l.server.cs[c] = cs
 	if l.pilot {
 		// Pilot request: the encoded argument word itself is the signal.
-		h := l.pool[l.cCnt[c]%core.PoolSize]
-		enc := arg ^ h
 		t.Nops(2)
-		if enc == l.cOldArg[c] {
-			l.cReqFlag[c] ^= 1
-			t.Store(l.req[c], l.cReqFlag[c])
-		} else {
-			t.Store(l.req[c]+8, enc)
-			l.cOldArg[c] = enc
-		}
+		l.reqTx[c].Send(t, arg)
 		// Pilot response: spin on the return word / fallback flag —
 		// one cache line, no response-flag line at all.
-		var encRet uint64
-		for {
-			if v := t.Load(l.respVal[c]); v != l.cOldRet[c] {
-				l.cOldRet[c] = v
-				encRet = v
-				break
-			}
-			if f := t.Load(l.respVal[c] + 8); f != l.cRespFlag[c] {
-				l.cRespFlag[c] = f
-				encRet = l.cOldRet[c]
-				break
-			}
-			t.Nops(spinPause)
-		}
-		ret := encRet ^ h
-		l.cCnt[c]++
-		return ret
+		return l.respRx[c].Recv(t, spinPause)
 	}
 	// Plain request: write the argument, publish, toggle the flag.
 	t.Store(l.req[c]+8, arg)
@@ -175,15 +147,12 @@ func (s *Server) Run(t *sim.Thread, remaining *int64) {
 		for c := 0; c < l.nClients; c++ {
 			if l.pilot {
 				// Request signal: encoded-arg change or fallback flag.
-				if v := t.Load(l.req[c] + 8); v != s.oldArg[c] {
-					s.oldArg[c] = v
-				} else if f := t.Load(l.req[c]); f != s.oldFlag[c] {
-					s.oldFlag[c] = f
-				} else {
+				arg, ok := s.reqRx[c].TryRecv(t)
+				if !ok {
 					continue
 				}
-				s.applyBarX(t, l.req[c]+8)
-				s.args[c] = s.oldArg[c] ^ l.pool[s.cnt[c]%core.PoolSize]
+				s.applyBarX(t)
+				s.args[c] = arg
 				pending = append(pending, c)
 				continue
 			}
@@ -197,7 +166,7 @@ func (s *Server) Run(t *sim.Thread, remaining *int64) {
 				continue
 			}
 			s.oldFlag[c] = f
-			s.applyBarX(t, l.req[c])
+			s.applyBarX(t)
 			s.args[c] = t.Load(l.req[c] + 8)
 			pending = append(pending, c)
 		}
@@ -214,16 +183,8 @@ func (s *Server) Run(t *sim.Thread, remaining *int64) {
 				if l.barY != isa.None {
 					t.Barrier(l.barY)
 				}
-				enc := raw ^ l.pool[s.cnt[c]%core.PoolSize]
-				s.cnt[c]++
 				t.Nops(2)
-				if enc == s.oldRet[c] {
-					s.fbFlag[c] ^= 1
-					t.Store(l.respVal[c]+8, s.fbFlag[c])
-				} else {
-					t.Store(l.respVal[c], enc)
-					s.oldRet[c] = enc
-				}
+				s.respTx[c].Send(t, raw)
 			}
 			continue
 		}
@@ -247,7 +208,7 @@ func (s *Server) Run(t *sim.Thread, remaining *int64) {
 // applyBarX applies the line-4 request-consumption barrier. LDAR is
 // handled at the load site in plain mode; in pilot mode it degrades to
 // a DMB ld-equivalent ordering point.
-func (s *Server) applyBarX(t *sim.Thread, addr uint64) {
+func (s *Server) applyBarX(t *sim.Thread) {
 	switch s.l.barX {
 	case isa.LDAR:
 		if s.l.pilot {

@@ -29,20 +29,18 @@ type FCLock struct {
 	req   []uint64
 	resp  []uint64
 	cs    []CS
-	pool  []uint64
 
-	// Client-side protocol state.
+	// Client-side protocol state: the toggled request flag, and the
+	// plain response flag or the Pilot response receiver.
 	clReqFlag []uint64
-	clOldRet  []uint64
 	clFb      []uint64
-	clCnt     []int
+	clRx      []core.SimReceiver
 
 	// Combiner-side mirrors (whoever combines reads/writes these; the
 	// latch serializes access).
 	coSeenReq []uint64
-	coOldRet  []uint64
 	coFb      []uint64
-	coCnt     []int
+	coTx      []core.SimSender
 }
 
 // NewFC allocates a flat-combining lock for nClients.
@@ -57,19 +55,22 @@ func NewFC(m *sim.Machine, nClients int, pilot bool, barY isa.Barrier) *FCLock {
 		req:       make([]uint64, nClients),
 		resp:      make([]uint64, nClients),
 		cs:        make([]CS, nClients),
-		pool:      core.HashPool(0xFC),
 		clReqFlag: make([]uint64, nClients),
-		clOldRet:  make([]uint64, nClients),
 		clFb:      make([]uint64, nClients),
-		clCnt:     make([]int, nClients),
 		coSeenReq: make([]uint64, nClients),
-		coOldRet:  make([]uint64, nClients),
 		coFb:      make([]uint64, nClients),
-		coCnt:     make([]int, nClients),
 	}
 	for i := 0; i < nClients; i++ {
 		l.req[i] = m.Alloc(1)
 		l.resp[i] = m.Alloc(1)
+	}
+	if pilot {
+		pool := core.HashPool(0xFC)
+		for _, resp := range l.resp {
+			w := core.SimWord{Data: resp, Flag: resp + 8}
+			l.clRx = append(l.clRx, w.Receiver(pool))
+			l.coTx = append(l.coTx, w.Sender(pool))
+		}
 	}
 	return l
 }
@@ -116,18 +117,7 @@ func (l *FCLock) Exec(t *sim.Thread, c int, cs CS, arg uint64) uint64 {
 // tryRecvResponse polls the client's response line once.
 func (l *FCLock) tryRecvResponse(t *sim.Thread, c int) (uint64, bool) {
 	if l.pilot {
-		h := l.pool[l.clCnt[c]%core.PoolSize]
-		if v := t.Load(l.resp[c]); v != l.clOldRet[c] {
-			l.clOldRet[c] = v
-			l.clCnt[c]++
-			return v ^ h, true
-		}
-		if f := t.Load(l.resp[c] + 8); f != l.clFb[c] {
-			l.clFb[c] = f
-			l.clCnt[c]++
-			return l.clOldRet[c] ^ h, true
-		}
-		return 0, false
+		return l.clRx[c].TryRecv(t)
 	}
 	// Plain: the response flag lives at +8; the value at +0.
 	if f := t.Load(l.resp[c] + 8); f != l.clFb[c] {
@@ -152,17 +142,8 @@ func (l *FCLock) combine(t *sim.Thread) {
 			if l.barY != isa.None {
 				t.Barrier(l.barY)
 			}
-			h := l.pool[l.coCnt[c]%core.PoolSize]
-			l.coCnt[c]++
-			enc := raw ^ h
 			t.Nops(1)
-			if enc == l.coOldRet[c] {
-				l.coFb[c] ^= 1
-				t.Store(l.resp[c]+8, l.coFb[c])
-			} else {
-				t.Store(l.resp[c], enc)
-				l.coOldRet[c] = enc
-			}
+			l.coTx[c].Send(t, raw)
 			continue
 		}
 		t.Store(l.resp[c], raw)

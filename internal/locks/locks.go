@@ -27,7 +27,7 @@ type Lock interface {
 	Exec(t *sim.Thread, client int, cs CS, arg uint64) uint64
 }
 
-// spinWait inserts polite pause work between polls, keeping simulated
+// spinPause inserts polite pause work between polls, keeping simulated
 // spin loops from flooding the event stream while barely affecting
 // virtual-time results.
 const spinPause = 8
@@ -105,9 +105,10 @@ type BenchConfig struct {
 	Globals  int // shared cache lines visited inside the CS (Figure 7a x-axis)
 	CSWork   int // extra nops inside the CS
 	Interval int // nops between acquisitions (Figure 7c x-axis)
-	// UnlockBarrier is the ticket lock's unlock publication barrier
-	// (Figure 7a legend: DMBSt = Normal, None = "Remove barrier after
-	// RMR"). Ignored by delegation locks.
+	// UnlockBarrier is the in-place locks' unlock publication barrier
+	// (Figure 7a legend: DMBSt = Normal, AddrDep = "Remove barrier
+	// after RMR", the dependency that replaces it). The zero value
+	// (None) means DMB st. Ignored by delegation locks.
 	UnlockBarrier isa.Barrier
 	// ServeBarriers are the delegation-lock barriers (line 4 and line 7
 	// of Algorithm 5, the Figure 7b legend "X-Y"). Zero values mean the
@@ -132,6 +133,35 @@ func (r BenchResult) Throughput() float64 {
 		return 0
 	}
 	return float64(r.Ops) / r.Elapsed
+}
+
+// New builds a lock of the given kind for clients threads on m. unlock
+// is the in-place locks' unlock barrier; serve holds the delegation
+// locks' line-4 and line-7 barriers, whose zero values pick each
+// kind's defaults. FFWD kinds also return their dedicated server: spawn
+// a thread running Server.Run alongside the clients. Every other kind
+// returns a nil server.
+func New(m *sim.Machine, kind Kind, clients int, unlock isa.Barrier, serve [2]isa.Barrier) (Lock, *Server) {
+	switch kind {
+	case Ticket:
+		return NewTicket(m, unlock), nil
+	case FFWD, FFWDPilot:
+		fl := NewFFWD(m, clients, kind == FFWDPilot, serve)
+		return fl, fl.Server()
+	case DSMSynch, DSMSynchPilot:
+		return NewDSMSynch(m, clients, kind == DSMSynchPilot, serve), nil
+	case TAS:
+		return NewTAS(m, unlock), nil
+	case MCS:
+		return NewMCS(m, clients, unlock), nil
+	case CLH:
+		return NewCLH(m, clients, unlock), nil
+	case FC, FCPilot:
+		return NewFC(m, clients, kind == FCPilot, serve[1]), nil
+	case CCSynch, CCSynchPilot:
+		return NewCCSynch(m, clients, kind == CCSynchPilot, serve[1]), nil
+	}
+	panic(fmt.Sprintf("locks: unknown kind %v", kind))
 }
 
 // Bench runs the micro-benchmark and returns the result.
@@ -159,30 +189,7 @@ func Bench(cfg BenchConfig) BenchResult {
 	locals := m.Alloc(cfg.Threads)
 	globals := m.Alloc(max(cfg.Globals, 1))
 
-	var lock Lock
-	var server *Server
-	switch cfg.Kind {
-	case Ticket:
-		lock = NewTicket(m, cfg.UnlockBarrier)
-	case FFWD, FFWDPilot:
-		fl := NewFFWD(m, cfg.Threads, cfg.Kind == FFWDPilot, cfg.ServeBarriers)
-		server = fl.Server()
-		lock = fl
-	case DSMSynch, DSMSynchPilot:
-		lock = NewDSMSynch(m, cfg.Threads, cfg.Kind == DSMSynchPilot, cfg.ServeBarriers)
-	case TAS:
-		lock = NewTAS(m, cfg.UnlockBarrier)
-	case MCS:
-		lock = NewMCS(m, cfg.Threads, cfg.UnlockBarrier)
-	case CLH:
-		lock = NewCLH(m, cfg.Threads, cfg.UnlockBarrier)
-	case FC, FCPilot:
-		lock = NewFC(m, cfg.Threads, cfg.Kind == FCPilot, cfg.ServeBarriers[1])
-	case CCSynch, CCSynchPilot:
-		lock = NewCCSynch(m, cfg.Threads, cfg.Kind == CCSynchPilot, cfg.ServeBarriers[1])
-	default:
-		panic("locks: unknown kind")
-	}
+	lock, server := New(m, cfg.Kind, cfg.Threads, cfg.UnlockBarrier, cfg.ServeBarriers)
 
 	makeCS := func(client int) CS {
 		cnt := counter

@@ -164,18 +164,21 @@ func runLockedRing(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, cons
 // counters for backpressure; the consumer round-robins.
 func runPilotFanIn(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, consCore topo.CoreID, sum *uint64) {
 	n := len(prodCores)
-	words := make([]*core.SimWord, n)
+	words := make([]core.SimWord, n)
+	pools := make([][]uint64, n)
 	acks := make([]uint64, n)
 	for i := 0; i < n; i++ {
-		words[i] = core.NewSimWord(m, uint64(cfg.Seed)+uint64(i))
+		words[i] = core.NewSimWord(m)
+		pools[i] = core.HashPool(uint64(cfg.Seed) + uint64(i))
 		acks[i] = m.Alloc(1)
 	}
 	for p := range prodCores {
 		p := p
 		m.Spawn(prodCores[p], func(t *sim.Thread) {
-			s := words[p].Sender()
+			s := words[p].Sender(pools[p])
 			for i := 0; i < cfg.Messages; i++ {
 				t.Nops(cfg.MsgWork)
+				t.Nops(2) // shuffle: xor + counter bump
 				s.Send(t, payload(p*cfg.Messages+i, 0))
 				t.SpinUntil(acks[p], false, sim.SpinEQ, uint64(i+1), 8)
 			}
@@ -183,10 +186,10 @@ func runPilotFanIn(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, cons
 	}
 	total := n * cfg.Messages
 	m.Spawn(consCore, func(t *sim.Thread) {
-		recvs := make([]*core.SimReceiver, n)
+		recvs := make([]core.SimReceiver, n)
 		done := make([]int, n)
 		for i := range recvs {
-			recvs[i] = words[i].Receiver()
+			recvs[i] = words[i].Receiver(pools[i])
 		}
 		got := 0
 		for got < total {
@@ -196,6 +199,7 @@ func runPilotFanIn(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, cons
 					continue
 				}
 				if v, ok := recvs[p].TryRecv(t); ok {
+					t.Nops(2) // unshuffle: xor + counter bump
 					*sum += v
 					done[p]++
 					got++

@@ -233,18 +233,22 @@ func runPilot(m *sim.Machine, cfg Config) *bool {
 	consCnt := m.Alloc(1)
 	dataLines := m.Alloc(cfg.BufSize * linesPerSlot)
 	flagLines := m.Alloc(cfg.BufSize * linesPerSlot) // rarely touched
-	word := func(i, w int) (data, flag uint64) {
-		s := i % cfg.BufSize
-		off := uint64(s*linesPerSlot)<<6 + uint64(w)*8
-		return dataLines + off, flagLines + off
-	}
+	// One Pilot channel per 64-bit slice of every slot; slice w of
+	// message i travels on channel (i%BufSize)*Batch + w.
 	pool := core.HashPool(uint64(cfg.Seed) + 77)
+	var tx []core.SimSender
+	var rx []core.SimReceiver
+	for s := 0; s < cfg.BufSize; s++ {
+		for w := 0; w < cfg.Batch; w++ {
+			off := uint64(s*linesPerSlot)<<6 + uint64(w)*8
+			word := core.SimWord{Data: dataLines + off, Flag: flagLines + off}
+			tx = append(tx, word.Sender(pool))
+			rx = append(rx, word.Receiver(pool))
+		}
+	}
 	valid := true
-	nWords := cfg.BufSize * cfg.Batch
 
 	m.Spawn(cfg.Producer, func(t *sim.Thread) {
-		oldData := make([]uint64, nWords)
-		flags := make([]uint64, nWords)
 		produced := 0
 		for produced < cfg.Messages {
 			// The availability check (line 3 barrier) survives; use the
@@ -253,19 +257,9 @@ func runPilot(m *sim.Machine, cfg Config) *bool {
 				t.Nops(1)
 			}
 			t.Nops(cfg.MsgWork)
-			h := pool[produced%core.PoolSize]
 			for w := 0; w < cfg.Batch; w++ {
-				idx := (produced%cfg.BufSize)*cfg.Batch + w
-				data, flag := word(produced, w)
-				newData := payload(produced, w) ^ h
 				t.Nops(1) // shuffle (one xor; bookkeeping is register-resident)
-				if newData == oldData[idx] {
-					flags[idx] ^= 1
-					t.Store(flag, flags[idx])
-				} else {
-					t.Store(data, newData)
-					oldData[idx] = newData
-				}
+				tx[(produced%cfg.BufSize)*cfg.Batch+w].Send(t, payload(produced, w))
 			}
 			// No publication barrier, no producer counter: done.
 			produced++
@@ -273,27 +267,12 @@ func runPilot(m *sim.Machine, cfg Config) *bool {
 	})
 
 	m.Spawn(cfg.Consumer, func(t *sim.Thread) {
-		oldData := make([]uint64, nWords)
-		oldFlags := make([]uint64, nWords)
 		consumed := 0
 		for consumed < cfg.Messages {
-			h := pool[consumed%core.PoolSize]
 			for w := 0; w < cfg.Batch; w++ {
-				idx := (consumed%cfg.BufSize)*cfg.Batch + w
-				data, flag := word(consumed, w)
-				for {
-					if d := t.Load(data); d != oldData[idx] {
-						oldData[idx] = d
-						break
-					}
-					if f := t.Load(flag); f != oldFlags[idx] {
-						oldFlags[idx] = f
-						break
-					}
-					t.Nops(1)
-				}
+				v := rx[(consumed%cfg.BufSize)*cfg.Batch+w].Recv(t, 1)
 				t.Nops(1)
-				if oldData[idx]^h != payload(consumed, w) {
+				if v != payload(consumed, w) {
 					valid = false
 				}
 			}

@@ -157,24 +157,20 @@ func runPilotPub(m *sim.Machine, cfg PubConfig, res *PubResult) {
 	flags := m.Alloc((cfg.Words + 7) / 8)
 	stop := m.Alloc(1)
 	pool := core.HashPool(uint64(cfg.Seed) + 5)
-	word := func(w int) (uint64, uint64) { return data + uint64(w)*8, flags + uint64(w)*8 }
+	words := make([]core.SimWord, cfg.Words)
+	for w := range words {
+		words[w] = core.SimWord{Data: data + uint64(w)*8, Flag: flags + uint64(w)*8}
+	}
 
 	m.Spawn(cfg.Writer, func(t *sim.Thread) {
-		oldData := make([]uint64, cfg.Words)
-		fb := make([]uint64, cfg.Words)
+		tx := make([]core.SimSender, cfg.Words)
+		for w, word := range words {
+			tx[w] = word.Sender(pool)
+		}
 		for u := 1; u <= cfg.Updates; u++ {
-			h := pool[u%core.PoolSize]
-			for w := 0; w < cfg.Words; w++ {
-				d, f := word(w)
-				enc := pubValue(u, w) ^ h
+			for w := range tx {
 				t.Nops(1)
-				if enc == oldData[w] {
-					fb[w] ^= 1
-					t.Store(f, fb[w])
-				} else {
-					t.Store(d, enc)
-					oldData[w] = enc
-				}
+				tx[w].Send(t, pubValue(u, w))
 			}
 			t.Nops(cfg.Gap)
 		}
@@ -188,19 +184,20 @@ func runPilotPub(m *sim.Machine, cfg PubConfig, res *PubResult) {
 		lastU := 0
 		for t.Load(stop) == 0 {
 			// Refresh every slice's latest observation.
-			for w := 0; w < cfg.Words; w++ {
-				d, f := word(w)
-				if v := t.Load(d); v != lastData[w] {
+			for w, word := range words {
+				if v := t.Load(word.Data); v != lastData[w] {
 					lastData[w] = v
-				} else if fl := t.Load(f); fl != lastFb[w] {
+				} else if fl := t.Load(word.Flag); fl != lastFb[w] {
 					lastFb[w] = fl
 				}
 			}
 			// A consistent snapshot decodes every slice under one
-			// update index ahead of the last snapshot.
+			// update index ahead of the last snapshot. Each slice's
+			// sender counts its own messages, so update u went out as
+			// message u-1 of every slice.
 			matched := false
 			for u := lastU + 1; u <= cfg.Updates && !matched; u++ {
-				h := pool[u%core.PoolSize]
+				h := pool[(u-1)%core.PoolSize]
 				all := true
 				for w := 0; w < cfg.Words; w++ {
 					if lastData[w]^h != pubValue(u, w) {

@@ -185,6 +185,14 @@ func (m *Machine) Alloc(lines int) uint64 {
 	return a
 }
 
+// Allocated reports whether addr lies in a line the machine has handed
+// out through Alloc. Memory ops do not check it: a caller computing
+// addresses checks it before touching memory, since the coherence
+// directory grows its tables up to the highest address touched.
+func (t *Thread) Allocated(addr uint64) bool {
+	return addr >= 1<<mesi.LineShift && addr < t.m.nextAddr
+}
+
 // SetInitial initializes committed memory before the run starts.
 func (m *Machine) SetInitial(addr, v uint64) {
 	if m.started {
