@@ -71,8 +71,10 @@ func TestRunErrors(t *testing.T) {
 
 // FuzzParseFile feeds arbitrary runner files through the directive
 // parser and the A64 assembler, with the spec's vars as symbols, and
-// runs each file that parses once with a small instruction budget:
-// none of it may panic. Exec's address check keeps a program from
+// runs each file that parses once with a small instruction budget.
+// Parsing may not panic. A run may fail with an error, but not abort
+// the simulation: no instruction blocks, so 4096 per thread cannot
+// reach the watchdog, and Exec's address check keeps a program from
 // touching memory past the allocated lines.
 func FuzzParseFile(f *testing.F) {
 	f.Add(example)
@@ -98,7 +100,10 @@ func FuzzParseFile(f *testing.F) {
 			a64.ParseWithSymbols(th.src, symbols)
 		}
 		if p := platform.ByName(s.platform); p != nil {
-			run(s, p, s.seed, 4096)
+			if _, err := run(s, p, s.seed, 4096); err != nil &&
+				strings.Contains(err.Error(), "simulation aborted") {
+				t.Fatal(err)
+			}
 		}
 	})
 }

@@ -4,17 +4,17 @@
 #   scripts/ab.sh <rev> [workload...]
 #
 # It builds <rev> in a temporary git worktree (removed on exit) and, for
-# each workload (default: lockds programs fence), runs
+# each workload (default: every workload BENCHMARK.json lists), runs
 #
 #   bash perfbench/run.sh --workload W --seed 42 --seconds S --trace 0
 #
-# RUNS times in each checkout, alternating which side goes first in
-# each pair. It then prints one markdown row per workload and
-# BENCHMARK.json end-to-end metric: both medians, each side's
-# interquartile range, in how many pairs this checkout was better,
-# and each side's failed/attempted cell counts summed over its runs.
+# ten times in each checkout, alternating which side goes first in each
+# pair, with S the run_seconds BENCHMARK.json fixes. It then prints one
+# markdown row per workload and BENCHMARK.json end-to-end metric: both
+# medians, each side's interquartile range, in how many pairs this
+# checkout was better, and each side's failed/attempted cell counts
+# summed over its runs.
 #
-# Environment: RUNS (default 10) and SECONDS_PER_RUN (S, default 30).
 # It needs only sh, git and awk, and writes only under each checkout's
 # .bench_build/ and a temporary directory.
 set -eu
@@ -25,11 +25,29 @@ if [ $# -lt 1 ]; then
 fi
 rev=$1
 shift
-[ $# -gt 0 ] || set -- lockds programs fence
-runs=${RUNS:-10}
-secs=${SECONDS_PER_RUN:-30}
+# Ten alternating pairs: the fewest that can show a win in nine of ten.
+pairs=10
 
 head=$(git rev-parse --show-toplevel)
+bench=$head/BENCHMARK.json
+secs=$(awk '/"run_seconds"/ {
+	sub(/.*"run_seconds": */, ""); sub(/[^0-9.].*/, ""); print; exit
+}' "$bench")
+if [ -z "$secs" ]; then
+	echo "ab.sh: $bench sets no run_seconds" >&2
+	exit 1
+fi
+# The workload names are the "name" lines of its "workloads" array.
+[ $# -gt 0 ] || set -- $(awk '
+/"workloads"/ { on = 1 }
+on && /\]/ { exit }
+on && match($0, /"name": *"[^"]*"/) {
+	s = substr($0, RSTART, RLENGTH)
+	sub(/"name": *"/, "", s)
+	sub(/"$/, "", s)
+	print s
+}' "$bench")
+
 tmp=$(mktemp -d)
 base=$tmp/base
 cleanup() {
@@ -58,8 +76,8 @@ run_one() {
 
 for w in "$@"; do
 	i=1
-	while [ "$i" -le "$runs" ]; do
-		echo "ab.sh: $w pair $i of $runs" >&2
+	while [ "$i" -le "$pairs" ]; do
+		echo "ab.sh: $w pair $i of $pairs" >&2
 		if [ $((i % 2)) -eq 1 ]; then
 			run_one "$base" "$w" "$tmp/$w.base"
 			run_one "$head" "$w" "$tmp/$w.head"
@@ -71,7 +89,7 @@ for w in "$@"; do
 	done
 done
 
-echo "$runs alternating pairs per workload, --seconds $secs, seed 42; base = $rev"
+echo "$pairs alternating pairs per workload, --seconds $secs, seed 42; base = $rev"
 echo
 echo "| workload | metric | base median | head median | base IQR | head IQR | head better | base failed/attempted | head failed/attempted |"
 echo "|---|---|---|---|---|---|---|---|---|"
@@ -146,5 +164,5 @@ for w in "$@"; do
 				med["base"], med["head"], iqr["base"], iqr["head"], wins, pairs,
 				fail["base"], att["base"], fail["head"], att["head"]
 		}
-	}' "$head/BENCHMARK.json" "$tmp/$w.base" "$tmp/$w.head"
+	}' "$bench" "$tmp/$w.base" "$tmp/$w.head"
 done
