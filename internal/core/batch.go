@@ -1,18 +1,16 @@
 package core
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Batch applies Pilot to messages longer than 64 bits (§4.5, Figure
 // 6c): the message is split into 8-byte slices and Pilot is applied to
 // every slice independently, so the whole batch is published without
-// any barrier. Each slice carries its own fallback flag — a slice is
-// "ready" when its word changed or its flag toggled — so no ordering
-// among the slice stores is ever assumed (under a weak memory model
-// the stores may become visible in any order). One message per
-// Send/Recv round; external backpressure required, as with Word.
+// any barrier. Each slice is its own codec endpoint with its own
+// fallback flag — a slice is "ready" when its word changed or its flag
+// toggled — so no ordering among the slice stores is ever assumed
+// (under a weak memory model the stores may become visible in any
+// order). One message per Send/Recv round; external backpressure
+// required, as with Word.
 type Batch struct {
 	words []atomic.Uint64
 	flags []atomic.Uint64
@@ -34,21 +32,17 @@ func (b *Batch) Len() int { return len(b.words) }
 
 // BatchSender publishes fixed-length messages over a Batch.
 type BatchSender struct {
-	b       *Batch
-	pool    []uint64
-	cnt     int
-	oldData []uint64
-	flags   []uint64
+	b    *Batch
+	pool []uint64
+	tx   []tx // one endpoint per slice
 }
 
 // BatchReceiver consumes messages from a Batch.
 type BatchReceiver struct {
-	b        *Batch
-	pool     []uint64
-	cnt      int
-	oldData  []uint64
-	oldFlags []uint64
-	ready    []bool
+	b     *Batch
+	pool  []uint64
+	rx    []rx // one endpoint per slice
+	ready []bool
 }
 
 // NewBatchPair returns connected halves over a fresh n-word Batch.
@@ -60,45 +54,29 @@ func NewBatchPair(n int, seed uint64) (*BatchSender, *BatchReceiver) {
 // NewBatchSender wraps existing shared state; seed must match the
 // receiver's.
 func NewBatchSender(b *Batch, seed uint64) *BatchSender {
-	return &BatchSender{
-		b:       b,
-		pool:    HashPool(seed),
-		oldData: make([]uint64, b.Len()),
-		flags:   make([]uint64, b.Len()),
-	}
+	return &BatchSender{b: b, pool: HashPool(seed), tx: make([]tx, b.Len())}
 }
 
 // NewBatchReceiver wraps existing shared state; seed must match the
 // sender's.
 func NewBatchReceiver(b *Batch, seed uint64) *BatchReceiver {
 	return &BatchReceiver{
-		b:        b,
-		pool:     HashPool(seed),
-		oldData:  make([]uint64, b.Len()),
-		oldFlags: make([]uint64, b.Len()),
-		ready:    make([]bool, b.Len()),
+		b:     b,
+		pool:  HashPool(seed),
+		rx:    make([]rx, b.Len()),
+		ready: make([]bool, b.Len()),
 	}
 }
 
 // Send publishes msg (len must equal Batch.Len) slice by slice, each
-// slice independently Pilot-encoded.
+// slice independently Pilot-encoded. Every slice sends once per
+// message, so every slice's count is the message count.
 func (s *BatchSender) Send(msg []uint64) {
-	if len(msg) != len(s.oldData) {
+	if len(msg) != len(s.tx) {
 		panic("core: message length mismatch")
 	}
-	h := s.pool[s.cnt%PoolSize]
-	s.cnt++
 	for i, payload := range msg {
-		newData := payload ^ h
-		if newData == s.oldData[i] {
-			// Fallback for this slice only: the stored word already
-			// decodes to the new payload under this round's pool entry.
-			s.flags[i] ^= 1
-			s.b.flags[i].Store(s.flags[i])
-			continue
-		}
-		s.b.words[i].Store(newData)
-		s.oldData[i] = newData
+		s.tx[i].send(s.pool, payload, &s.b.words[i], &s.b.flags[i])
 	}
 }
 
@@ -106,33 +84,21 @@ func (s *BatchSender) Send(msg []uint64) {
 // Batch.Len). Slice readiness is remembered across calls, so partially
 // visible messages make progress without re-scanning from scratch.
 func (r *BatchReceiver) TryRecv(out []uint64) bool {
-	if len(out) != len(r.oldData) {
+	if len(out) != len(r.rx) {
 		panic("core: message length mismatch")
 	}
 	all := true
-	for i := range r.oldData {
-		if r.ready[i] {
-			continue
+	for i := range r.rx {
+		if !r.ready[i] {
+			r.ready[i] = r.rx[i].seenData(r.b.words[i].Load()) || r.rx[i].seenFlag(r.b.flags[i].Load())
+			all = all && r.ready[i]
 		}
-		if d := r.b.words[i].Load(); d != r.oldData[i] {
-			r.oldData[i] = d
-			r.ready[i] = true
-			continue
-		}
-		if f := r.b.flags[i].Load(); f != r.oldFlags[i] {
-			r.oldFlags[i] = f
-			r.ready[i] = true
-			continue
-		}
-		all = false
 	}
 	if !all {
 		return false
 	}
-	h := r.pool[r.cnt%PoolSize]
-	r.cnt++
-	for i := range r.oldData {
-		out[i] = r.oldData[i] ^ h
+	for i := range r.rx {
+		out[i] = r.rx[i].decode(r.pool)
 		r.ready[i] = false
 	}
 	return true
@@ -140,9 +106,8 @@ func (r *BatchReceiver) TryRecv(out []uint64) bool {
 
 // Recv spins until a complete message arrives.
 func (r *BatchReceiver) Recv(out []uint64) {
-	for spins := 0; !r.TryRecv(out); spins++ {
-		if spins%spinYield == spinYield-1 {
-			runtime.Gosched()
-		}
+	var p pacer
+	for !r.TryRecv(out) {
+		p.miss()
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Broadcast is the single-writer, many-reader face of Pilot: a
 // published 64-bit value whose updates readers detect as "the word
@@ -31,22 +28,19 @@ func NewBroadcast(seed uint64) *Broadcast {
 
 // BroadcastWriter is the publishing half; single goroutine only.
 type BroadcastWriter struct {
-	b       *Broadcast
-	pool    []uint64
-	cnt     uint64
-	oldData uint64
-	flag    uint64
+	b    *Broadcast
+	pool []uint64
+	tx   tx
 }
 
 // BroadcastReader is one subscriber; single goroutine per reader.
 type BroadcastReader struct {
-	b        *Broadcast
-	pool     []uint64
-	lastData uint64
-	lastFlag uint64
-	lastGen  uint64
-	val      uint64
-	has      bool
+	b       *Broadcast
+	pool    []uint64
+	rx      rx // the words of the last snapshot
+	lastGen uint64
+	val     uint64
+	has     bool
 }
 
 // Writer returns the publishing half.
@@ -62,19 +56,11 @@ func (b *Broadcast) Reader() *BroadcastReader {
 // Publish makes v the current value with a single data store (plus a
 // generation bump that readers use only to pick the right decode key).
 func (w *BroadcastWriter) Publish(v uint64) {
-	enc := v ^ w.pool[w.cnt%PoolSize]
-	w.cnt++
-	// The generation is bumped first; readers read it after seeing the
-	// data change (gen is monotonic, so a racing reader at worst
-	// re-reads).
-	w.b.gen.Store(w.cnt)
-	if enc == w.oldData {
-		w.flag ^= 1
-		w.b.w.flag.Store(w.flag)
-		return
-	}
-	w.b.w.data.Store(enc)
-	w.oldData = enc
+	// The generation is the writer's message count once v is sent. It
+	// is bumped first; readers read it after seeing the word change
+	// (gen is monotonic, so a racing reader at worst re-reads).
+	w.b.gen.Store(uint64(w.tx.cnt) + 1)
+	w.tx.send(w.pool, v, &w.b.w.data, &w.b.w.flag)
 }
 
 // Poll returns the latest published value and whether any value has
@@ -83,20 +69,17 @@ func (w *BroadcastWriter) Publish(v uint64) {
 // when a change is detected, to pick the decode key (and to catch up
 // after missing intermediate publications).
 func (r *BroadcastReader) Poll() (uint64, bool) {
-	d := r.b.w.data.Load()
-	f := r.b.w.flag.Load()
-	if d == r.lastData && f == r.lastFlag {
+	if !r.rx.seenData(r.b.w.data.Load()) && !r.rx.seenFlag(r.b.w.flag.Load()) {
 		return r.val, r.has
 	}
 	// Something changed: take a generation-stable snapshot to decode.
 	gen := r.b.gen.Load()
 	for {
-		d = r.b.w.data.Load()
-		f = r.b.w.flag.Load()
+		r.rx.data = r.b.w.data.Load()
+		r.rx.flag = r.b.w.flag.Load()
 		again := r.b.gen.Load()
 		if again == gen && gen > 0 {
-			r.lastData, r.lastFlag = d, f
-			r.val = d ^ r.pool[(gen-1)%PoolSize]
+			r.val = r.rx.decodeAt(r.pool, int(gen-1))
 			r.lastGen = gen
 			r.has = true
 			return r.val, true
@@ -109,12 +92,11 @@ func (r *BroadcastReader) Poll() (uint64, bool) {
 // advances past the last value this reader saw, then returns it.
 func (r *BroadcastReader) Wait() uint64 {
 	last := r.lastGen
-	for spins := 0; ; spins++ {
+	var p pacer
+	for {
 		if v, ok := r.Poll(); ok && r.lastGen != last {
 			return v
 		}
-		if spins%spinYield == spinYield-1 {
-			runtime.Gosched()
-		}
+		p.miss()
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Combiner is a real (non-simulated) flat-combining execution lock
 // with Pilot-encoded responses: goroutines submit closures; whichever
@@ -21,7 +18,10 @@ type Combiner struct {
 	slots []combinerSlot
 	next  atomic.Uint32
 	pool  []uint64
-	state *combinerState // owned by the latch holder
+	// The latch holder's view of every slot: the last request it
+	// served, and the endpoint that sends the slot's responses.
+	seenReq []uint64
+	tx      []tx
 }
 
 // combinerSlot is one client's publication record, padded so the
@@ -40,35 +40,17 @@ type Slot struct {
 	c   *Combiner
 	idx int
 	seq uint64
-	// Pilot client state.
-	oldResp uint64
-	oldFb   uint64
-	cnt     int
-	// Combiner-side mirrors, indexed via the owning Combiner; only the
-	// latch holder touches them.
-}
-
-// combinerState is the latch holder's view of every slot.
-type combinerState struct {
-	seenReq []uint64
-	oldResp []uint64
-	fb      []uint64
-	cnt     []int
+	rx  rx // receives this slot's responses
 }
 
 // NewCombiner returns a combiner lock for up to n clients.
 func NewCombiner(n int, seed uint64) *Combiner {
-	c := &Combiner{
-		slots: make([]combinerSlot, n),
-		pool:  HashPool(seed),
-	}
-	c.state = &combinerState{
+	return &Combiner{
+		slots:   make([]combinerSlot, n),
+		pool:    HashPool(seed),
 		seenReq: make([]uint64, n),
-		oldResp: make([]uint64, n),
-		fb:      make([]uint64, n),
-		cnt:     make([]int, n),
+		tx:      make([]tx, n),
 	}
-	return c
 }
 
 // Register claims a client slot; it panics when the combiner is full.
@@ -90,7 +72,8 @@ func (s *Slot) Do(fn func() uint64) uint64 {
 	s.seq += 2
 	slot.req.Store(s.seq | 1) // odd: pending
 
-	for spins := 0; ; spins++ {
+	var p pacer
+	for {
 		if v, ok := s.tryRecv(); ok {
 			return v
 		}
@@ -101,47 +84,25 @@ func (s *Slot) Do(fn func() uint64) uint64 {
 				return v
 			}
 		}
-		if spins%spinYield == spinYield-1 {
-			runtime.Gosched()
-		}
+		p.miss()
 	}
 }
 
 // tryRecv polls the slot's Pilot response once.
 func (s *Slot) tryRecv() (uint64, bool) {
 	slot := &s.c.slots[s.idx]
-	if v := slot.resp.Load(); v != s.oldResp {
-		s.oldResp = v
-	} else if f := slot.fb.Load(); f != s.oldFb {
-		s.oldFb = f
-	} else {
-		return 0, false
-	}
-	h := s.c.pool[s.cnt%PoolSize]
-	s.cnt++
-	return s.oldResp ^ h, true
+	return s.rx.poll(s.c.pool, &slot.resp, &slot.fb)
 }
 
 // combine serves every pending request (latch held).
 func (c *Combiner) combine() {
-	st := c.state
 	for i := range c.slots {
 		slot := &c.slots[i]
 		r := slot.req.Load()
-		if r&1 == 0 || r == st.seenReq[i] {
+		if r&1 == 0 || r == c.seenReq[i] {
 			continue
 		}
-		st.seenReq[i] = r
-		raw := slot.fn()
-		h := c.pool[st.cnt[i]%PoolSize]
-		st.cnt[i]++
-		enc := raw ^ h
-		if enc == st.oldResp[i] {
-			st.fb[i] ^= 1
-			slot.fb.Store(st.fb[i])
-		} else {
-			slot.resp.Store(enc)
-			st.oldResp[i] = enc
-		}
+		c.seenReq[i] = r
+		c.tx[i].send(c.pool, slot.fn(), &slot.resp, &slot.fb)
 	}
 }

@@ -13,20 +13,25 @@
 // fallback flag handles the corner case where the shuffled payload
 // collides with the previous word (Algorithms 3 and 4).
 //
-// Two implementations live here:
+// The encoding lives in one codec, tx and rx (Algorithms 3 and 4 for
+// one endpoint). Each endpoint counts its own messages, so a word's
+// pool index advances once per message sent over that word, and each
+// word has its own fallback flag. Every Pilot endpoint binds the codec
+// to memory:
 //
-//   - a real one on sync/atomic (Go guarantees 64-bit single-copy
-//     atomicity), deliverable as a library: Word/Sender/Receiver, the
-//     batched Batch variant, and the backpressured Ring;
-//   - a simulator-side one (SimWord/SimSender/SimReceiver) with the
-//     same protocol expressed against sim.Thread. It is the simulator's
-//     only Pilot encoder and decoder: every simulated Pilot site (the
-//     Pilot locks, dedup's RB-P ring, pc's Pilot buffer, the seqlock
-//     writer and the MPMC fan-in) sends and polls through it, over
-//     addresses the caller places and a hash pool both endpoints
-//     share. The endpoints issue only the loads and stores; each
-//     caller charges its own shuffle work with Nops, so per-site costs
-//     stay put.
+//   - the library on sync/atomic (Go guarantees 64-bit single-copy
+//     atomicity) binds it to pairs of atomic.Uint64s: Word/Sender/
+//     Receiver, the batched Batch (one endpoint per slice), the
+//     backpressured Ring (one endpoint per slot), the Combiner's
+//     responses and Broadcast;
+//   - the simulator binds it to a SimWord's two addresses through
+//     SimSender/SimReceiver, the simulator's only Pilot endpoints: every
+//     simulated Pilot site (the Pilot locks, dedup's RB-P ring, pc's
+//     Pilot buffer, the seqlock writer and reader and the MPMC fan-in)
+//     sends and polls through them, over addresses the caller places
+//     and a hash pool both endpoints share. The endpoints issue only
+//     the loads and stores; each caller charges the shuffle's ALU work
+//     itself with Nops, so per-site costs stay put.
 package core
 
 import (
@@ -56,6 +61,92 @@ func HashPool(seed uint64) []uint64 {
 	return pool
 }
 
+// tx is the codec's sending half (Algorithm 3) for one endpoint: the
+// messages it sent, and the data word and fallback flag it last stored.
+type tx struct {
+	cnt        int
+	data, flag uint64
+}
+
+// encode shuffles v with the endpoint's next pool entry and returns the
+// word to store. toFlag reports a collision: the shuffled payload equals
+// the data word already stored, which therefore decodes to v under this
+// message's pool entry as it stands, so the receiver only needs a nudge
+// that a message arrived and word is the toggled fallback flag.
+func (s *tx) encode(pool []uint64, v uint64) (word uint64, toFlag bool) {
+	enc := v ^ pool[s.cnt%PoolSize]
+	s.cnt++
+	if enc == s.data {
+		s.flag ^= 1
+		return s.flag, true
+	}
+	s.data = enc
+	return enc, false
+}
+
+// rx is the codec's receiving half (Algorithm 4) for one endpoint: the
+// messages it decoded, and the data word and fallback flag it last saw.
+// A receiver polls with seenData(load data) || seenFlag(load flag), so
+// it loads the flag only when the data word is unchanged.
+type rx struct {
+	cnt        int
+	data, flag uint64
+}
+
+// seenData reports whether d differs from the data word last seen, and
+// records it.
+func (r *rx) seenData(d uint64) bool {
+	if d == r.data {
+		return false
+	}
+	r.data = d
+	return true
+}
+
+// seenFlag reports whether f differs from the flag last seen, and
+// records it.
+func (r *rx) seenFlag(f uint64) bool {
+	if f == r.flag {
+		return false
+	}
+	r.flag = f
+	return true
+}
+
+// decode returns the next message: the last seen data word unshuffled
+// with the endpoint's next pool entry.
+func (r *rx) decode(pool []uint64) uint64 {
+	v := r.decodeAt(pool, r.cnt)
+	r.cnt++
+	return v
+}
+
+// decodeAt unshuffles the last seen data word as message n (counted
+// from 0) without consuming it, for readers that track the latest
+// publication instead of receiving every message.
+func (r *rx) decodeAt(pool []uint64, n int) uint64 {
+	return r.data ^ pool[n%PoolSize]
+}
+
+// send publishes v over a host data word and its flag with one atomic
+// store and no barrier.
+func (s *tx) send(pool []uint64, v uint64, data, flag *atomic.Uint64) {
+	if word, toFlag := s.encode(pool, v); toFlag {
+		flag.Store(word)
+	} else {
+		data.Store(word)
+	}
+}
+
+// poll polls a host data word and its flag once; it returns the next
+// message when one arrived.
+func (r *rx) poll(pool []uint64, data, flag *atomic.Uint64) (uint64, bool) {
+	if r.seenData(data.Load()) || r.seenFlag(flag.Load()) {
+		return r.decode(pool), true
+	}
+	return 0, false
+}
+
 // Word is the shared state of one Pilot channel: the piggybacked
 // data word and the rarely-used fallback flag, padded onto separate
 // cache lines so the fallback path cannot slow the fast path down.
@@ -70,21 +161,17 @@ type Word struct {
 // Sender is the producing side of a Word (Algorithm 3). Not safe for
 // concurrent use by multiple goroutines.
 type Sender struct {
-	w       *Word
-	pool    []uint64
-	cnt     int
-	oldData uint64
-	flag    uint64
+	w    *Word
+	pool []uint64
+	tx   tx
 }
 
 // Receiver is the consuming side of a Word (Algorithm 4). Not safe
 // for concurrent use by multiple goroutines.
 type Receiver struct {
-	w       *Word
-	pool    []uint64
-	cnt     int
-	oldData uint64
-	oldFlag uint64
+	w    *Word
+	pool []uint64
+	rx   rx
 }
 
 // NewPair returns connected sender/receiver halves over a fresh Word.
@@ -109,51 +196,37 @@ func NewReceiver(w *Word, seed uint64) *Receiver {
 // consumed the previous message (single-slot channel semantics; use
 // Ring for buffered backpressure).
 func (s *Sender) Send(payload uint64) {
-	newData := payload ^ s.pool[s.cnt%PoolSize]
-	s.cnt++
-	if newData == s.oldData {
-		// Fallback: the shuffled payload collides with the word already
-		// stored. Since oldData ^ pool[cnt] == payload, the shared word
-		// decodes to the new payload under this message's pool index as
-		// it stands — the receiver only needs a nudge that a message
-		// arrived, so toggle the flag instead of rewriting the data.
-		s.flag ^= 1
-		s.w.flag.Store(s.flag)
-		return
-	}
-	s.w.data.Store(newData)
-	s.oldData = newData
+	s.tx.send(s.pool, payload, &s.w.data, &s.w.flag)
 }
 
 // TryRecv polls for a new message; it returns (payload, true) when one
 // arrived (Algorithm 4's loop body, one iteration).
 func (r *Receiver) TryRecv() (uint64, bool) {
-	if d := r.w.data.Load(); d != r.oldData {
-		r.oldData = d
-	} else if f := r.w.flag.Load(); f != r.oldFlag {
-		r.oldFlag = f
-	} else {
-		return 0, false
-	}
-	v := r.oldData ^ r.pool[r.cnt%PoolSize]
-	r.cnt++
-	return v, true
+	return r.rx.poll(r.pool, &r.w.data, &r.w.flag)
 }
 
-// Recv spins until a message arrives and returns its payload. The
-// spin yields to the Go scheduler periodically so single-core hosts
-// make progress.
+// Recv spins until a message arrives and returns its payload.
 func (r *Receiver) Recv() uint64 {
-	for spins := 0; ; spins++ {
+	var p pacer
+	for {
 		if v, ok := r.TryRecv(); ok {
 			return v
 		}
-		if spins%spinYield == spinYield-1 {
-			runtime.Gosched()
-		}
+		p.miss()
 	}
 }
+
+// pacer paces a spin loop: it yields to the Go scheduler after every
+// spinYield failed polls, so single-core hosts make progress.
+type pacer int
 
 // spinYield is how many failed polls a spin loop tolerates before
 // yielding the processor.
 const spinYield = 64
+
+// miss records one failed poll.
+func (p *pacer) miss() {
+	if *p++; *p%spinYield == 0 {
+		runtime.Gosched()
+	}
+}

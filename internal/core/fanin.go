@@ -1,7 +1,5 @@
 package core
 
-import "runtime"
-
 // FanIn funnels many producers into one consumer through one Pilot
 // ring per producer — the lock-free alternative to a mutex-guarded
 // shared queue. Each producer owns its ring (SPSC discipline); the
@@ -60,12 +58,11 @@ func (c *FanInConsumer) TryRecv() (v uint64, from int, ok bool) {
 // Recv blocks (spinning with scheduler yields) until any producer
 // delivers.
 func (c *FanInConsumer) Recv() (uint64, int) {
-	for spins := 0; ; spins++ {
+	var p pacer
+	for {
 		if v, from, ok := c.TryRecv(); ok {
 			return v, from
 		}
-		if spins%spinYield == spinYield-1 {
-			runtime.Gosched()
-		}
+		p.miss()
 	}
 }

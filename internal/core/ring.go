@@ -1,9 +1,6 @@
 package core
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Ring is a single-producer single-consumer ring buffer whose slots
 // are Pilot-encoded (§4.4): the store that fills a slot *is* the
@@ -13,10 +10,11 @@ import (
 // ordering it needs is the cheap load-side one (line 3 of Algorithm 2,
 // shown by the paper to be non-critical).
 //
-// Each slot has its own Pilot word; the producer and consumer advance
-// through the slots in lockstep, so a slot is reused only after the
-// consumer published a new consCnt — that update is the backpressure
-// that makes the per-slot single-slot protocol safe.
+// Each slot has its own Pilot word and each half one codec endpoint
+// per slot, counting that slot's messages; the producer and consumer
+// advance through the slots in lockstep, so a slot is reused only after
+// the consumer published a new consCnt — that update is the
+// backpressure that makes the per-slot single-slot protocol safe.
 type Ring struct {
 	size    int
 	mask    int
@@ -46,28 +44,26 @@ func (r *Ring) Cap() int { return r.size }
 
 // RingProducer is the sending half; single goroutine only.
 type RingProducer struct {
-	r       *Ring
-	cnt     uint64
-	oldData []uint64
-	flags   []uint64
+	r   *Ring
+	cnt uint64
+	tx  []tx // one endpoint per slot
 }
 
 // RingConsumer is the receiving half; single goroutine only.
 type RingConsumer struct {
-	r        *Ring
-	cnt      uint64
-	oldData  []uint64
-	oldFlags []uint64
+	r   *Ring
+	cnt uint64
+	rx  []rx // one endpoint per slot
 }
 
 // Producer returns the producing half of the ring.
 func (r *Ring) Producer() *RingProducer {
-	return &RingProducer{r: r, oldData: make([]uint64, r.size), flags: make([]uint64, r.size)}
+	return &RingProducer{r: r, tx: make([]tx, r.size)}
 }
 
 // Consumer returns the consuming half of the ring.
 func (r *Ring) Consumer() *RingConsumer {
-	return &RingConsumer{r: r, oldData: make([]uint64, r.size), oldFlags: make([]uint64, r.size)}
+	return &RingConsumer{r: r, rx: make([]rx, r.size)}
 }
 
 // TrySend enqueues one payload; it fails when the ring is full.
@@ -77,14 +73,7 @@ func (p *RingProducer) TrySend(payload uint64) bool {
 		return false
 	}
 	i := int(p.cnt) & r.mask
-	newData := payload ^ r.pool[p.cnt%PoolSize]
-	if newData == p.oldData[i] {
-		p.flags[i] ^= 1
-		r.slots[i].flag.Store(p.flags[i])
-	} else {
-		r.slots[i].data.Store(newData)
-		p.oldData[i] = newData
-	}
+	p.tx[i].send(r.pool, payload, &r.slots[i].data, &r.slots[i].flag)
 	p.cnt++
 	r.prodCnt.Store(p.cnt)
 	return true
@@ -92,10 +81,9 @@ func (p *RingProducer) TrySend(payload uint64) bool {
 
 // Send enqueues one payload, spinning while the ring is full.
 func (p *RingProducer) Send(payload uint64) {
-	for spins := 0; !p.TrySend(payload); spins++ {
-		if spins%spinYield == spinYield-1 {
-			runtime.Gosched()
-		}
+	var s pacer
+	for !p.TrySend(payload) {
+		s.miss()
 	}
 }
 
@@ -106,27 +94,21 @@ func (p *RingProducer) Send(payload uint64) {
 func (c *RingConsumer) TryRecv() (uint64, bool) {
 	r := c.r
 	i := int(c.cnt) & r.mask
-	if d := r.slots[i].data.Load(); d != c.oldData[i] {
-		c.oldData[i] = d
-	} else if f := r.slots[i].flag.Load(); f != c.oldFlags[i] {
-		c.oldFlags[i] = f
-	} else {
-		return 0, false
+	v, ok := c.rx[i].poll(r.pool, &r.slots[i].data, &r.slots[i].flag)
+	if ok {
+		c.cnt++
+		r.consCnt.Store(c.cnt)
 	}
-	v := c.oldData[i] ^ r.pool[c.cnt%PoolSize]
-	c.cnt++
-	r.consCnt.Store(c.cnt)
-	return v, true
+	return v, ok
 }
 
 // Recv dequeues one payload, spinning while the ring is empty.
 func (c *RingConsumer) Recv() uint64 {
-	for spins := 0; ; spins++ {
+	var p pacer
+	for {
 		if v, ok := c.TryRecv(); ok {
 			return v
 		}
-		if spins%spinYield == spinYield-1 {
-			runtime.Gosched()
-		}
+		p.miss()
 	}
 }

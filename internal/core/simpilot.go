@@ -21,18 +21,14 @@ func NewSimWord(m *sim.Machine) SimWord {
 type SimSender struct {
 	w    SimWord
 	pool []uint64
-	cnt  int
-	old  uint64
-	flag uint64
+	tx   tx
 }
 
 // SimReceiver is the consuming side (Algorithm 4) for simulated threads.
 type SimReceiver struct {
 	w    SimWord
 	pool []uint64
-	cnt  int
-	old  uint64
-	flag uint64
+	rx   rx
 }
 
 // Sender returns the sending half. pool is the hash pool both halves
@@ -50,30 +46,34 @@ func (w SimWord) Receiver(pool []uint64) SimReceiver {
 // point of Pilot: the shuffled word, or a toggled fallback flag when
 // the shuffled word equals the one already stored.
 func (s *SimSender) Send(t *sim.Thread, v uint64) {
-	enc := v ^ s.pool[s.cnt%PoolSize]
-	s.cnt++
-	if enc == s.old {
-		s.flag ^= 1
-		t.Store(s.w.Flag, s.flag)
-		return
+	if word, toFlag := s.tx.encode(s.pool, v); toFlag {
+		t.Store(s.w.Flag, word)
+	} else {
+		t.Store(s.w.Data, word)
 	}
-	t.Store(s.w.Data, enc)
-	s.old = enc
 }
 
-// TryRecv polls once (one loop iteration of Algorithm 4): it loads the
-// data word, and the flag only if the data word is unchanged.
+// Observe polls once without consuming a message: it loads the data
+// word, and the flag only if the data word is unchanged, and reports
+// whether either changed since the last poll.
+func (r *SimReceiver) Observe(t *sim.Thread) bool {
+	return r.rx.seenData(t.Load(r.w.Data)) || r.rx.seenFlag(t.Load(r.w.Flag))
+}
+
+// DecodeAt decodes the last observed data word as message n (counted
+// from 0), for readers that track the latest publication instead of
+// receiving every message.
+func (r *SimReceiver) DecodeAt(n int) uint64 {
+	return r.rx.decodeAt(r.pool, n)
+}
+
+// TryRecv polls once (one loop iteration of Algorithm 4) and decodes
+// the next message when one arrived.
 func (r *SimReceiver) TryRecv(t *sim.Thread) (uint64, bool) {
-	if d := t.Load(r.w.Data); d != r.old {
-		r.old = d
-	} else if f := t.Load(r.w.Flag); f != r.flag {
-		r.flag = f
-	} else {
-		return 0, false
+	if r.Observe(t) {
+		return r.rx.decode(r.pool), true
 	}
-	v := r.old ^ r.pool[r.cnt%PoolSize]
-	r.cnt++
-	return v, true
+	return 0, false
 }
 
 // Recv polls until a message arrives, pausing Nops(pause) after each

@@ -84,6 +84,8 @@ func TestSimPilotNoBarrierStalls(t *testing.T) {
 // consecutive collisions that toggle the flag back; ordinary payloads
 // sit between them. Every message must arrive once, in order and
 // decoded, and the sender must issue exactly one store per message.
+// Two readers take the messages: Recv, and the seqlock reader's
+// Observe followed by DecodeAt of the message's index.
 func TestSimPilotFallback(t *testing.T) {
 	pool := HashPool(11)
 	const n = 60
@@ -116,46 +118,60 @@ func TestSimPilotFallback(t *testing.T) {
 			return SimWord{Data: m.Alloc(1), Flag: m.Alloc(1)}
 		}},
 	}
+	readers := []struct {
+		name string // subtest name suffix
+		read func(th *sim.Thread, r *SimReceiver, k int) uint64
+	}{
+		{"", func(th *sim.Thread, r *SimReceiver, _ int) uint64 { return r.Recv(th, 1) }},
+		{"/observe", func(th *sim.Thread, r *SimReceiver, k int) uint64 {
+			for !r.Observe(th) {
+				th.Nops(1)
+			}
+			return r.DecodeAt(k)
+		}},
+	}
 	for _, mode := range []sim.Mode{sim.WMM, sim.TSO} {
 		for _, lay := range layouts {
-			t.Run(fmt.Sprintf("%s/%s", lay.name, mode), func(t *testing.T) {
-				m := sim.New(sim.Config{Plat: platform.Kunpeng916(), Mode: mode, Seed: 4, MaxTime: 2e6})
-				w := lay.word(m)
-				ack := m.Alloc(1)
-				var got []uint64
-				var sender sim.ThreadStats
-				extra := false
-				m.Spawn(0, func(th *sim.Thread) {
-					s := w.Sender(pool)
-					for k, v := range payloads {
-						s.Send(th, v)
-						th.SpinUntil(ack, false, sim.SpinEQ, uint64(k+1), 1)
+			for _, rd := range readers {
+				t.Run(fmt.Sprintf("%s/%s%s", lay.name, mode, rd.name), func(t *testing.T) {
+					m := sim.New(sim.Config{Plat: platform.Kunpeng916(), Mode: mode, Seed: 4, MaxTime: 2e6})
+					w := lay.word(m)
+					ack := m.Alloc(1)
+					var got []uint64
+					var sender sim.ThreadStats
+					extra := false
+					m.Spawn(0, func(th *sim.Thread) {
+						s := w.Sender(pool)
+						for k, v := range payloads {
+							s.Send(th, v)
+							th.SpinUntil(ack, false, sim.SpinEQ, uint64(k+1), 1)
+						}
+						sender = th.Stats()
+					})
+					m.Spawn(32, func(th *sim.Thread) {
+						r := w.Receiver(pool)
+						for k := range payloads {
+							got = append(got, rd.read(th, &r, k))
+							th.Store(ack, uint64(k+1))
+						}
+						extra = r.Observe(th)
+					})
+					if err := runGuarded(m); err != nil {
+						t.Fatalf("after %d of %d messages: %v", len(got), n, err)
 					}
-					sender = th.Stats()
+					for k, v := range got {
+						if v != payloads[k] {
+							t.Fatalf("message %d decoded to %#x, want %#x", k, v, payloads[k])
+						}
+					}
+					if extra {
+						t.Fatal("a message was received twice")
+					}
+					if sender.Stores != n {
+						t.Fatalf("sender issued %d stores for %d messages, want one each", sender.Stores, n)
+					}
 				})
-				m.Spawn(32, func(th *sim.Thread) {
-					r := w.Receiver(pool)
-					for k := range payloads {
-						got = append(got, r.Recv(th, 1))
-						th.Store(ack, uint64(k+1))
-					}
-					_, extra = r.TryRecv(th)
-				})
-				if err := runGuarded(m); err != nil {
-					t.Fatalf("after %d of %d messages: %v", len(got), n, err)
-				}
-				for k, v := range got {
-					if v != payloads[k] {
-						t.Fatalf("message %d decoded to %#x, want %#x", k, v, payloads[k])
-					}
-				}
-				if extra {
-					t.Fatal("a message was received twice")
-				}
-				if sender.Stores != n {
-					t.Fatalf("sender issued %d stores for %d messages, want one each", sender.Stores, n)
-				}
-			})
+			}
 		}
 	}
 }

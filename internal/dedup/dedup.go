@@ -22,6 +22,7 @@ import (
 
 	"armbar/internal/core"
 	"armbar/internal/isa"
+	"armbar/internal/pc"
 	"armbar/internal/platform"
 	"armbar/internal/sim"
 	"armbar/internal/topo"
@@ -31,8 +32,8 @@ import (
 type Buffer int
 
 const (
-	// Q is the original lock-guarded queue (a ticket-style lock word
-	// protects head/tail updates).
+	// Q is the original lock-guarded queue: a pc.TicketRing, whose
+	// head/tail updates a ticket lock protects.
 	Q Buffer = iota
 	// RB is a lock-free SPSC ring with the conventional counter+barrier
 	// protocol (DMB ld / DMB st, the best Figure-6a combo).
@@ -255,10 +256,8 @@ func stageCores(p *platform.Platform, cross bool) [3]topo.CoreID {
 type hop struct {
 	cfg Config
 
-	// Q flavor: ticket-lock words + queue state.
-	lockNext, lockServing uint64
-	qMeta                 uint64 // +0 head index, +8 tail index
-	qSlots                uint64 // ring storage, one line per slot
+	// Q flavor: a ring under a ticket lock.
+	q *pc.TicketRing
 
 	// RB flavor: counters + slots.
 	prodCnt, consCnt uint64
@@ -278,10 +277,7 @@ func newHop(m *sim.Machine, cfg Config, id int) *hop {
 	n := cfg.Slots
 	switch cfg.Buffer {
 	case Q:
-		h.lockNext = m.Alloc(1)
-		h.lockServing = m.Alloc(1)
-		h.qMeta = m.Alloc(1)
-		h.qSlots = m.Alloc(n)
+		h.q = pc.NewTicketRing(m, n)
 	case RB:
 		h.prodCnt = m.Alloc(1)
 		h.consCnt = m.Alloc(1)
@@ -305,20 +301,7 @@ func (h *hop) send(t *sim.Thread, v uint64) {
 	n := uint64(h.cfg.Slots)
 	switch h.cfg.Buffer {
 	case Q:
-		for {
-			h.lockQ(t)
-			head := t.Load(h.qMeta + 0)
-			tail := t.Load(h.qMeta + 8)
-			if tail-head < n {
-				t.Store(h.qSlots+(tail%n)<<6, v)
-				t.Barrier(isa.DMBSt)
-				t.Store(h.qMeta+8, tail+1)
-				h.unlockQ(t)
-				return
-			}
-			h.unlockQ(t)
-			t.Nops(16)
-		}
+		h.q.Send(t, v)
 	case RB:
 		for h.sendCnt-t.Load(h.consCnt) >= n {
 			t.Nops(8)
@@ -343,20 +326,7 @@ func (h *hop) recv(t *sim.Thread) uint64 {
 	n := uint64(h.cfg.Slots)
 	switch h.cfg.Buffer {
 	case Q:
-		for {
-			h.lockQ(t)
-			head := t.Load(h.qMeta + 0)
-			tail := t.Load(h.qMeta + 8)
-			if tail > head {
-				t.Barrier(isa.DMBLd)
-				v := t.Load(h.qSlots + (head%n)<<6)
-				t.Store(h.qMeta+0, head+1)
-				h.unlockQ(t)
-				return v
-			}
-			h.unlockQ(t)
-			t.Nops(16)
-		}
+		return h.q.Recv(t)
 	case RB:
 		for t.Load(h.prodCnt) == h.recvCnt {
 			t.Nops(8)
@@ -381,18 +351,7 @@ func (h *hop) tryRecv(t *sim.Thread) (uint64, bool) {
 	n := uint64(h.cfg.Slots)
 	switch h.cfg.Buffer {
 	case Q:
-		h.lockQ(t)
-		head := t.Load(h.qMeta + 0)
-		tail := t.Load(h.qMeta + 8)
-		if tail == head {
-			h.unlockQ(t)
-			return 0, false
-		}
-		t.Barrier(isa.DMBLd)
-		v := t.Load(h.qSlots + (head%n)<<6)
-		t.Store(h.qMeta+0, head+1)
-		h.unlockQ(t)
-		return v, true
+		return h.q.TryRecv(t)
 	case RB:
 		if t.Load(h.prodCnt) == h.recvCnt {
 			return 0, false
@@ -412,18 +371,4 @@ func (h *hop) tryRecv(t *sim.Thread) (uint64, bool) {
 		t.Store(h.consCnt, h.recvCnt)
 		return v, true
 	}
-}
-
-// lockQ / unlockQ implement the queue's ticket lock inline.
-func (h *hop) lockQ(t *sim.Thread) {
-	my := t.FetchAdd(h.lockNext, 1)
-	for t.LoadAcquire(h.lockServing) != my {
-		t.Nops(8)
-	}
-}
-
-func (h *hop) unlockQ(t *sim.Thread) {
-	t.Barrier(isa.DMBSt)
-	s := t.Load(h.lockServing)
-	t.Store(h.lockServing, s+1)
 }

@@ -545,14 +545,13 @@ func Fig7b(o Options) *report.Table {
 	combos := []struct {
 		label string
 		x, y  isa.Barrier
-		noY   bool
 	}{
-		{"DMB full-DMB st", isa.DMBFull, isa.DMBSt, false},
-		{"DMB ld-DMB st", isa.DMBLd, isa.DMBSt, false},
-		{"LDAR-DMB st", isa.LDAR, isa.DMBSt, false},
-		{"CTRL+ISB-DMB st", isa.CtrlISB, isa.DMBSt, false},
-		{"ADDR-DMB st", isa.AddrDep, isa.DMBSt, false},
-		{"LDAR-No Barrier", isa.LDAR, isa.AddrDep, true},
+		{"DMB full-DMB st", isa.DMBFull, isa.DMBSt},
+		{"DMB ld-DMB st", isa.DMBLd, isa.DMBSt},
+		{"LDAR-DMB st", isa.LDAR, isa.DMBSt},
+		{"CTRL+ISB-DMB st", isa.CtrlISB, isa.DMBSt},
+		{"ADDR-DMB st", isa.AddrDep, isa.DMBSt},
+		{"LDAR-No Barrier", isa.LDAR, isa.AddrDep},
 	}
 	t := report.New("Figure 7b: delegation lock barrier combos (normalized, FFWD, 1 global counter)",
 		"Combo", "FFWD", "DSMSynch")

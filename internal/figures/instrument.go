@@ -14,8 +14,8 @@ type ExperimentRun struct {
 	Name        string  `json:"name"`
 	Tables      int     `json:"tables"`
 	WallSeconds float64 `json:"wall_seconds"`
-	OutputBytes int     `json:"output_bytes"` // rendered CSV bytes, format-independent
-	Cells       int     `json:"cells"`        // simulation cells run through the pool (0 when inline)
+	OutputBytes int     `json:"output_bytes"`           // rendered CSV bytes, format-independent
+	Cells       int     `json:"cells"`                  // simulation cells run through the pool (0 when inline)
 	CacheHits   int     `json:"cache_hits,omitempty"`   // cells served from the result cache
 	CacheMisses int     `json:"cache_misses,omitempty"` // cells simulated (and then stored)
 

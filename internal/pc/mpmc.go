@@ -20,7 +20,7 @@ import (
 type MPMCMode int
 
 const (
-	// LockedRing is one shared ring guarded by a ticket lock.
+	// LockedRing is one shared TicketRing.
 	LockedRing MPMCMode = iota
 	// PilotFanIn is one Pilot channel per producer, consumer polling
 	// round-robin.
@@ -108,54 +108,91 @@ func RunMPMC(cfg MPMCConfig) MPMCResult {
 	}
 }
 
-// runLockedRing: a shared 16-slot ring with head/tail indices, all
-// accesses under a ticket lock; the paper's "locks are required" case.
-func runLockedRing(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, consCore topo.CoreID, sum *uint64) {
-	const slots = 16
-	lock := locks.NewTicket(m, isa.DMBSt)
-	meta := m.Alloc(1) // +0 head, +8 tail
-	buf := m.Alloc(slots)
+// TicketRing is a bounded ring that any number of simulated producers
+// and consumers share, every access under one ticket lock: the
+// "locks are required" baseline of the MPMC comparison, and the
+// lock-based queue (Q) that dedup ships with (§4.5). Head and tail
+// share one line; each slot has a line of its own.
+type TicketRing struct {
+	lock  *locks.TicketLock
+	meta  uint64 // +0 head index, +8 tail index
+	slots uint64
+	n     uint64
+}
 
+// NewTicketRing allocates an n-slot ring on m: the lock's two lines,
+// then the head/tail line, then the slots.
+func NewTicketRing(m *sim.Machine, n int) *TicketRing {
+	return &TicketRing{
+		lock:  locks.NewTicket(m, isa.DMBSt),
+		meta:  m.Alloc(1),
+		slots: m.Alloc(n),
+		n:     uint64(n),
+	}
+}
+
+// Send enqueues v. While the ring is full it drops the lock and
+// retries after Nops(16).
+func (r *TicketRing) Send(t *sim.Thread, v uint64) {
+	for {
+		r.lock.Lock(t)
+		head := t.Load(r.meta + 0)
+		tail := t.Load(r.meta + 8)
+		if tail-head < r.n {
+			t.Store(r.slots+(tail%r.n)<<6, v)
+			t.Barrier(isa.DMBSt)
+			t.Store(r.meta+8, tail+1)
+			r.lock.Unlock(t)
+			return
+		}
+		r.lock.Unlock(t)
+		t.Nops(16)
+	}
+}
+
+// TryRecv dequeues one value under the lock; ok is false when the ring
+// was empty.
+func (r *TicketRing) TryRecv(t *sim.Thread) (v uint64, ok bool) {
+	r.lock.Lock(t)
+	head := t.Load(r.meta + 0)
+	tail := t.Load(r.meta + 8)
+	if ok = tail != head; ok {
+		t.Barrier(isa.DMBLd)
+		v = t.Load(r.slots + (head%r.n)<<6)
+		t.Store(r.meta+0, head+1)
+	}
+	r.lock.Unlock(t)
+	return v, ok
+}
+
+// Recv dequeues one value, retrying after Nops(16) while the ring is
+// empty.
+func (r *TicketRing) Recv(t *sim.Thread) uint64 {
+	for {
+		if v, ok := r.TryRecv(t); ok {
+			return v
+		}
+		t.Nops(16)
+	}
+}
+
+// runLockedRing: a shared 16-slot TicketRing; the paper's "locks are
+// required" case.
+func runLockedRing(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, consCore topo.CoreID, sum *uint64) {
+	ring := NewTicketRing(m, 16)
 	for p := range prodCores {
 		p := p
 		m.Spawn(prodCores[p], func(t *sim.Thread) {
 			for i := 0; i < cfg.Messages; i++ {
-				v := payload(p*cfg.Messages+i, 0)
 				t.Nops(cfg.MsgWork)
-				for {
-					lock.Lock(t)
-					head := t.Load(meta + 0)
-					tail := t.Load(meta + 8)
-					if tail-head < slots {
-						t.Store(buf+(tail%slots)<<6, v)
-						t.Barrier(isa.DMBSt)
-						t.Store(meta+8, tail+1)
-						lock.Unlock(t)
-						break
-					}
-					lock.Unlock(t)
-					t.Nops(16)
-				}
+				ring.Send(t, payload(p*cfg.Messages+i, 0))
 			}
 		})
 	}
 	total := len(prodCores) * cfg.Messages
 	m.Spawn(consCore, func(t *sim.Thread) {
-		got := 0
-		for got < total {
-			lock.Lock(t)
-			head := t.Load(meta + 0)
-			tail := t.Load(meta + 8)
-			if tail > head {
-				t.Barrier(isa.DMBLd)
-				*sum += t.Load(buf + (head%slots)<<6)
-				t.Store(meta+0, head+1)
-				got++
-			}
-			lock.Unlock(t)
-			if tail == head {
-				t.Nops(16)
-			}
+		for got := 0; got < total; got++ {
+			*sum += ring.Recv(t)
 		}
 	})
 }

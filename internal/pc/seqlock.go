@@ -178,18 +178,16 @@ func runPilotPub(m *sim.Machine, cfg PubConfig, res *PubResult) {
 	})
 
 	m.Spawn(cfg.Reader, func(t *sim.Thread) {
-		lastData := make([]uint64, cfg.Words)
-		lastFb := make([]uint64, cfg.Words)
+		rx := make([]core.SimReceiver, cfg.Words)
+		for w, word := range words {
+			rx[w] = word.Receiver(pool)
+		}
 		buf := make([]uint64, cfg.Words)
 		lastU := 0
 		for t.Load(stop) == 0 {
 			// Refresh every slice's latest observation.
-			for w, word := range words {
-				if v := t.Load(word.Data); v != lastData[w] {
-					lastData[w] = v
-				} else if fl := t.Load(word.Flag); fl != lastFb[w] {
-					lastFb[w] = fl
-				}
+			for w := range rx {
+				rx[w].Observe(t)
 			}
 			// A consistent snapshot decodes every slice under one
 			// update index ahead of the last snapshot. Each slice's
@@ -197,18 +195,14 @@ func runPilotPub(m *sim.Machine, cfg PubConfig, res *PubResult) {
 			// message u-1 of every slice.
 			matched := false
 			for u := lastU + 1; u <= cfg.Updates && !matched; u++ {
-				h := pool[(u-1)%core.PoolSize]
 				all := true
-				for w := 0; w < cfg.Words; w++ {
-					if lastData[w]^h != pubValue(u, w) {
+				for w := range rx {
+					if buf[w] = rx[w].DecodeAt(u - 1); buf[w] != pubValue(u, w) {
 						all = false
 						break
 					}
 				}
 				if all {
-					for w := 0; w < cfg.Words; w++ {
-						buf[w] = lastData[w] ^ h
-					}
 					res.Snapshots++
 					if tornRecord(buf) {
 						res.Torn = true

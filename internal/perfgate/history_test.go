@@ -68,9 +68,9 @@ func TestHistoryTable(t *testing.T) {
 	for _, want := range []string{
 		"2026-06-01", "2026-07-01", "2026-08-01",
 		"BenchmarkStoreCommit", "BenchmarkRendezvous",
-		"-40.0%",  // StoreCommit 50 -> 30
-		"-5.6%",   // Rendezvous 900 -> 850 (first appears mid-history)
-		"-33.3%",  // cold wall 90 -> 60; absent in line 3 renders "-"
+		"-40.0%", // StoreCommit 50 -> 30
+		"-5.6%",  // Rendezvous 900 -> 850 (first appears mid-history)
+		"-33.3%", // cold wall 90 -> 60; absent in line 3 renders "-"
 		"cold `-quick all`",
 	} {
 		if !strings.Contains(out, want) {

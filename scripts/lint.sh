@@ -1,6 +1,9 @@
 #!/bin/sh
 # Static-analysis gate: run the armvet pass suite (determvet, lockvet,
 # atomicvet, allocvet, metricvet) over the whole module and fail on any finding.
+# Run without arguments, it first checks that every Go file outside the
+# hidden build and cache directories is gofmt-clean, and fails naming
+# the files that are not.
 # armvet typechecks the repo from source with the pure-Go toolchain
 # (no cgo, no network), so the only requirement is a Go toolchain new
 # enough to build the module. Degrade loudly, not silently: an old
@@ -33,6 +36,13 @@ go1 | go1.[0-9] | go1.[0-9].* | go1.1[0-9] | go1.1[0-9].* | go1.2[012] | go1.2[0
 esac
 
 if [ "$#" -eq 0 ]; then
+	gofmt=$(go env GOROOT)/bin/gofmt
+	unformatted=$(find . -path './.*' -prune -o -name '*.go' -print | xargs "$gofmt" -l)
+	if [ -n "$unformatted" ]; then
+		echo "lint: these files are not gofmt-clean (run gofmt -w on them):" >&2
+		echo "$unformatted" >&2
+		exit 1
+	fi
 	set -- ./...
 fi
 exec go run ./cmd/armvet "$@"
