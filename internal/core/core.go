@@ -205,7 +205,9 @@ func (r *Receiver) TryRecv() (uint64, bool) {
 	return r.rx.poll(r.pool, &r.w.data, &r.w.flag)
 }
 
-// Recv spins until a message arrives and returns its payload.
+// Recv spins until a message arrives and returns its payload. The
+// spin yields to the Go scheduler periodically so single-core hosts
+// make progress.
 func (r *Receiver) Recv() uint64 {
 	var p pacer
 	for {
