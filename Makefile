@@ -5,15 +5,15 @@ GO ?= go
 # test suite, the concurrency packages again under the race detector
 # (including the simulator's coroutine handoff), the
 # cycle-attribution conservation invariant over the fast golden
-# subset, then the perf-regression gate against the committed
-# BENCH_sim.json. `-run 'Test'` keeps the race pass on the (fast)
+# subset, the golden digest of every experiment's -quick output, then
+# the perf-regression gate against the committed BENCH_sim.json. `-run 'Test'` keeps the race pass on the (fast)
 # unit tests rather than the benchmarks. scalecheck re-runs the
 # 256-core barrier smoke under the race detector so the scheduler's
 # driver loop is exercised at scale on every merge. benchcheck
 # compiles and tests the perfbench module, which the root module's
 # ./... never reaches.
 .PHONY: verify
-verify: build vet lint test race scalecheck profilecheck cachecheck fencecheck perfcheck benchcheck
+verify: build vet lint test race scalecheck profilecheck cachecheck digestcheck fencecheck perfcheck benchcheck
 
 .PHONY: build
 build:
@@ -53,6 +53,14 @@ scalecheck:
 .PHONY: determinism
 determinism:
 	ARMBAR_DETERMINISM_FULL=1 $(GO) test -run TestParallelOutputMatchesSequential -timeout 120m ./internal/figures
+
+# Full golden-digest gate: the -quick output of every registered
+# experiment at seed 42 must hash to goldenAllDigest. The plain test run
+# checks only the fast subset's digest, which leaves fig6a-c, tso,
+# ablation and mpmc unpinned.
+.PHONY: digestcheck
+digestcheck:
+	ARMBAR_DETERMINISM_FULL=1 $(GO) test -run TestQuickOutputDigest ./internal/figures
 
 # Result-cache equivalence gate: the fast golden subset regenerated
 # cold, warm (from the cache the cold run filled) and with -cache=off

@@ -36,9 +36,7 @@ func main() {
 	})
 	m.Spawn(p.Sys.NodeCores(1)[0], func(t *sim.Thread) {
 		for i := uint64(1); i <= msgs; i++ {
-			for t.Load(flag) < i {
-				t.Nops(4)
-			}
+			t.SpinUntil(flag, false, sim.SpinGE, i, 4)
 			t.Barrier(isa.DMBLd)
 			t.Load(data)
 		}

@@ -21,7 +21,7 @@ import (
 // stale results. cellcache itself is included so an encoding change
 // can never decode old records into wrong values.
 var simPackages = []string{
-	"a64", "ablation", "absmodel", "ace", "barrier", "cellcache", "core",
+	"a64", "absmodel", "ace", "barrier", "cellcache", "core",
 	"dedup", "ds", "explore", "figures", "floorplan", "isa",
 	"locks", "mesi", "metrics", "pc", "platform", "prog", "report",
 	"runner", "sb", "scenario", "sim", "topo",

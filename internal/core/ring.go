@@ -20,8 +20,6 @@ type Ring struct {
 	mask    int
 	slots   []Word
 	pool    []uint64
-	prodCnt atomic.Uint64
-	_       [56]byte
 	consCnt atomic.Uint64
 	_       [56]byte
 }
@@ -75,7 +73,6 @@ func (p *RingProducer) TrySend(payload uint64) bool {
 	i := int(p.cnt) & r.mask
 	p.tx[i].send(r.pool, payload, &r.slots[i].data, &r.slots[i].flag)
 	p.cnt++
-	r.prodCnt.Store(p.cnt)
 	return true
 }
 
@@ -88,8 +85,8 @@ func (p *RingProducer) Send(payload uint64) {
 }
 
 // TryRecv dequeues one payload; it fails when the ring is empty. The
-// availability check is the slot's Pilot change itself — prodCnt is
-// never read on this path, which is the second half of Pilot's win
+// availability check is the slot's Pilot change itself — the ring has
+// no producer counter to read, which is the second half of Pilot's win
 // (fewer touched cache lines).
 func (c *RingConsumer) TryRecv() (uint64, bool) {
 	r := c.r

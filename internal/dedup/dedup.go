@@ -56,6 +56,9 @@ func (b Buffer) String() string {
 	}
 }
 
+// slots is every hop's ring capacity.
+const slots = 8
+
 // Workload is one of the paper's three input sizes.
 type Workload struct {
 	Name   string
@@ -83,7 +86,6 @@ type Config struct {
 	Plat   *platform.Platform
 	Buffer Buffer
 	W      Workload
-	Slots  int // ring capacity per hop (power of two, default 8)
 	Seed   int64
 	// CrossNode places consecutive stages on different NUMA nodes when
 	// the platform has them.
@@ -138,9 +140,6 @@ func reference(w Workload) (checksum uint64, unique int) {
 
 // Run executes the pipeline.
 func Run(cfg Config) Result {
-	if cfg.Slots == 0 {
-		cfg.Slots = 8
-	}
 	if cfg.HashWorkers <= 0 {
 		cfg.HashWorkers = 1
 	}
@@ -149,11 +148,11 @@ func Run(cfg Config) Result {
 	nw := cfg.HashWorkers
 
 	// One inbound and one outbound hop per hash worker.
-	in := make([]*hop, nw)
-	out := make([]*hop, nw)
+	in := make([]hop, nw)
+	out := make([]hop, nw)
 	for w := 0; w < nw; w++ {
-		in[w] = newHop(m, cfg, 1+2*w)
-		out[w] = newHop(m, cfg, 2+2*w)
+		in[w] = newHop(m, cfg.Buffer, 1+2*w)
+		out[w] = newHop(m, cfg.Buffer, 2+2*w)
 	}
 	route := func(v uint64) int { return int((v * 0x9E3779B97F4A7C15 >> 40) % uint64(nw)) }
 
@@ -165,10 +164,10 @@ func Run(cfg Config) Result {
 		for i := 0; i < cfg.W.Chunks; i++ {
 			t.Nops(cfg.W.Work / 3) // chunking work
 			v := chunkValue(i)
-			in[route(v)].send(t, v)
+			in[route(v)].Send(t, v)
 		}
 		for w := 0; w < nw; w++ {
-			in[w].send(t, 0) // end-of-stream per worker
+			in[w].Send(t, 0) // end-of-stream per worker
 		}
 	})
 
@@ -182,9 +181,9 @@ func Run(cfg Config) Result {
 		m.Spawn(workerCore(w), func(t *sim.Thread) {
 			seen := make(map[uint64]bool)
 			for {
-				v := in[w].recv(t)
+				v := in[w].Recv(t)
 				if v == 0 {
-					out[w].send(t, 0)
+					out[w].Send(t, 0)
 					return
 				}
 				t.Nops(cfg.W.Work) // fingerprinting work
@@ -192,7 +191,7 @@ func Run(cfg Config) Result {
 					continue // duplicate: drop
 				}
 				seen[v] = true
-				out[w].send(t, v)
+				out[w].Send(t, v)
 			}
 		})
 	}
@@ -208,7 +207,7 @@ func Run(cfg Config) Result {
 				if done[w] {
 					continue
 				}
-				v, ok := out[w].tryRecv(t)
+				v, ok := out[w].TryRecv(t)
 				if !ok {
 					continue
 				}
@@ -250,125 +249,52 @@ func stageCores(p *platform.Platform, cross bool) [3]topo.CoreID {
 	return [3]topo.CoreID{0, 1, 2}
 }
 
-// hop is one stage-to-stage connection in the configured flavor.
-// Payload zero is reserved for end-of-stream (chunkValue never
-// produces zero).
-type hop struct {
-	cfg Config
-
-	// Q flavor: a ring under a ticket lock.
-	q *pc.TicketRing
-
-	// RB flavor: counters + slots.
-	prodCnt, consCnt uint64
-	slots            uint64
-
-	// RB-P flavor: one Pilot channel per slot.
-	tx []core.SimSender
-	rx []core.SimReceiver
-
-	// Common local state.
-	sendCnt uint64
-	recvCnt uint64
+// hop is one stage-to-stage connection. Payload zero is reserved for
+// end-of-stream (chunkValue never produces zero).
+type hop interface {
+	Send(t *sim.Thread, v uint64)
+	Recv(t *sim.Thread) uint64
+	// TryRecv takes one value without blocking; ok reports success. The
+	// end-of-stream zero counts as a value.
+	TryRecv(t *sim.Thread) (v uint64, ok bool)
 }
 
-func newHop(m *sim.Machine, cfg Config, id int) *hop {
-	h := &hop{cfg: cfg}
-	n := cfg.Slots
-	switch cfg.Buffer {
+// newHop allocates a hop of flavor b; id seeds an RB-P hop's hash pool.
+func newHop(m *sim.Machine, b Buffer, id int) hop {
+	switch b {
 	case Q:
-		h.q = pc.NewTicketRing(m, n)
+		return pc.NewTicketRing(m, slots)
 	case RB:
-		h.prodCnt = m.Alloc(1)
-		h.consCnt = m.Alloc(1)
-		h.slots = m.Alloc(n)
-	case RBP:
-		h.consCnt = m.Alloc(1)
-		data := m.Alloc(n)
-		flags := m.Alloc(n)
-		pool := core.HashPool(uint64(id) * 131)
-		for i := 0; i < n; i++ {
-			w := core.SimWord{Data: data + uint64(i)<<6, Flag: flags + uint64(i)<<6}
-			h.tx = append(h.tx, w.Sender(pool))
-			h.rx = append(h.rx, w.Receiver(pool))
-		}
-	}
-	return h
-}
-
-// send pushes one value through the hop.
-func (h *hop) send(t *sim.Thread, v uint64) {
-	n := uint64(h.cfg.Slots)
-	switch h.cfg.Buffer {
-	case Q:
-		h.q.Send(t, v)
-	case RB:
-		for h.sendCnt-t.Load(h.consCnt) >= n {
-			t.Nops(8)
-		}
-		t.Barrier(isa.DMBLd)
-		t.Store(h.slots+(h.sendCnt%n)<<6, v)
-		t.Barrier(isa.DMBSt)
-		h.sendCnt++
-		t.Store(h.prodCnt, h.sendCnt)
-	case RBP:
-		for h.sendCnt-t.LoadAcquire(h.consCnt) >= n {
-			t.Nops(8)
-		}
-		t.Nops(2)
-		h.tx[h.sendCnt%n].Send(t, v)
-		h.sendCnt++
+		return ring{pc.NewClassicRing(m, pc.Combo{Avail: isa.DMBLd, Publish: isa.DMBSt}, slots, 1, 8)}
+	default:
+		return ring{pc.NewPilotRing(m, core.HashPool(uint64(id)*131), slots, 1, 8, 2)}
 	}
 }
 
-// recv pops one value from the hop.
-func (h *hop) recv(t *sim.Thread) uint64 {
-	n := uint64(h.cfg.Slots)
-	switch h.cfg.Buffer {
-	case Q:
-		return h.q.Recv(t)
-	case RB:
-		for t.Load(h.prodCnt) == h.recvCnt {
-			t.Nops(8)
-		}
-		t.Barrier(isa.DMBLd)
-		v := t.Load(h.slots + (h.recvCnt%n)<<6)
-		h.recvCnt++
-		t.Store(h.consCnt, h.recvCnt)
-		return v
-	default: // RBP
-		v := h.rx[h.recvCnt%n].Recv(t, 8)
-		t.Nops(2)
-		h.recvCnt++
-		t.Store(h.consCnt, h.recvCnt)
-		return v
-	}
+// ring is a one-slice pc.Ring as a hop: every receive waits for,
+// reads and releases one message.
+type ring struct{ *pc.Ring }
+
+func (r ring) Send(t *sim.Thread, v uint64) {
+	r.Reserve(t)
+	r.Put(t, 0, v)
+	r.Publish(t)
 }
 
-// tryRecv pops one value without blocking; ok reports success. The
-// end-of-stream zero counts as a value.
-func (h *hop) tryRecv(t *sim.Thread) (uint64, bool) {
-	n := uint64(h.cfg.Slots)
-	switch h.cfg.Buffer {
-	case Q:
-		return h.q.TryRecv(t)
-	case RB:
-		if t.Load(h.prodCnt) == h.recvCnt {
-			return 0, false
-		}
-		t.Barrier(isa.DMBLd)
-		v := t.Load(h.slots + (h.recvCnt%n)<<6)
-		h.recvCnt++
-		t.Store(h.consCnt, h.recvCnt)
-		return v, true
-	default: // RBP
-		v, ok := h.rx[h.recvCnt%n].TryRecv(t)
-		if !ok {
-			return 0, false
-		}
-		t.Nops(2)
-		h.recvCnt++
-		t.Store(h.consCnt, h.recvCnt)
-		return v, true
+func (r ring) Recv(t *sim.Thread) uint64 {
+	r.Wait(t)
+	return r.take(t)
+}
+
+func (r ring) TryRecv(t *sim.Thread) (uint64, bool) {
+	if r.TryWait(t) == 0 {
+		return 0, false
 	}
+	return r.take(t), true
+}
+
+func (r ring) take(t *sim.Thread) uint64 {
+	v := r.Get(t, 0)
+	r.Release(t)
+	return v
 }

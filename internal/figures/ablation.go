@@ -1,9 +1,10 @@
-// Package ablation studies how the simulator's own design parameters
+package figures
+
+// The ablation sweeps study how the simulator's own design parameters
 // shape the reproduced results — the knobs DESIGN.md calls out. Each
-// function sweeps one cost-model parameter and reports the headline
-// metric it controls, so a reader can see which conclusions are robust
-// to calibration and which are driven by a specific constant.
-package ablation
+// sweeps one cost-model parameter and reports the headline metric it
+// controls, so a reader can see which conclusions are robust to
+// calibration and which are driven by a specific constant.
 
 import (
 	"fmt"
@@ -18,32 +19,12 @@ import (
 	"armbar/internal/topo"
 )
 
-// Options mirrors figures.Options on a smaller scale.
-type Options struct {
-	Quick bool
-	Seed  int64
-}
-
-func (o Options) seed() int64 {
-	if o.Seed == 0 {
-		return 42
-	}
-	return o.Seed
-}
-
-func (o Options) runs(full, quick int) int {
-	if o.Quick {
-		return quick
-	}
-	return full
-}
-
 // AnomalyVsJitter sweeps the store-drain jitter and reports the
 // message-passing anomaly rate: the litmus behavior (Table 1) exists
 // *because* of non-FIFO drain, and vanishes as the jitter goes to zero
 // only in combination with the invalidation window.
 func AnomalyVsJitter(o Options) *report.Table {
-	runs := o.runs(2000, 400)
+	runs := o.scale(2000, 400)
 	t := report.New("Ablation: MP anomaly rate vs drain jitter",
 		"DrainJitter (cycles)", "anomalies", "rate")
 	for _, j := range []float64{0, 10, 25, 50, 100, 200} {
@@ -59,7 +40,7 @@ func AnomalyVsJitter(o Options) *report.Table {
 
 // AnomalyVsInvalidationDelay sweeps the stale-read window.
 func AnomalyVsInvalidationDelay(o Options) *report.Table {
-	runs := o.runs(2000, 400)
+	runs := o.scale(2000, 400)
 	t := report.New("Ablation: MP anomaly rate vs invalidation-processing window",
 		"InvalidationDelay (cycles)", "anomalies", "rate")
 	for _, d := range []float64{0, 10, 20, 40, 80, 160} {
@@ -93,7 +74,7 @@ func TippingVsMissLatency(o Options) *report.Table {
 // fence hurts by serializing commits, which only throttles the producer
 // once the buffer is too shallow to absorb the backlog.
 func PilotGainVsStoreBuffer(o Options) *report.Table {
-	msgs := o.runs(1500, 400)
+	msgs := o.scale(1500, 400)
 	t := report.New("Ablation: producer-consumer Pilot gain vs store-buffer entries",
 		"StoreBufferEntries", "DMBld-DMBst (Mmsg/s)", "Pilot (Mmsg/s)", "gain")
 	for _, entries := range []int{2, 4, 8, 16, 24, 48} {
@@ -114,7 +95,7 @@ func PilotGainVsStoreBuffer(o Options) *report.Table {
 // BarrierCostVsSyncTxn sweeps the DSB domain-boundary cost and reports
 // the Figure-2 DSB:no-barrier gap — the one number Obs 1 hangs on.
 func BarrierCostVsSyncTxn(o Options) *report.Table {
-	iters := o.runs(1500, 400)
+	iters := o.scale(1500, 400)
 	t := report.New("Ablation: intrinsic DSB gap vs SyncTxn",
 		"SyncTxn (cycles)", "No Barrier (Mloops/s)", "DSB full (Mloops/s)", "gap")
 	for _, txn := range []float64{60, 120, 240, 480, 960} {
@@ -129,15 +110,4 @@ func BarrierCostVsSyncTxn(o Options) *report.Table {
 		t.Row(txn, none/1e6, dsb/1e6, fmt.Sprintf("%.1fx", none/dsb))
 	}
 	return t
-}
-
-// All returns every ablation table.
-func All(o Options) []*report.Table {
-	return []*report.Table{
-		AnomalyVsJitter(o),
-		AnomalyVsInvalidationDelay(o),
-		TippingVsMissLatency(o),
-		PilotGainVsStoreBuffer(o),
-		BarrierCostVsSyncTxn(o),
-	}
 }

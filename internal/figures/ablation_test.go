@@ -1,14 +1,14 @@
-package ablation
+package figures
 
 import (
 	"strconv"
 	"testing"
 )
 
-var quick = Options{Quick: true, Seed: 9}
+var ablationQuick = Options{Quick: true, Seed: 9}
 
 func TestAnomalyGrowsWithJitter(t *testing.T) {
-	tb := AnomalyVsJitter(quick)
+	tb := AnomalyVsJitter(ablationQuick)
 	first, _ := strconv.ParseFloat(tb.Cell(0, 2), 64)
 	last, _ := strconv.ParseFloat(tb.Cell(tb.Rows()-1, 2), 64)
 	if last <= first {
@@ -17,7 +17,7 @@ func TestAnomalyGrowsWithJitter(t *testing.T) {
 }
 
 func TestTippingTracksMissLatency(t *testing.T) {
-	tb := TippingVsMissLatency(quick)
+	tb := TippingVsMissLatency(ablationQuick)
 	var prev float64 = -1
 	for r := 0; r < tb.Rows(); r++ {
 		n, err := strconv.ParseFloat(tb.Cell(r, 1), 64)
@@ -36,7 +36,7 @@ func TestTippingTracksMissLatency(t *testing.T) {
 }
 
 func TestDSBGapGrowsWithSyncTxn(t *testing.T) {
-	tb := BarrierCostVsSyncTxn(quick)
+	tb := BarrierCostVsSyncTxn(ablationQuick)
 	var prev float64
 	for r := 0; r < tb.Rows(); r++ {
 		dsb, _ := strconv.ParseFloat(tb.Cell(r, 2), 64)
@@ -48,7 +48,7 @@ func TestDSBGapGrowsWithSyncTxn(t *testing.T) {
 }
 
 func TestPilotGainTablePopulated(t *testing.T) {
-	tb := PilotGainVsStoreBuffer(quick)
+	tb := PilotGainVsStoreBuffer(ablationQuick)
 	if tb.Rows() != 6 {
 		t.Fatalf("rows = %d, want 6", tb.Rows())
 	}

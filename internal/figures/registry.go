@@ -3,7 +3,6 @@ package figures
 import (
 	"sort"
 
-	"armbar/internal/ablation"
 	"armbar/internal/report"
 )
 
@@ -58,17 +57,16 @@ var registry = []Experiment{
 // ablationTables fans the five ablation sweeps out as independent
 // whole-table cells — each sweep travels as a report.Wire (exported
 // fields, so it gob-encodes), making the sweeps cached and
-// parallelized like any other cell — in ablation.All's order.
+// parallelized like any other cell.
 func ablationTables(o Options) []*report.Table {
-	gens := []func(ablation.Options) *report.Table{
-		ablation.AnomalyVsJitter,
-		ablation.AnomalyVsInvalidationDelay,
-		ablation.TippingVsMissLatency,
-		ablation.PilotGainVsStoreBuffer,
-		ablation.BarrierCostVsSyncTxn,
+	gens := []func(Options) *report.Table{
+		AnomalyVsJitter,
+		AnomalyVsInvalidationDelay,
+		TippingVsMissLatency,
+		PilotGainVsStoreBuffer,
+		BarrierCostVsSyncTxn,
 	}
-	ao := ablation.Options{Quick: o.Quick, Seed: o.Seed}
-	wires := cellMap(o, len(gens), func(i int) report.Wire { return gens[i](ao).Wire() })
+	wires := cellMap(o, len(gens), func(i int) report.Wire { return gens[i](o).Wire() })
 	out := make([]*report.Table, len(wires))
 	for i, w := range wires {
 		out[i] = report.FromWire(w)

@@ -55,9 +55,10 @@ type Config struct {
 	In      Input
 	Threads int
 	Seed    int64
-	// NodeWork is the simulated cost (nops) of expanding one node.
-	NodeWork int
 }
+
+// nodeWork is the simulated cost (nops) of expanding one node.
+const nodeWork = 12
 
 // Result is one run's outcome.
 type Result struct {
@@ -119,9 +120,6 @@ func Run(cfg Config) Result {
 	if cfg.Threads == 0 {
 		cfg.Threads = 8
 	}
-	if cfg.NodeWork == 0 {
-		cfg.NodeWork = 12
-	}
 	m := sim.New(sim.Config{Plat: cfg.Plat, Mode: sim.WMM, Seed: cfg.Seed})
 	cores, serverCore := cfg.Plat.Sys.InterleaveCores(cfg.Threads)
 	cfg.Threads = len(cores)
@@ -159,7 +157,7 @@ func Run(cfg Config) Result {
 			var walk func(i int, mask uint32)
 			walk = func(i int, mask uint32) {
 				nodes++
-				t.Nops(cfg.NodeWork)
+				t.Nops(nodeWork)
 				if i > 0 {
 					// Optimistic bound read: a stale value only costs
 					// extra exploration, never correctness.

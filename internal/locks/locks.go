@@ -103,7 +103,6 @@ type BenchConfig struct {
 	Threads  int // client threads (a dedicated FFWD server is extra)
 	Ops      int // acquisitions per thread
 	Globals  int // shared cache lines visited inside the CS (Figure 7a x-axis)
-	CSWork   int // extra nops inside the CS
 	Interval int // nops between acquisitions (Figure 7c x-axis)
 	// UnlockBarrier is the in-place locks' unlock publication barrier
 	// (Figure 7a legend: DMBSt = Normal, AddrDep = "Remove barrier
@@ -202,7 +201,6 @@ func Bench(cfg BenchConfig) BenchResult {
 				v := t.Load(line)
 				t.Store(line, v+1)
 			}
-			t.Nops(cfg.CSWork)
 			c := t.Load(cnt)
 			t.Store(cnt, c+1)
 			return c + 1

@@ -40,7 +40,6 @@ type MPMCConfig struct {
 	Plat      *platform.Platform
 	Producers int
 	Messages  int // per producer
-	MsgWork   int
 	Mode      MPMCMode
 	Seed      int64
 }
@@ -70,9 +69,6 @@ func RunMPMC(cfg MPMCConfig) MPMCResult {
 	}
 	if cfg.Messages == 0 {
 		cfg.Messages = 300
-	}
-	if cfg.MsgWork == 0 {
-		cfg.MsgWork = 40
 	}
 	m := sim.New(sim.Config{Plat: cfg.Plat, Mode: sim.WMM, Seed: cfg.Seed})
 	total := cfg.Producers * cfg.Messages
@@ -184,7 +180,7 @@ func runLockedRing(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, cons
 		p := p
 		m.Spawn(prodCores[p], func(t *sim.Thread) {
 			for i := 0; i < cfg.Messages; i++ {
-				t.Nops(cfg.MsgWork)
+				t.Nops(msgWork)
 				ring.Send(t, payload(p*cfg.Messages+i, 0))
 			}
 		})
@@ -214,7 +210,7 @@ func runPilotFanIn(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, cons
 		m.Spawn(prodCores[p], func(t *sim.Thread) {
 			s := words[p].Sender(pools[p])
 			for i := 0; i < cfg.Messages; i++ {
-				t.Nops(cfg.MsgWork)
+				t.Nops(msgWork)
 				t.Nops(2) // shuffle: xor + counter bump
 				s.Send(t, payload(p*cfg.Messages+i, 0))
 				t.SpinUntil(acks[p], false, sim.SpinEQ, uint64(i+1), 8)

@@ -39,6 +39,14 @@ func Figure6aCombos() []Combo {
 	}
 }
 
+// Every Run's ring has bufSize slots, and every producer, here and in
+// RunMPMC, spends msgWork nops producing each message (produceMsg,
+// line 4 of Algorithm 2).
+const (
+	bufSize = 8
+	msgWork = 40
+)
+
 // Mode selects the buffer implementation.
 type Mode int
 
@@ -72,8 +80,6 @@ type Config struct {
 	Mode     Mode
 	Combo    Combo // Classic/Theoretical only (Theoretical forces Publish=None)
 	Messages int
-	BufSize  int // slots; power of two, default 8
-	MsgWork  int // nops spent in produceMsg, default 40
 	Batch    int // words per message, default 1 (Figure 6c sweeps this)
 	// TSO runs the program on the x86-style model (no stale reads,
 	// FIFO store buffer); combine with Combo zero value for the
@@ -105,12 +111,6 @@ func Run(cfg Config) Result {
 	if cfg.Messages == 0 {
 		cfg.Messages = 1000
 	}
-	if cfg.BufSize == 0 {
-		cfg.BufSize = 8
-	}
-	if cfg.MsgWork == 0 {
-		cfg.MsgWork = 40
-	}
 	if cfg.Batch == 0 {
 		cfg.Batch = 1
 	}
@@ -122,20 +122,47 @@ func Run(cfg Config) Result {
 		mode = sim.TSO
 	}
 	m := sim.New(sim.Config{Plat: cfg.Plat, Mode: mode, Seed: cfg.Seed})
-	var valid *bool
-	switch cfg.Mode {
-	case Pilot:
-		valid = runPilot(m, cfg)
-	default:
-		valid = runClassic(m, cfg)
+	var ring *Ring
+	if cfg.Mode == Pilot {
+		ring = NewPilotRing(m, core.HashPool(uint64(cfg.Seed)+77), bufSize, cfg.Batch, 1, 1)
+	} else {
+		ring = NewClassicRing(m, cfg.Combo, bufSize, cfg.Batch, 1)
 	}
+	valid := true
+
+	m.Spawn(cfg.Producer, func(t *sim.Thread) {
+		for i := 0; i < cfg.Messages; i++ {
+			ring.Reserve(t)
+			t.Nops(msgWork)
+			for w := 0; w < cfg.Batch; w++ {
+				ring.Put(t, w, payload(i, w))
+			}
+			ring.Publish(t)
+		}
+	})
+
+	// The consumer reads every message a wait reports before releasing
+	// their slots: a realistic consumer amortizes the counter RMR.
+	m.Spawn(cfg.Consumer, func(t *sim.Thread) {
+		for i := 0; i < cfg.Messages; {
+			for n := ring.Wait(t); n > 0; n-- {
+				for w := 0; w < cfg.Batch; w++ {
+					if ring.Get(t, w) != payload(i, w) {
+						valid = false
+					}
+				}
+				i++
+			}
+			ring.Release(t)
+		}
+	})
 	elapsedCycles := m.Run()
 	return Result{
 		Config:   cfg,
 		Cycles:   elapsedCycles,
 		Elapsed:  m.Seconds(elapsedCycles),
 		Messages: cfg.Messages,
-		Valid:    *valid,
+		Valid:    valid,
 		Stats:    m.Stats(),
 	}
 }
@@ -143,142 +170,4 @@ func Run(cfg Config) Result {
 // payload generates the deterministic message stream both sides check.
 func payload(i, j int) uint64 {
 	return uint64(i)*2654435761 + uint64(j)*0x9E37 + 1
-}
-
-// runClassic wires Algorithm 2 with the configured barriers. The
-// returned flag is meaningful only after Machine.Run completes.
-func runClassic(m *sim.Machine, cfg Config) *bool {
-	linesPerSlot := (cfg.Batch + 7) / 8
-	prodCnt := m.Alloc(1)
-	consCnt := m.Alloc(1)
-	buf := m.Alloc(cfg.BufSize * linesPerSlot)
-	slot := func(i, w int) uint64 {
-		s := i % cfg.BufSize
-		return buf + uint64(s*linesPerSlot)<<6 + uint64(w)*8
-	}
-	valid := true
-
-	m.Spawn(cfg.Producer, func(t *sim.Thread) {
-		produced := 0
-		for produced < cfg.Messages {
-			// Lines 1-2: wait for buffer space.
-			if cfg.Combo.Avail == isa.LDAR {
-				for uint64(produced)-t.LoadAcquire(consCnt) >= uint64(cfg.BufSize) {
-					t.Nops(1)
-				}
-			} else {
-				for uint64(produced)-t.Load(consCnt) >= uint64(cfg.BufSize) {
-					t.Nops(1)
-				}
-				// Line 3: the availability barrier.
-				if cfg.Combo.Avail != isa.None {
-					t.Barrier(cfg.Combo.Avail)
-				}
-			}
-			// Line 4: produceMsg and fill the (shared, likely-RMR) slot.
-			t.Nops(cfg.MsgWork)
-			for w := 0; w < cfg.Batch; w++ {
-				t.Store(slot(produced, w), payload(produced, w))
-			}
-			// Line 5: the publication barrier; STLR folds it into the
-			// counter store.
-			switch cfg.Combo.Publish {
-			case isa.None:
-				t.Store(prodCnt, uint64(produced+1))
-			case isa.STLR:
-				t.StoreRelease(prodCnt, uint64(produced+1))
-			default:
-				t.Barrier(cfg.Combo.Publish)
-				t.Store(prodCnt, uint64(produced+1))
-			}
-			produced++
-		}
-	})
-
-	m.Spawn(cfg.Consumer, func(t *sim.Thread) {
-		consumed := 0
-		for consumed < cfg.Messages {
-			// Observe the producer counter and drain every message it
-			// covers (a realistic consumer amortizes the counter RMR).
-			avail := t.Load(prodCnt)
-			if avail == uint64(consumed) {
-				t.Nops(1)
-				continue
-			}
-			// The consumer's cheap load barrier (omitted for
-			// Theoretical/Ideal, matching what Pilot avoids).
-			if cfg.Combo.Publish != isa.None {
-				t.Barrier(isa.DMBLd)
-			}
-			for uint64(consumed) < avail && consumed < cfg.Messages {
-				for w := 0; w < cfg.Batch; w++ {
-					if got := t.Load(slot(consumed, w)); got != payload(consumed, w) {
-						valid = false
-					}
-				}
-				consumed++
-			}
-			t.Store(consCnt, uint64(consumed))
-		}
-	})
-	return &valid
-}
-
-// runPilot wires §4.4: slots are Pilot-encoded (per 64-bit slice), the
-// producer counter disappears, and only the availability check's
-// counter and barrier remain. The returned flag is meaningful only
-// after Machine.Run completes.
-func runPilot(m *sim.Machine, cfg Config) *bool {
-	linesPerSlot := (cfg.Batch + 7) / 8
-	consCnt := m.Alloc(1)
-	dataLines := m.Alloc(cfg.BufSize * linesPerSlot)
-	flagLines := m.Alloc(cfg.BufSize * linesPerSlot) // rarely touched
-	// One Pilot channel per 64-bit slice of every slot; slice w of
-	// message i travels on channel (i%BufSize)*Batch + w.
-	pool := core.HashPool(uint64(cfg.Seed) + 77)
-	var tx []core.SimSender
-	var rx []core.SimReceiver
-	for s := 0; s < cfg.BufSize; s++ {
-		for w := 0; w < cfg.Batch; w++ {
-			off := uint64(s*linesPerSlot)<<6 + uint64(w)*8
-			word := core.SimWord{Data: dataLines + off, Flag: flagLines + off}
-			tx = append(tx, word.Sender(pool))
-			rx = append(rx, word.Receiver(pool))
-		}
-	}
-	valid := true
-
-	m.Spawn(cfg.Producer, func(t *sim.Thread) {
-		produced := 0
-		for produced < cfg.Messages {
-			// The availability check (line 3 barrier) survives; use the
-			// cheap acquire form the paper recommends.
-			for uint64(produced)-t.LoadAcquire(consCnt) >= uint64(cfg.BufSize) {
-				t.Nops(1)
-			}
-			t.Nops(cfg.MsgWork)
-			for w := 0; w < cfg.Batch; w++ {
-				t.Nops(1) // shuffle (one xor; bookkeeping is register-resident)
-				tx[(produced%cfg.BufSize)*cfg.Batch+w].Send(t, payload(produced, w))
-			}
-			// No publication barrier, no producer counter: done.
-			produced++
-		}
-	})
-
-	m.Spawn(cfg.Consumer, func(t *sim.Thread) {
-		consumed := 0
-		for consumed < cfg.Messages {
-			for w := 0; w < cfg.Batch; w++ {
-				v := rx[(consumed%cfg.BufSize)*cfg.Batch+w].Recv(t, 1)
-				t.Nops(1)
-				if v != payload(consumed, w) {
-					valid = false
-				}
-			}
-			consumed++
-			t.Store(consCnt, uint64(consumed))
-		}
-	})
-	return &valid
 }

@@ -182,31 +182,33 @@ func runPilotPub(m *sim.Machine, cfg PubConfig, res *PubResult) {
 		for w, word := range words {
 			rx[w] = word.Receiver(pool)
 		}
-		buf := make([]uint64, cfg.Words)
 		lastU := 0
 		for t.Load(stop) == 0 {
 			// Refresh every slice's latest observation.
+			changed := false
 			for w := range rx {
-				rx[w].Observe(t)
+				changed = rx[w].Observe(t) || changed
 			}
 			// A consistent snapshot decodes every slice under one
 			// update index ahead of the last snapshot. Each slice's
 			// sender counts its own messages, so update u went out as
-			// message u-1 of every slice.
+			// message u-1 of every slice. A poll that saw no slice
+			// change holds the words the last scan tried, which
+			// decode to no update past lastU, so it skips the scan.
+			// A snapshot is taken only when every slice decodes to
+			// exactly pubValue(u, w), so a Pilot snapshot is never
+			// torn: Torn stays false by construction.
 			matched := false
-			for u := lastU + 1; u <= cfg.Updates && !matched; u++ {
+			for u := lastU + 1; changed && u <= cfg.Updates && !matched; u++ {
 				all := true
 				for w := range rx {
-					if buf[w] = rx[w].DecodeAt(u - 1); buf[w] != pubValue(u, w) {
+					if rx[w].DecodeAt(u-1) != pubValue(u, w) {
 						all = false
 						break
 					}
 				}
 				if all {
 					res.Snapshots++
-					if tornRecord(buf) {
-						res.Torn = true
-					}
 					lastU = u
 					matched = true
 				}
