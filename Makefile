@@ -2,9 +2,9 @@ GO ?= go
 
 # The verify chain is what CI (and any contributor) runs before a
 # merge: full build, vet, the armvet static-analysis suite, the whole
-# test suite, the concurrency packages again under the race detector
-# (including the simulator's coroutine handoff), the
-# cycle-attribution conservation invariant over the fast golden
+# test suite, every example run once, the concurrency packages again
+# under the race detector (including the simulator's coroutine
+# handoff), the cycle-attribution conservation invariant over the fast golden
 # subset, the golden digest of every experiment's -quick output, then
 # the perf-regression gate against the committed BENCH_sim.json. `-run 'Test'` keeps the race pass on the (fast)
 # unit tests rather than the benchmarks. scalecheck re-runs the
@@ -13,7 +13,7 @@ GO ?= go
 # compiles and tests the perfbench module, which the root module's
 # ./... never reaches.
 .PHONY: verify
-verify: build vet lint test race scalecheck profilecheck cachecheck digestcheck fencecheck perfcheck benchcheck
+verify: build vet lint test examples race scalecheck profilecheck cachecheck digestcheck fencecheck perfcheck benchcheck
 
 .PHONY: build
 build:
@@ -34,6 +34,19 @@ lint:
 .PHONY: test
 test:
 	$(GO) test ./...
+
+# Example smoke: build every examples/* main and run it; a nonzero exit
+# fails the step. examples/trace writes its Chrome trace into the same
+# temp dir as the binaries, so the checkout stays clean.
+.PHONY: examples
+examples:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/" ./examples/... && \
+	for d in examples/*/; do \
+		x=$$(basename "$$d"); echo "examples/$$x"; \
+		if [ "$$x" = trace ]; then out="$$tmp/pilot-trace.json"; else out=; fi; \
+		"$$tmp/$$x" $$out > /dev/null || exit 1; \
+	done
 
 .PHONY: race
 race:

@@ -70,56 +70,3 @@ func TestCombinerRegisterExhaustion(t *testing.T) {
 	}()
 	c.Register()
 }
-
-func TestFanInPerProducerFIFO(t *testing.T) {
-	const producers, per = 4, 2000
-	f := NewFanIn(producers, 16, 3)
-	var wg sync.WaitGroup
-	for i := 0; i < producers; i++ {
-		i := i
-		p := f.Producer(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := uint64(0); j < per; j++ {
-				p.Send(uint64(i)<<32 | j)
-			}
-		}()
-	}
-	c := f.Consumer()
-	lastPer := make([]int64, producers)
-	for i := range lastPer {
-		lastPer[i] = -1
-	}
-	counts := make([]int, producers)
-	for n := 0; n < producers*per; n++ {
-		v, from, ok := c.TryRecv()
-		if !ok {
-			v, from = c.Recv()
-		}
-		if int(v>>32) != from {
-			t.Fatalf("value tagged producer %d arrived from ring %d", v>>32, from)
-		}
-		seq := int64(v & 0xFFFFFFFF)
-		if seq <= lastPer[from] {
-			t.Fatalf("producer %d order broken: %d after %d", from, seq, lastPer[from])
-		}
-		lastPer[from] = seq
-		counts[from]++
-	}
-	wg.Wait()
-	for i, n := range counts {
-		if n != per {
-			t.Fatalf("producer %d delivered %d, want %d", i, n, per)
-		}
-	}
-}
-
-func TestFanInValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewFanIn(0,...) must panic")
-		}
-	}()
-	NewFanIn(0, 8, 1)
-}

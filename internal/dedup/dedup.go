@@ -90,10 +90,6 @@ type Config struct {
 	// CrossNode places consecutive stages on different NUMA nodes when
 	// the platform has them.
 	CrossNode bool
-	// HashWorkers parallelizes the middle stage (default 1): chunks are
-	// routed to workers by fingerprint, each with its own inbound and
-	// outbound hop, the way PARSEC dedup fans its pipeline out.
-	HashWorkers int
 }
 
 // Result is one run's outcome.
@@ -140,90 +136,56 @@ func reference(w Workload) (checksum uint64, unique int) {
 
 // Run executes the pipeline.
 func Run(cfg Config) Result {
-	if cfg.HashWorkers <= 0 {
-		cfg.HashWorkers = 1
-	}
 	m := sim.New(sim.Config{Plat: cfg.Plat, Mode: sim.WMM, Seed: cfg.Seed})
 	cores := stageCores(cfg.Plat, cfg.CrossNode)
-	nw := cfg.HashWorkers
-
-	// One inbound and one outbound hop per hash worker.
-	in := make([]hop, nw)
-	out := make([]hop, nw)
-	for w := 0; w < nw; w++ {
-		in[w] = newHop(m, cfg.Buffer, 1+2*w)
-		out[w] = newHop(m, cfg.Buffer, 2+2*w)
-	}
-	route := func(v uint64) int { return int((v * 0x9E3779B97F4A7C15 >> 40) % uint64(nw)) }
+	in := newHop(m, cfg.Buffer, 1)
+	out := newHop(m, cfg.Buffer, 2)
 
 	var gotChecksum uint64
 	var gotUnique int
 
-	// Stage 1: chunk the input, route by fingerprint.
+	// Stage 1: chunk the input.
 	m.Spawn(cores[0], func(t *sim.Thread) {
 		for i := 0; i < cfg.W.Chunks; i++ {
 			t.Nops(cfg.W.Work / 3) // chunking work
-			v := chunkValue(i)
-			in[route(v)].Send(t, v)
+			in.Send(t, chunkValue(i))
 		}
-		for w := 0; w < nw; w++ {
-			in[w].Send(t, 0) // end-of-stream per worker
+		in.Send(t, 0) // end-of-stream
+	})
+
+	// Stage 2: hash + dedup.
+	m.Spawn(cores[1], func(t *sim.Thread) {
+		seen := make(map[uint64]bool)
+		for {
+			v := in.Recv(t)
+			if v == 0 {
+				out.Send(t, 0)
+				return
+			}
+			t.Nops(cfg.W.Work) // fingerprinting work
+			if seen[v] {
+				continue // duplicate: drop
+			}
+			seen[v] = true
+			out.Send(t, v)
 		}
 	})
 
-	// Stage 2: hash + dedup, one worker per routing partition.
-	workerCore := func(w int) topo.CoreID {
-		c := int(cores[1]) + w
-		return topo.CoreID(c % cfg.Plat.Sys.NumCores())
-	}
-	for w := 0; w < nw; w++ {
-		w := w
-		m.Spawn(workerCore(w), func(t *sim.Thread) {
-			seen := make(map[uint64]bool)
-			for {
-				v := in[w].Recv(t)
-				if v == 0 {
-					out[w].Send(t, 0)
-					return
-				}
-				t.Nops(cfg.W.Work) // fingerprinting work
-				if seen[v] {
-					continue // duplicate: drop
-				}
-				seen[v] = true
-				out[w].Send(t, v)
-			}
-		})
-	}
-
-	// Stage 3: "compress" and gather output in memory, draining every
-	// worker's outbound hop until all signalled end-of-stream.
+	// Stage 3: "compress" and gather output in memory until
+	// end-of-stream, polling and pausing after each empty poll.
 	m.Spawn(cores[2], func(t *sim.Thread) {
-		done := make([]bool, nw)
-		remaining := nw
-		for remaining > 0 {
-			progress := false
-			for w := 0; w < nw; w++ {
-				if done[w] {
-					continue
-				}
-				v, ok := out[w].TryRecv(t)
-				if !ok {
-					continue
-				}
-				progress = true
-				if v == 0 {
-					done[w] = true
-					remaining--
-					continue
-				}
-				t.Nops(cfg.W.Work / 2) // compression work
-				gotChecksum ^= v * 0x94D049BB133111EB
-				gotUnique++
-			}
-			if !progress {
+		for {
+			v, ok := out.TryRecv(t)
+			if !ok {
 				t.Nops(8)
+				continue
 			}
+			if v == 0 {
+				return
+			}
+			t.Nops(cfg.W.Work / 2) // compression work
+			gotChecksum ^= v * 0x94D049BB133111EB
+			gotUnique++
 		}
 	})
 

@@ -86,32 +86,3 @@ func TestDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic: %g vs %g", a.Cycles, b.Cycles)
 	}
 }
-
-func TestParallelHashStageCorrect(t *testing.T) {
-	for _, workers := range []int{2, 3, 4} {
-		for _, b := range []Buffer{Q, RB, RBP} {
-			r := Run(Config{
-				Plat:        platform.Kunpeng916(),
-				Buffer:      b,
-				W:           small(),
-				Seed:        31,
-				HashWorkers: workers,
-			})
-			if !r.Valid {
-				t.Errorf("workers=%d buffer=%v: checksum mismatch (unique=%d)", workers, b, r.Unique)
-			}
-		}
-	}
-}
-
-func TestParallelHashStageScales(t *testing.T) {
-	// With a compute-bound hash stage, extra workers raise throughput.
-	w := Workload{Name: "scale", Chunks: 400, Work: 3600}
-	one := Run(Config{Plat: platform.Kunpeng916(), Buffer: RBP, W: w, Seed: 5,
-		HashWorkers: 1}).Throughput()
-	three := Run(Config{Plat: platform.Kunpeng916(), Buffer: RBP, W: w, Seed: 5,
-		HashWorkers: 3}).Throughput()
-	if three < 1.5*one {
-		t.Errorf("3 workers (%g) should clearly beat 1 (%g)", three, one)
-	}
-}

@@ -22,9 +22,6 @@ const (
 	List
 	// HashTable: per-bucket list+lock; same 10:1 mix.
 	HashTable
-	// SkipList: lock-protected skip list; same 10:1 mix (a synchrobench
-	// staple beyond the paper's four structures).
-	SkipList
 )
 
 func (s Structure) String() string {
@@ -37,8 +34,6 @@ func (s Structure) String() string {
 		return "LinkList"
 	case HashTable:
 		return "HashTable"
-	case SkipList:
-		return "SkipList"
 	default:
 		return fmt.Sprintf("Structure(%d)", int(s))
 	}
@@ -102,170 +97,104 @@ func Run(cfg Config) Result {
 	cores, serverCore := cfg.Plat.Sys.InterleaveCores(cfg.Threads)
 	cfg.Threads = len(cores)
 
+	// One lock per bucket. FFWD servers all stack on the one spare core
+	// (the paper likewise rebinds servers onto used cores once 16
+	// dedicated ones are taken).
 	nLocks := 1
 	if cfg.Struct == HashTable {
 		nLocks = cfg.Buckets
 	}
-	lks, servers := makeLocks(m, cfg, nLocks)
-
-	// Build the structures.
-	var q *queue
-	var st *stack
-	var sl *skiplist
-	lists := make([]*list, nLocks)
-	switch cfg.Struct {
-	case Queue:
-		q = newQueue(m, cfg.Threads+2)
-	case Stack:
-		st = newStack(m, cfg.Threads+2)
-	case List:
-		lists[0] = newList(m, cfg.Threads+2, evenKeys(cfg.Preload, 0, 1))
-	case SkipList:
-		sl = newSkiplist(m, cfg.Threads+2, evenKeys(cfg.Preload, 0, 1))
-	case HashTable:
-		per := cfg.Preload / cfg.Buckets
-		for b := 0; b < cfg.Buckets; b++ {
-			lists[b] = newList(m, cfg.Threads+2, evenKeys(per, b, cfg.Buckets))
-		}
+	lks := make([]locks.Lock, nLocks)
+	for b := range lks {
+		lks[b] = locks.New(m, cfg.Kind, cfg.Threads, isa.DMBSt, [2]isa.Barrier{})
 	}
 
+	// Build the structure behind the locks and the rounds that use it:
+	// a queue or stack round puts one key and takes one back; a list or
+	// hash-table round makes ten lookups, then inserts a key and removes
+	// it. consistent checks the committed final state.
 	ok := true
-	totalOps := 0
-	opsOf := func() int {
-		switch cfg.Struct {
-		case Queue, Stack:
-			return 2
-		default:
-			return 12 // 10 lookups + insert + remove
+	var body func(t *sim.Thread, i int)
+	var consistent func() bool
+	roundOps := 2
+	switch cfg.Struct {
+	case Queue, Stack:
+		var put, take locks.CS
+		if cfg.Struct == Queue {
+			q := newQueue(m, cfg.Threads+2)
+			put = func(t *sim.Thread, v uint64) uint64 { q.enqueue(t, v); return 0 }
+			take = func(t *sim.Thread, _ uint64) uint64 { v, _ := q.dequeue(t); return v }
+			consistent = func() bool {
+				return m.Directory().Committed(q.meta+0) == 0 && m.Directory().Committed(q.meta+8) == 0
+			}
+		} else {
+			st := newStack(m, cfg.Threads+2)
+			put = func(t *sim.Thread, v uint64) uint64 { st.push(t, v); return 0 }
+			take = func(t *sim.Thread, _ uint64) uint64 { v, _ := st.pop(t); return v }
+			consistent = func() bool { return m.Directory().Committed(st.top+0) == 0 }
 		}
-	}
-	totalOps = cfg.Threads * cfg.Rounds * opsOf()
-
-	remaining := int64(cfg.Threads)
-	for i := 0; i < cfg.Threads; i++ {
-		i := i
-		m.Spawn(cores[i], func(t *sim.Thread) {
+		body = func(t *sim.Thread, i int) {
 			for r := 0; r < cfg.Rounds; r++ {
-				switch cfg.Struct {
-				case Queue:
-					v := keyFor(i, r)
-					lks[0].Exec(t, i, func(tt *sim.Thread, arg uint64) uint64 {
-						q.enqueue(tt, arg)
-						return 0
-					}, v)
-					got := lks[0].Exec(t, i, func(tt *sim.Thread, _ uint64) uint64 {
-						u, okd := q.dequeue(tt)
-						if !okd {
-							return 0
-						}
-						return u
-					}, 0)
-					if got == 0 {
-						ok = false
-					}
-				case Stack:
-					v := keyFor(i, r)
-					lks[0].Exec(t, i, func(tt *sim.Thread, arg uint64) uint64 {
-						st.push(tt, arg)
-						return 0
-					}, v)
-					got := lks[0].Exec(t, i, func(tt *sim.Thread, _ uint64) uint64 {
-						u, okd := st.pop(tt)
-						if !okd {
-							return 0
-						}
-						return u
-					}, 0)
-					if got == 0 {
-						ok = false
-					}
-				case List, HashTable:
-					key := keyFor(i, r)
-					b := bucketOf(key, nLocks)
-					l := lists[b]
-					for qn := 0; qn < 10; qn++ {
-						probe := uint64(2 * (qn + 1) * max(cfg.Preload/max(nLocks, 1)/11, 1))
-						lks[b].Exec(t, i, func(tt *sim.Thread, arg uint64) uint64 {
-							l.contains(tt, arg)
-							return 1
-						}, probe)
-					}
-					ins := lks[b].Exec(t, i, func(tt *sim.Thread, arg uint64) uint64 {
-						if l.insert(tt, arg) {
-							return 1
-						}
-						return 0
-					}, key)
-					rem := lks[b].Exec(t, i, func(tt *sim.Thread, arg uint64) uint64 {
-						if l.remove(tt, arg) {
-							return 1
-						}
-						return 0
-					}, key)
-					if ins == 0 || rem == 0 {
-						ok = false
-					}
-				case SkipList:
-					key := keyFor(i, r)
-					for qn := 0; qn < 10; qn++ {
-						probe := uint64(2 * (qn + 1) * max(cfg.Preload/11, 1))
-						lks[0].Exec(t, i, func(tt *sim.Thread, arg uint64) uint64 {
-							sl.contains(tt, arg)
-							return 1
-						}, probe)
-					}
-					ins := lks[0].Exec(t, i, func(tt *sim.Thread, arg uint64) uint64 {
-						if sl.insert(tt, arg) {
-							return 1
-						}
-						return 0
-					}, key)
-					rem := lks[0].Exec(t, i, func(tt *sim.Thread, arg uint64) uint64 {
-						if sl.remove(tt, arg) {
-							return 1
-						}
-						return 0
-					}, key)
-					if ins == 0 || rem == 0 {
-						ok = false
-					}
+				lks[0].Exec(t, i, put, keyFor(i, r))
+				if lks[0].Exec(t, i, take, 0) == 0 {
+					ok = false
 				}
 			}
-			remaining--
-		})
-	}
-	for _, s := range servers {
-		s := s
-		m.Spawn(serverCore, func(t *sim.Thread) { s.Run(t, &remaining) })
+		}
+	case List, HashTable:
+		roundOps = 12
+		per := cfg.Preload / nLocks
+		lists := make([]*list, nLocks)
+		for b := range lists {
+			lists[b] = newList(m, cfg.Threads+2, evenKeys(per, b, nLocks))
+		}
+		step := max(per/11, 1) // spacing of the lookup keys
+		body = func(t *sim.Thread, i int) {
+			for r := 0; r < cfg.Rounds; r++ {
+				key := keyFor(i, r)
+				b := bucketOf(key, nLocks)
+				l, lk := lists[b], lks[b]
+				for qn := 0; qn < 10; qn++ {
+					lk.Exec(t, i, func(t *sim.Thread, arg uint64) uint64 {
+						l.contains(t, arg)
+						return 1
+					}, uint64(2*(qn+1)*step))
+				}
+				ins := lk.Exec(t, i, func(t *sim.Thread, arg uint64) uint64 { return bit(l.insert(t, arg)) }, key)
+				rem := lk.Exec(t, i, func(t *sim.Thread, arg uint64) uint64 { return bit(l.remove(t, arg)) }, key)
+				if ins == 0 || rem == 0 {
+					ok = false
+				}
+			}
+		}
+		consistent = func() bool {
+			total := 0
+			for _, l := range lists {
+				total += listLen(m, l.head)
+			}
+			return total == per*nLocks
+		}
+	default:
+		panic(fmt.Sprintf("ds: unknown structure %v", cfg.Struct))
 	}
 
-	cycles := m.Run()
-	valid := ok && finalStateConsistent(m, cfg, q, st, sl, lists)
+	cycles := locks.Run(m, lks, cores, serverCore, body)
 	return Result{
 		Config:  cfg,
 		Cycles:  cycles,
 		Elapsed: m.Seconds(cycles),
-		Ops:     totalOps,
-		Valid:   valid,
+		Ops:     cfg.Threads * cfg.Rounds * roundOps,
+		Valid:   ok && consistent(),
 		Stats:   m.Stats(),
 	}
 }
 
-// makeLocks builds nLocks independent locks of the configured kind.
-// FFWD variants get one dedicated server thread per lock, all stacked
-// on a single spare core (the paper likewise rebinds servers onto used
-// cores once 16 dedicated ones are taken).
-func makeLocks(m *sim.Machine, cfg Config, nLocks int) ([]locks.Lock, []*locks.Server) {
-	lks := make([]locks.Lock, nLocks)
-	var servers []*locks.Server
-	for b := range lks {
-		var s *locks.Server
-		lks[b], s = locks.New(m, cfg.Kind, cfg.Threads, isa.DMBSt, [2]isa.Barrier{})
-		if s != nil {
-			servers = append(servers, s)
-		}
+// bit is a critical section's result for b: 1 if true, 0 if false.
+func bit(b bool) uint64 {
+	if b {
+		return 1
 	}
-	return lks, servers
+	return 0
 }
 
 func evenKeys(n, offset, stride int) []uint64 {
@@ -274,24 +203,4 @@ func evenKeys(n, offset, stride int) []uint64 {
 		out = append(out, uint64(2*(offset+i*stride)))
 	}
 	return out
-}
-
-func finalStateConsistent(m *sim.Machine, cfg Config, q *queue, st *stack, sl *skiplist, lists []*list) bool {
-	switch cfg.Struct {
-	case Queue:
-		return m.Directory().Committed(q.meta+0) == 0 && m.Directory().Committed(q.meta+8) == 0
-	case Stack:
-		return m.Directory().Committed(st.top+0) == 0
-	case List:
-		return listLen(m, lists[0].head) == cfg.Preload
-	case SkipList:
-		return slLen(m, sl.head) == cfg.Preload
-	case HashTable:
-		total := 0
-		for _, l := range lists {
-			total += listLen(m, l.head)
-		}
-		return total == (cfg.Preload/max(cfg.Buckets, 1))*cfg.Buckets
-	}
-	return true
 }

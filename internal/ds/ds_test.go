@@ -165,54 +165,3 @@ func TestFig8cHashTableGainShrinksWithBuckets(t *testing.T) {
 		t.Errorf("many buckets: Pilot must not cost much (%.2fx)", gMany)
 	}
 }
-
-func TestSkipListSemantics(t *testing.T) {
-	m := sim.New(sim.Config{Plat: platform.Kunpeng916(), Mode: sim.WMM, Seed: 4})
-	sl := newSkiplist(m, 8, []uint64{2, 4, 6, 8})
-	m.Spawn(0, func(th *sim.Thread) {
-		if !sl.contains(th, 6) || sl.contains(th, 5) {
-			t.Error("preload lookup broken")
-		}
-		if !sl.insert(th, 5) || sl.insert(th, 5) {
-			t.Error("insert semantics broken")
-		}
-		if !sl.contains(th, 5) {
-			t.Error("inserted key missing")
-		}
-		if !sl.remove(th, 5) || sl.remove(th, 5) {
-			t.Error("remove semantics broken")
-		}
-		// Order check: walk level 0 ascending.
-		prev := uint64(0)
-		for cur := th.Load(slNext(sl.head, 0)); cur != 0; cur = th.Load(slNext(cur, 0)) {
-			k := th.Load(cur + 0)
-			if k <= prev {
-				t.Errorf("skiplist order broken: %d after %d", k, prev)
-			}
-			prev = k
-		}
-	})
-	m.Run()
-	if n := slLen(m, sl.head); n != 4 {
-		t.Errorf("final length %d, want 4", n)
-	}
-}
-
-func TestSkipListUnderLocks(t *testing.T) {
-	for _, k := range []locks.Kind{locks.Ticket, locks.DSMSynch, locks.DSMSynchPilot} {
-		r := run(t, Config{Kind: k, Struct: SkipList, Threads: 8, Rounds: 12, Preload: 64})
-		if !r.Valid {
-			t.Errorf("%v/SkipList: inconsistent final state", k)
-		}
-	}
-}
-
-func TestSkipListPilotGain(t *testing.T) {
-	ds := run(t, Config{Kind: locks.DSMSynch, Struct: SkipList, Threads: 12, Rounds: 10,
-		Preload: 64}).Throughput()
-	dsp := run(t, Config{Kind: locks.DSMSynchPilot, Struct: SkipList, Threads: 12, Rounds: 10,
-		Preload: 64}).Throughput()
-	if dsp < ds {
-		t.Errorf("DSynch-P (%g) should not regress vs DSynch (%g) on the skip list", dsp, ds)
-	}
-}

@@ -127,7 +127,7 @@ func Run(cfg Config) Result {
 	bound := m.Alloc(1) // shared best bound, read optimistically
 	m.SetInitial(bound, 1<<30)
 
-	lock, server := locks.New(m, cfg.Kind, cfg.Threads, isa.DMBSt, [2]isa.Barrier{})
+	lock := locks.New(m, cfg.Kind, cfg.Threads, isa.DMBSt, [2]isa.Barrier{})
 
 	// The critical section: lower the shared bound if the candidate
 	// improves it; return the (possibly unchanged) bound.
@@ -147,49 +147,35 @@ func Run(cfg Config) Result {
 		splitBits++
 	}
 	nodeCount := 0
-	remaining := int64(cfg.Threads)
 	in := cfg.In
 
-	for ti := 0; ti < cfg.Threads; ti++ {
-		ti := ti
-		m.Spawn(cores[ti], func(t *sim.Thread) {
-			nodes := 0
-			var walk func(i int, mask uint32)
-			walk = func(i int, mask uint32) {
-				nodes++
-				t.Nops(nodeWork)
-				if i > 0 {
-					// Optimistic bound read: a stale value only costs
-					// extra exploration, never correctness.
-					if uint64(packHeight(in, mask, i-1)) >= t.Load(bound) {
-						return
-					}
-				}
-				if i == len(in.Cells) {
-					h := uint64(packHeight(in, mask, i-1))
-					if h < t.Load(bound) {
-						lock.Exec(t, ti, updateCS, h)
-					}
+	cycles := locks.Run(m, []locks.Lock{lock}, cores, serverCore, func(t *sim.Thread, ti int) {
+		var walk func(i int, mask uint32)
+		walk = func(i int, mask uint32) {
+			nodeCount++
+			t.Nops(nodeWork)
+			if i > 0 {
+				// Optimistic bound read: a stale value only costs
+				// extra exploration, never correctness.
+				if uint64(packHeight(in, mask, i-1)) >= t.Load(bound) {
 					return
 				}
-				walk(i+1, mask)
-				walk(i+1, mask|(1<<i))
 			}
-			// Enumerate assigned prefixes, then search below each.
-			for prefix := ti; prefix < 1<<splitBits; prefix += cfg.Threads {
-				var walkRest func(i int, mask uint32)
-				walkRest = walk
-				walkRest(splitBits, uint32(prefix))
+			if i == len(in.Cells) {
+				h := uint64(packHeight(in, mask, i-1))
+				if h < t.Load(bound) {
+					lock.Exec(t, ti, updateCS, h)
+				}
+				return
 			}
-			nodeCount += nodes
-			remaining--
-		})
-	}
-	if server != nil {
-		m.Spawn(serverCore, func(t *sim.Thread) { server.Run(t, &remaining) })
-	}
-
-	cycles := m.Run()
+			walk(i+1, mask)
+			walk(i+1, mask|(1<<i))
+		}
+		// Enumerate assigned prefixes, then search below each.
+		for prefix := ti; prefix < 1<<splitBits; prefix += cfg.Threads {
+			walk(splitBits, uint32(prefix))
+		}
+	})
 	best := int(m.Directory().Committed(bound))
 	return Result{
 		Config:  cfg,

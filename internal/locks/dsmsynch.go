@@ -87,14 +87,6 @@ func NewDSMSynch(m *sim.Machine, nClients int, pilot bool, barriers [2]isa.Barri
 	return l
 }
 
-// Name implements Lock.
-func (l *DSMSynchLock) Name() string {
-	if l.pilot {
-		return "DSynch-P"
-	}
-	return "DSynch"
-}
-
 // nodeIndex maps a node address back to its index.
 func (l *DSMSynchLock) nodeIndex(addr uint64) int {
 	for i, a := range l.nodes {

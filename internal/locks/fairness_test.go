@@ -109,9 +109,8 @@ func TestCombinersServeEveryoneEachSweep(t *testing.T) {
 	// consecutive repeats and bounded spread.
 	const threads, per = 8, 20
 	for name, mk := range map[string]func(m *sim.Machine) Lock{
-		"DSynch":  func(m *sim.Machine) Lock { return NewDSMSynch(m, threads, false, [2]isa.Barrier{}) },
-		"CCSynch": func(m *sim.Machine) Lock { return NewCCSynch(m, threads, false, 0) },
-		"FC":      func(m *sim.Machine) Lock { return NewFC(m, threads, false, 0) },
+		"DSynch": func(m *sim.Machine) Lock { return NewDSMSynch(m, threads, false, [2]isa.Barrier{}) },
+		"FC":     func(m *sim.Machine) Lock { return NewFC(m, threads, false, 0) },
 	} {
 		order := acquisitionOrder(t, mk, threads, per)
 		if len(order) != threads*per {

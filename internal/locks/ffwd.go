@@ -28,7 +28,7 @@ type FFWDLock struct {
 	req     []uint64 // request line per client: flag+0, arg+8
 	resp    []uint64 // response flag line per client (plain mode)
 	respVal []uint64 // response value line per client: ret+0, fbflag+8
-	server  *Server
+	server  *server
 
 	// Client-local protocol state, indexed by client id: the plain
 	// mode's toggled flags, or the Pilot request sender and response
@@ -39,9 +39,9 @@ type FFWDLock struct {
 	respRx    []core.SimReceiver
 }
 
-// Server is the dedicated FFWD server's state; spawn a thread running
-// Server.Run alongside the clients.
-type Server struct {
+// server is the dedicated FFWD server's state; Run spawns a thread
+// running it alongside the clients.
+type server struct {
 	l        *FFWDLock
 	oldFlag  []uint64 // last seen request flag (plain mode)
 	respFlag []uint64 // last stored response flag (plain mode)
@@ -77,7 +77,7 @@ func NewFFWD(m *sim.Machine, nClients int, pilot bool, barriers [2]isa.Barrier) 
 		l.resp[i] = m.Alloc(1)
 		l.respVal[i] = m.Alloc(1)
 	}
-	s := &Server{
+	s := &server{
 		l:        l,
 		oldFlag:  make([]uint64, nClients),
 		respFlag: make([]uint64, nClients),
@@ -98,18 +98,6 @@ func NewFFWD(m *sim.Machine, nClients int, pilot bool, barriers [2]isa.Barrier) 
 	}
 	return l
 }
-
-// Name implements Lock.
-func (l *FFWDLock) Name() string {
-	if l.pilot {
-		return "FFWD-P"
-	}
-	return "FFWD"
-}
-
-// Server returns the dedicated server state; spawn a simulated thread
-// running Server.Run before Machine.Run.
-func (l *FFWDLock) Server() *Server { return l.server }
 
 // Exec implements Lock: publish the request, wait for the response.
 func (l *FFWDLock) Exec(t *sim.Thread, c int, cs CS, arg uint64) uint64 {
@@ -135,11 +123,11 @@ func (l *FFWDLock) Exec(t *sim.Thread, c int, cs CS, arg uint64) uint64 {
 	return t.Load(l.respVal[c])
 }
 
-// Run is the dedicated server loop: sweep all clients, serve every
+// run is the dedicated server loop: sweep all clients, serve every
 // pending request found, publish all responses with one shared Y
 // barrier (plain mode). It exits when *remaining reaches zero (the
 // count of client threads still working).
-func (s *Server) Run(t *sim.Thread, remaining *int64) {
+func (s *server) run(t *sim.Thread, remaining *int) {
 	l := s.l
 	pending := make([]int, 0, l.nClients)
 	for *remaining > 0 {
@@ -208,7 +196,7 @@ func (s *Server) Run(t *sim.Thread, remaining *int64) {
 // applyBarX applies the line-4 request-consumption barrier. LDAR is
 // handled at the load site in plain mode; in pilot mode it degrades to
 // a DMB ld-equivalent ordering point.
-func (s *Server) applyBarX(t *sim.Thread) {
+func (s *server) applyBarX(t *sim.Thread) {
 	switch s.l.barX {
 	case isa.LDAR:
 		if s.l.pilot {

@@ -75,14 +75,6 @@ func NewFC(m *sim.Machine, nClients int, pilot bool, barY isa.Barrier) *FCLock {
 	return l
 }
 
-// Name implements Lock.
-func (l *FCLock) Name() string {
-	if l.pilot {
-		return "FC-P"
-	}
-	return "FC"
-}
-
 // Exec implements Lock: publish the request, then either combine or
 // wait for a combiner to deliver the response.
 func (l *FCLock) Exec(t *sim.Thread, c int, cs CS, arg uint64) uint64 {

@@ -18,9 +18,6 @@ func NewTAS(m *sim.Machine, unlockBarrier isa.Barrier) *TASLock {
 	return &TASLock{word: m.Alloc(1), unlock: unlockBarrier}
 }
 
-// Name implements Lock.
-func (l *TASLock) Name() string { return "TAS" }
-
 // Lock spins until the word is grabbed.
 func (l *TASLock) Lock(t *sim.Thread) {
 	for {
@@ -80,9 +77,6 @@ func NewCLH(m *sim.Machine, nClients int, unlockBarrier isa.Barrier) *CLHLock {
 	m.SetInitial(l.tail, dummy)
 	return l
 }
-
-// Name implements Lock.
-func (l *CLHLock) Name() string { return "CLH" }
 
 // Lock enqueues the client's armed node and spins on the predecessor.
 func (l *CLHLock) Lock(t *sim.Thread, c int) {

@@ -12,6 +12,7 @@ import (
 	"armbar/internal/isa"
 	"armbar/internal/platform"
 	"armbar/internal/sim"
+	"armbar/internal/topo"
 )
 
 // CS is a critical section: it runs on whichever simulated thread the
@@ -23,7 +24,6 @@ type CS func(t *sim.Thread, arg uint64) uint64
 // runs cs(arg) under the lock on behalf of the calling thread and
 // returns its result.
 type Lock interface {
-	Name() string
 	Exec(t *sim.Thread, client int, cs CS, arg uint64) uint64
 }
 
@@ -56,10 +56,6 @@ const (
 	FC
 	// FCPilot is flat combining with Pilot-encoded responses.
 	FCPilot
-	// CCSynch is the cache-coherent combining lock.
-	CCSynch
-	// CCSynchPilot is CC-Synch with Pilot-encoded responses.
-	CCSynchPilot
 )
 
 func (k Kind) String() string {
@@ -84,10 +80,6 @@ func (k Kind) String() string {
 		return "FC"
 	case FCPilot:
 		return "FC-P"
-	case CCSynch:
-		return "CCSynch"
-	case CCSynchPilot:
-		return "CCSynch-P"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -137,30 +129,50 @@ func (r BenchResult) Throughput() float64 {
 // New builds a lock of the given kind for clients threads on m. unlock
 // is the in-place locks' unlock barrier; serve holds the delegation
 // locks' line-4 and line-7 barriers, whose zero values pick each
-// kind's defaults. FFWD kinds also return their dedicated server: spawn
-// a thread running Server.Run alongside the clients. Every other kind
-// returns a nil server.
-func New(m *sim.Machine, kind Kind, clients int, unlock isa.Barrier, serve [2]isa.Barrier) (Lock, *Server) {
+// kind's defaults. Run its clients with Run, which also spawns an FFWD
+// lock's dedicated server.
+func New(m *sim.Machine, kind Kind, clients int, unlock isa.Barrier, serve [2]isa.Barrier) Lock {
 	switch kind {
 	case Ticket:
-		return NewTicket(m, unlock), nil
+		return NewTicket(m, unlock)
 	case FFWD, FFWDPilot:
-		fl := NewFFWD(m, clients, kind == FFWDPilot, serve)
-		return fl, fl.Server()
+		return NewFFWD(m, clients, kind == FFWDPilot, serve)
 	case DSMSynch, DSMSynchPilot:
-		return NewDSMSynch(m, clients, kind == DSMSynchPilot, serve), nil
+		return NewDSMSynch(m, clients, kind == DSMSynchPilot, serve)
 	case TAS:
-		return NewTAS(m, unlock), nil
+		return NewTAS(m, unlock)
 	case MCS:
-		return NewMCS(m, clients, unlock), nil
+		return NewMCS(m, clients, unlock)
 	case CLH:
-		return NewCLH(m, clients, unlock), nil
+		return NewCLH(m, clients, unlock)
 	case FC, FCPilot:
-		return NewFC(m, clients, kind == FCPilot, serve[1]), nil
-	case CCSynch, CCSynchPilot:
-		return NewCCSynch(m, clients, kind == CCSynchPilot, serve[1]), nil
+		return NewFC(m, clients, kind == FCPilot, serve[1])
 	}
 	panic(fmt.Sprintf("locks: unknown kind %v", kind))
+}
+
+// Run spawns one client thread per core, in core order, each running
+// body(t, i) with i its index in cores, then the dedicated server of
+// every FFWD lock in lks, in order, on serverCore, and runs m. A server
+// stops once every client's body has returned. Run returns m.Run's
+// cycles.
+func Run(m *sim.Machine, lks []Lock, cores []topo.CoreID, serverCore topo.CoreID, body func(t *sim.Thread, i int)) float64 {
+	// Thread closures run strictly one at a time (the scheduler serves
+	// one thread at a time, on Run's goroutine), so this plain counter
+	// is safely shared.
+	remaining := len(cores)
+	for i, c := range cores {
+		m.Spawn(c, func(t *sim.Thread) {
+			body(t, i)
+			remaining--
+		})
+	}
+	for _, l := range lks {
+		if fl, ok := l.(*FFWDLock); ok {
+			m.Spawn(serverCore, func(t *sim.Thread) { fl.server.run(t, &remaining) })
+		}
+	}
+	return m.Run()
 }
 
 // Bench runs the micro-benchmark and returns the result.
@@ -188,7 +200,7 @@ func Bench(cfg BenchConfig) BenchResult {
 	locals := m.Alloc(cfg.Threads)
 	globals := m.Alloc(max(cfg.Globals, 1))
 
-	lock, server := New(m, cfg.Kind, cfg.Threads, cfg.UnlockBarrier, cfg.ServeBarriers)
+	lock := New(m, cfg.Kind, cfg.Threads, cfg.UnlockBarrier, cfg.ServeBarriers)
 
 	makeCS := func(client int) CS {
 		cnt := counter
@@ -208,26 +220,13 @@ func Bench(cfg BenchConfig) BenchResult {
 	}
 
 	totalOps := cfg.Threads * cfg.Ops
-	// Thread closures run strictly one at a time (the scheduler serves
-	// one thread at a time, on Run's goroutine), so this plain counter
-	// is safely shared.
-	remaining := int64(cfg.Threads)
-	for i := 0; i < cfg.Threads; i++ {
-		i := i
+	cycles := Run(m, []Lock{lock}, cores, serverCore, func(t *sim.Thread, i int) {
 		cs := makeCS(i)
-		m.Spawn(cores[i], func(t *sim.Thread) {
-			for op := 0; op < cfg.Ops; op++ {
-				lock.Exec(t, i, cs, uint64(op))
-				t.Nops(cfg.Interval)
-			}
-			remaining--
-		})
-	}
-	if server != nil {
-		m.Spawn(serverCore, func(t *sim.Thread) { server.Run(t, &remaining) })
-	}
-
-	cycles := m.Run()
+		for op := 0; op < cfg.Ops; op++ {
+			lock.Exec(t, i, cs, uint64(op))
+			t.Nops(cfg.Interval)
+		}
+	})
 	var counted uint64
 	if inPlace {
 		for i := 0; i < cfg.Threads; i++ {

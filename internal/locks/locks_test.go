@@ -5,6 +5,7 @@ import (
 
 	"armbar/internal/isa"
 	"armbar/internal/platform"
+	"armbar/internal/sim"
 )
 
 func bench(t *testing.T, cfg BenchConfig) BenchResult {
@@ -64,6 +65,49 @@ func TestFFWDCorrectness(t *testing.T) {
 		r := bench(t, BenchConfig{Kind: k, Threads: 10, Ops: 100, Globals: 1})
 		if !r.Valid {
 			t.Errorf("%v: lost updates", k)
+		}
+	}
+}
+
+// TestRunServesEveryFFWDLock has each client alternate Exec between two
+// FFWD locks and a ticket lock. Run must spawn a server for each FFWD
+// lock and stop them all once the clients return: a missing server, or
+// one that never stops, trips the watchdog.
+func TestRunServesEveryFFWDLock(t *testing.T) {
+	const clients, ops = 6, 30
+	p := platform.Kunpeng916()
+	m := sim.New(sim.Config{Plat: p, Mode: sim.WMM, Seed: 3, MaxTime: 2e6})
+	cores, serverCore := p.Sys.InterleaveCores(clients)
+	lks := []Lock{
+		NewFFWD(m, clients, false, [2]isa.Barrier{}),
+		NewTicket(m, isa.DMBSt),
+		NewFFWD(m, clients, true, [2]isa.Barrier{}),
+	}
+	counters := m.Alloc(len(lks))
+	bump := make([]CS, len(lks))
+	for k := range lks {
+		line := counters + uint64(k)<<6
+		bump[k] = func(t *sim.Thread, _ uint64) uint64 {
+			c := t.Load(line)
+			t.Store(line, c+1)
+			return c + 1
+		}
+	}
+	defer func() {
+		if e := recover(); e != nil {
+			t.Fatalf("simulation aborted: %v", e)
+		}
+	}()
+	Run(m, lks, cores, serverCore, func(t *sim.Thread, i int) {
+		for op := 0; op < ops; op++ {
+			for k, l := range lks {
+				l.Exec(t, i, bump[k], 0)
+			}
+		}
+	})
+	for k := range lks {
+		if got := m.Directory().Committed(counters + uint64(k)<<6); got != clients*ops {
+			t.Errorf("lock %d's counter = %d, want %d", k, got, clients*ops)
 		}
 	}
 }

@@ -29,9 +29,6 @@ func NewMCS(m *sim.Machine, nClients int, unlockBarrier isa.Barrier) *MCSLock {
 	return l
 }
 
-// Name implements Lock.
-func (l *MCSLock) Name() string { return "MCS" }
-
 // Lock acquires the lock for client c on thread t.
 func (l *MCSLock) Lock(t *sim.Thread, c int) {
 	node := l.nodes[c]

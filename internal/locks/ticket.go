@@ -29,9 +29,6 @@ func NewTicket(m *sim.Machine, unlockBarrier isa.Barrier) *TicketLock {
 	}
 }
 
-// Name implements Lock.
-func (l *TicketLock) Name() string { return "Ticket" }
-
 // Lock acquires the lock for thread t.
 func (l *TicketLock) Lock(t *sim.Thread) {
 	my := t.FetchAdd(l.next, 1)

@@ -116,13 +116,14 @@ func (r *Ring) Publish(t *sim.Thread) {
 // Wait blocks until a poll shows a message the consumer has not read
 // and returns how many, from the next one on, it may read: every one
 // the polled producer counter covers (Classic), or the one whose first
-// slice arrived (Pilot). A Classic count is below 1 only if the poll
-// read an older producer count than the consumer read before.
+// slice arrived (Pilot). A Classic poll that reads a producer count no
+// higher than the messages already read, even an older one, shows
+// nothing.
 func (r *Ring) Wait(t *sim.Thread) int {
 	if r.rx != nil {
 		return r.hold(t, r.rx[r.endpoint(r.recvd, 0)].Recv(t, r.pause))
 	}
-	return r.arrived(t, t.SpinUntil(r.prodCnt, false, sim.SpinNE, r.recvd, r.pause))
+	return r.arrived(t, t.SpinUntil(r.prodCnt, false, sim.SpinGE, r.recvd+1, r.pause))
 }
 
 // TryWait is one poll of Wait; it returns 0 when the poll shows nothing.
@@ -133,7 +134,7 @@ func (r *Ring) TryWait(t *sim.Thread) int {
 		}
 		return 0
 	}
-	if avail := t.Load(r.prodCnt); avail != r.recvd {
+	if avail := t.Load(r.prodCnt); avail > r.recvd {
 		return r.arrived(t, avail)
 	}
 	return 0

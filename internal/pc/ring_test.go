@@ -73,7 +73,7 @@ func TestRingDeliversEveryMessageOnceInOrder(t *testing.T) {
 						for poll := 0; len(got) < msgs; poll++ {
 							var n int
 							if poll%2 == 0 {
-								if n = r.TryWait(th); n <= 0 {
+								if n = r.TryWait(th); n == 0 {
 									tryMisses++
 									th.Nops(50)
 									continue
@@ -107,7 +107,7 @@ func TestRingDeliversEveryMessageOnceInOrder(t *testing.T) {
 							}
 						}
 					}
-					if left > 0 {
+					if left != 0 {
 						t.Errorf("TryWait after the last message found %d more", left)
 					}
 					if tryHits == 0 || tryMisses == 0 {
@@ -156,5 +156,76 @@ func TestRingReserveWaitsOnlyForAFullRing(t *testing.T) {
 				t.Errorf("reservation %d of a full ring polled once; it must wait for a release", bufSize)
 			}
 		})
+	}
+}
+
+// TestRingWaitIgnoresAnOlderProducerCount has a Classic consumer read
+// two messages, then the producer store the count 1 before it publishes
+// message 3, as if a poll read an older count than one before it. Every
+// wait must report only counts of at least 1, and every message must
+// arrive once, in order.
+func TestRingWaitIgnoresAnOlderProducerCount(t *testing.T) {
+	p := platform.Kunpeng916()
+	prod, cons := p.Sys.NodeCores(0)[0], p.Sys.NodeCores(1)[0]
+	for _, c := range Figure6aCombos() {
+		for _, try := range []bool{false, true} {
+			name := c.Name() + "/Wait"
+			if try {
+				name = c.Name() + "/TryWait"
+			}
+			t.Run(name, func(t *testing.T) {
+				m := sim.New(sim.Config{Plat: p, Mode: sim.WMM, Seed: 5, MaxTime: 2e6})
+				r := NewClassicRing(m, c, bufSize, 1, 1)
+				send := func(th *sim.Thread, i int) {
+					r.Reserve(th)
+					r.Put(th, 0, payload(i, 0))
+					r.Publish(th)
+				}
+				m.Spawn(prod, func(th *sim.Thread) {
+					send(th, 0)
+					send(th, 1)
+					th.SpinUntil(r.consCnt, false, sim.SpinGE, 2, 1)
+					th.Store(r.prodCnt, 1)
+					th.Nops(5000)
+					send(th, 2)
+				})
+				var got []uint64
+				var counts []int
+				m.Spawn(cons, func(th *sim.Thread) {
+					// A bounded loop: a wait that keeps reporting the
+					// older count must fail the test, not hang it.
+					for poll := 0; len(got) < 3 && poll < 1000; poll++ {
+						var n int
+						if try {
+							if n = r.TryWait(th); n == 0 {
+								th.Nops(20)
+								continue
+							}
+						} else {
+							n = r.Wait(th)
+						}
+						counts = append(counts, n)
+						for ; n > 0; n-- {
+							got = append(got, r.Get(th, 0))
+						}
+						r.Release(th)
+					}
+				})
+				runRing(t, m)
+				for i, n := range counts {
+					if n < 1 {
+						t.Fatalf("wait %d of %d reported %d; want only counts of at least 1", i, len(counts), n)
+					}
+				}
+				if len(got) != 3 {
+					t.Fatalf("read %d messages, want 3", len(got))
+				}
+				for i, v := range got {
+					if v != payload(i, 0) {
+						t.Fatalf("message %d = %#x, want %#x", i, v, payload(i, 0))
+					}
+				}
+			})
+		}
 	}
 }
