@@ -53,7 +53,8 @@ type server struct {
 
 // NewFFWD allocates an FFWD lock for nClients on machine m. barriers
 // are the X (line 4) and Y (line 7) choices; zero values default to
-// LDAR and DMB st.
+// LDAR and DMB st. Its clients must run under Run, which spawns the
+// dedicated server.
 func NewFFWD(m *sim.Machine, nClients int, pilot bool, barriers [2]isa.Barrier) *FFWDLock {
 	if barriers[0] == isa.None {
 		barriers[0] = isa.LDAR
