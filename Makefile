@@ -4,7 +4,8 @@ GO ?= go
 # merge: full build, vet, the armvet static-analysis suite, the whole
 # test suite, every example run once, the concurrency packages again
 # under the race detector (including the simulator's coroutine
-# handoff), the cycle-attribution conservation invariant over the fast golden
+# handoff, and the result cache and trace collector that pool workers
+# share), the cycle-attribution conservation invariant over the fast golden
 # subset, the golden digest of every experiment's -quick output, then
 # the perf-regression gate against the committed BENCH_sim.json. `-run 'Test'` keeps the race pass on the (fast)
 # unit tests rather than the benchmarks. scalecheck re-runs the
@@ -24,7 +25,7 @@ vet:
 	$(GO) vet ./...
 
 # Static-analysis gate: the armvet pass suite (determvet, lockvet,
-# atomicvet, allocvet, metricvet, progvet) must run clean over the
+# atomicvet, allocvet, progvet) must run clean over the
 # module. Suppress a deliberate violation with //armvet:ignore <pass>
 # and a reason.
 .PHONY: lint
@@ -50,7 +51,7 @@ examples:
 
 .PHONY: race
 race:
-	$(GO) test -race -run Test ./internal/runner ./internal/core ./internal/sim ./internal/sb ./internal/progress ./internal/serve
+	$(GO) test -race -run Test ./internal/runner ./internal/core ./internal/sim ./internal/sb ./internal/cellcache ./internal/trace
 
 # Many-core smoke under the race detector: a 256-thread sense-reversing
 # barrier run drives the scheduler's driver loop, the sharded
@@ -121,12 +122,6 @@ fencecheck:
 .PHONY: benchcheck
 benchcheck:
 	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
-
-# Live-observability smoke: run `-quick` with -serve against a cold
-# cache and curl /healthz, /metrics and /progress while it runs.
-.PHONY: serve-smoke
-serve-smoke:
-	./scripts/serve_smoke.sh
 
 # Simulator hot-path microbenchmarks (rendezvous, store commit, DMB,
 # compiled dispatch, cache lookup, directory bitsets at 1024 cores,

@@ -3,8 +3,9 @@
 //
 // Usage:
 //
-//	armbar [-quick] [-seed N] [-par N] [-csv] [-metrics f] [-trace-out f] <experiment> [...]
+//	armbar [-quick] [-seed N] [-par N] [-csv] [-profile-out f] [-trace-out f] [-manifest f] <experiment> [...]
 //	armbar perfcheck [-snapshot BENCH_sim.json] [-threshold 1.8]
+//	armbar cache [stats|gc|clear] [-dir .armbar-cache]
 //
 // Experiments: table1 table2 table3 fig2 fig3 fig4 fig5 fig6a fig6b
 // fig6c fig6d fig7a fig7b fig7c fig8a fig8b fig8c fig8d platforms all.
@@ -14,16 +15,13 @@
 // Output is byte-identical at every -par value and seed: parallelism
 // only changes when a cell computes, never what it computes.
 //
-// Observability (see README "Observability"): -metrics writes a JSON
-// snapshot of simulator, runner and per-experiment metrics ("-" for
-// stdout, after the tables); -metrics-prom selects Prometheus text
-// instead; -trace-out writes a merged Chrome/Perfetto trace of the
-// simulated machines; -manifest writes a run manifest (also written as
-// manifest.json into the -o directory). -serve :PORT runs the embedded
-// observability server (/healthz, /metrics, /progress, /profile,
-// /debug/pprof) for the duration of the run, and `armbar watch` polls
-// it from another terminal. -profile-out writes the cycle-attribution
-// profile as folded stacks for flamegraph tooling. perfcheck reruns
+// Observability (see README "Observability"): -manifest writes the run
+// manifest, the one record of a run (also written as manifest.json
+// into the -o directory): per experiment its wall time, cells and cache
+// hits, and with -profile-out its cycle attribution and simulator
+// counters. -profile-out also writes the cycle-attribution profile as
+// folded stacks for flamegraph tooling; -trace-out writes a merged
+// Chrome/Perfetto trace of the simulated machines. perfcheck reruns
 // the hot-path microbenchmarks and fails when they regress against
 // BENCH_sim.json.
 package main
@@ -32,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -42,43 +41,17 @@ import (
 
 	"armbar/internal/cellcache"
 	"armbar/internal/figures"
-	"armbar/internal/metrics"
-	"armbar/internal/progress"
 	"armbar/internal/runner"
-	"armbar/internal/serve"
 	"armbar/internal/sim"
 	"armbar/internal/trace"
 )
 
-var (
-	quick  = flag.Bool("quick", false, "shrink iteration counts for a fast smoke run")
-	seed   = flag.Int64("seed", 42, "simulation seed")
-	csv    = flag.Bool("csv", false, "emit CSV instead of aligned text")
-	md     = flag.Bool("md", false, "emit markdown instead of aligned text")
-	outDir = flag.String("o", "", "also write each table as a CSV file into this directory")
-	par    = flag.Int("par", runtime.GOMAXPROCS(0),
-		"worker count for experiment cells (1 = sequential, 0 = GOMAXPROCS)")
-	times = flag.Bool("times", true, "report per-experiment wall time on stderr")
-
-	serveAddr = flag.String("serve", "",
-		"run the observability HTTP server on this address for the duration of the run (e.g. :8377; exposes /healthz /metrics /progress /profile /debug/pprof)")
-	profileOut = flag.String("profile-out", "",
-		"write the cycle-attribution profile as folded stacks (flamegraph.pl / speedscope input) to this file")
-
-	metricsOut  = flag.String("metrics", "", "write run metrics as JSON to this file (\"-\" = stdout, after the tables)")
-	metricsProm = flag.Bool("metrics-prom", false, "write -metrics output in Prometheus text format instead of JSON")
-	traceOut    = flag.String("trace-out", "", "write a merged Chrome/Perfetto trace of the simulated machines to this file")
-	traceCap    = flag.Int("trace-cap", 4096, "with -trace-out: most recent events kept per machine (0 = unlimited)")
-	traceMach   = flag.Int("trace-machines", 256, "with -trace-out: maximum machines traced")
-	manifestOut = flag.String("manifest", "", "write a run manifest (seed, flags, git rev, per-experiment metrics) to this file")
-
-	cacheOn  = onOff(true)
-	cacheDir = flag.String("cache-dir", ".armbar-cache", "result-cache directory (see README \"Result cache\")")
+// -trace-out keeps the most recent traceCap events of each of the
+// first traceMachines machines; later machines run untraced.
+const (
+	traceCap      = 4096
+	traceMachines = 256
 )
-
-func init() {
-	flag.Var(&cacheOn, "cache", "consult the persistent result cache: on|off (default on; -cache=off recomputes everything)")
-}
 
 // onOff is a boolean flag that additionally accepts the on/off
 // spelling the docs use (`-cache=off`), while keeping bare `-cache`
@@ -120,7 +93,6 @@ type manifest struct {
 	Args        []string                `json:"args"`
 	WallSeconds float64                 `json:"wall_seconds"`
 	Experiments []figures.ExperimentRun `json:"experiments"`
-	MetricsFile string                  `json:"metrics_file,omitempty"`
 	TraceFile   string                  `json:"trace_file,omitempty"`
 	ProfileFile string                  `json:"profile_file,omitempty"`
 	Cache       *cellcache.Stats        `json:"cache,omitempty"`
@@ -148,46 +120,62 @@ func gitRevision() string {
 	return rev + dirty
 }
 
-// teeTracer fans one machine's events out to both observability sinks.
-type teeTracer struct{ a, b sim.Tracer }
-
-func (t teeTracer) Event(ev sim.TraceEvent) {
-	t.a.Event(ev)
-	t.b.Event(ev)
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "armbar: "+format+"\n", args...)
-	os.Exit(1)
-}
-
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "perfcheck" {
-		os.Exit(perfcheckMain(os.Args[2:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main minus the process exit, so tests can drive it. It
+// returns 0 on success, 1 when the run fails and 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && args[0] == "perfcheck" {
+		return perfcheckMain(args[1:])
 	}
-	if len(os.Args) > 1 && os.Args[1] == "cache" {
-		os.Exit(cacheMain(os.Args[2:]))
+	if len(args) > 0 && args[0] == "cache" {
+		return cacheMain(args[1:])
 	}
-	if len(os.Args) > 1 && os.Args[1] == "watch" {
-		os.Exit(watchMain(os.Args[2:]))
+	fs := flag.NewFlagSet("armbar", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "shrink iteration counts for a fast smoke run")
+	seed := fs.Int64("seed", 42, "simulation seed")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
+	md := fs.Bool("md", false, "emit markdown instead of aligned text")
+	outDir := fs.String("o", "", "also write each table as a CSV file into this directory")
+	par := fs.Int("par", runtime.GOMAXPROCS(0),
+		"worker count for experiment cells (1 = sequential, 0 = GOMAXPROCS)")
+	times := fs.Bool("times", true, "report per-experiment wall time on stderr")
+	profileOut := fs.String("profile-out", "",
+		"write the cycle-attribution profile as folded stacks (flamegraph.pl / speedscope input) to this file; also puts each experiment's cycles and simulator counters in the manifest")
+	traceOut := fs.String("trace-out", "", "write a merged Chrome/Perfetto trace of the simulated machines to this file")
+	manifestOut := fs.String("manifest", "", "write a run manifest (seed, flags, git rev, per-experiment metrics) to this file")
+	cacheOn := onOff(true)
+	fs.Var(&cacheOn, "cache", "consult the persistent result cache: on|off (default on; -cache=off recomputes everything)")
+	cacheDir := fs.String("cache-dir", ".armbar-cache", "result-cache directory (see README \"Result cache\")")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
-	flag.Parse()
-	args := flag.Args()
+	failf := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "armbar: "+format+"\n", args...)
+		return 1
+	}
+
+	args = fs.Args()
 	if len(args) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: armbar [-quick] [-seed N] [-par N] [-csv] [-cache=off] <experiment> [...]\n")
-		fmt.Fprintf(os.Stderr, "       armbar perfcheck [-snapshot BENCH_sim.json]\n")
-		fmt.Fprintf(os.Stderr, "       armbar cache [stats|gc|clear] [-dir .armbar-cache]\n")
-		fmt.Fprintf(os.Stderr, "       armbar watch [-addr http://127.0.0.1:8377] [-interval 1s] [-once]\n")
-		fmt.Fprintf(os.Stderr, "experiments: %s all\n", strings.Join(figures.Names(), " "))
-		os.Exit(2)
+		fmt.Fprintf(stderr, "usage: armbar [-quick] [-seed N] [-par N] [-csv] [-cache=off] <experiment> [...]\n")
+		fmt.Fprintf(stderr, "       armbar perfcheck [-snapshot BENCH_sim.json]\n")
+		fmt.Fprintf(stderr, "       armbar cache [stats|gc|clear] [-dir .armbar-cache]\n")
+		fmt.Fprintf(stderr, "experiments: %s all\n", strings.Join(figures.Names(), " "))
+		return 2
 	}
 	for _, a := range args {
 		// flag stops at the first experiment name; a stray "-quick" after
 		// it would otherwise be silently dropped (and regenerate at full
 		// scale), so reject flag-looking positionals outright.
 		if strings.HasPrefix(a, "-") {
-			fmt.Fprintf(os.Stderr, "armbar: flag %q after experiment names; flags must come first\n", a)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "armbar: flag %q after experiment names; flags must come first\n", a)
+			return 2
 		}
 	}
 	requested := append([]string(nil), args...)
@@ -197,59 +185,20 @@ func main() {
 		args = []string{"table2"}
 	}
 
-	// Observability sinks. All hooks are installed before any machine
-	// is built and cost nothing when their flags are unset. -serve
-	// implies a registry (it has a /metrics endpoint to feed) and a
-	// profile collector; -profile-out implies just the collector.
-	var reg *metrics.Registry
-	if *metricsOut != "" || *serveAddr != "" {
-		reg = metrics.NewRegistry()
-		sim.SetGlobalMetrics(reg)
-	}
+	// Observability sinks. Both hooks are installed before any machine
+	// is built, cost nothing when their flags are unset, and are
+	// removed on return so the process is dark again.
 	var profc *sim.ProfileCollector
-	if *serveAddr != "" || *profileOut != "" {
+	if *profileOut != "" {
 		profc = sim.NewProfileCollector()
 		sim.SetGlobalProfile(profc)
+		defer sim.SetGlobalProfile(nil)
 	}
 	var collector *trace.Collector
 	if *traceOut != "" {
-		collector = trace.NewCollector(*traceCap, *traceMach)
-	}
-	if reg != nil || collector != nil {
-		var mt sim.Tracer
-		if reg != nil {
-			mt = sim.NewMetricsTracer(reg)
-		}
-		sim.SetMachineTracerFactory(func() sim.Tracer {
-			var rec sim.Tracer
-			if collector != nil {
-				rec = collector.NewTracer()
-			}
-			switch {
-			case mt != nil && rec != nil:
-				return teeTracer{mt, rec}
-			case mt != nil:
-				return mt
-			default:
-				return rec
-			}
-		})
-	}
-
-	// Live observability plane: the progress tracker feeds /progress
-	// through the pool's cell hooks, and the HTTP server reads all
-	// sinks for the duration of the run.
-	var tracker *progress.Tracker
-	var server *serve.Server
-	if *serveAddr != "" {
-		tracker = progress.New(args)
-		server = serve.New(serve.Options{Registry: reg, Profile: profc, Tracker: tracker})
-		bound, err := server.Start(*serveAddr)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer server.Close()
-		fmt.Fprintf(os.Stderr, "# serve    listening on http://%s (healthz, metrics, progress, profile, debug/pprof)\n", bound)
+		collector = trace.NewCollector(traceCap, traceMachines)
+		sim.SetMachineTracerFactory(collector.NewTracer)
+		defer sim.SetMachineTracerFactory(nil)
 	}
 
 	// One pool for the whole invocation; -par 1 keeps cells inline on
@@ -257,10 +206,6 @@ func main() {
 	var pool *runner.Pool
 	if *par != 1 {
 		pool = runner.New(*par)
-		pool.SetMetrics(reg) // nil-safe: dark without -metrics
-		if tracker != nil {
-			pool.SetProgress(tracker)
-		}
 		defer pool.Close()
 	}
 	o := figures.Options{Quick: *quick, Seed: *seed, Pool: pool}
@@ -270,14 +215,13 @@ func main() {
 	var cache *cellcache.Cache
 	if bool(cacheOn) {
 		cache = cellcache.Open(*cacheDir)
-		cache.SetMetrics(reg) // nil-safe: dark without -metrics
 		defer cache.Close()
 		o.Cache = cache
 	}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fail("%v", err)
+			return failf("%v", err)
 		}
 	}
 	man := manifest{
@@ -290,40 +234,33 @@ func main() {
 		Quick:       *quick,
 		Par:         *par,
 		Args:        requested,
-		MetricsFile: *metricsOut,
 		TraceFile:   *traceOut,
 	}
 	start := time.Now()
 	for _, name := range args {
 		exp, ok := figures.ByName(name)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "armbar: unknown experiment %q (have: %s)\n",
+			fmt.Fprintf(stderr, "armbar: unknown experiment %q (have: %s)\n",
 				name, strings.Join(figures.Names(), " "))
-			os.Exit(2)
+			return 2
 		}
-		if tracker != nil {
-			tracker.StartExperiment(name)
-		}
-		tables, run := figures.RunInstrumented(exp, o, reg)
-		if tracker != nil {
-			tracker.FinishExperiment(name, run.Cells, run.CacheHits, run.WallSeconds)
-		}
+		tables, run := figures.RunInstrumented(exp, o, profc)
 		man.Experiments = append(man.Experiments, run)
 		if *times {
-			fmt.Fprintf(os.Stderr, "# %-8s %2d table(s) in %v\n", name, len(tables),
+			fmt.Fprintf(stderr, "# %-8s %2d table(s) in %v\n", name, len(tables),
 				time.Duration(run.WallSeconds*float64(time.Second)).Round(time.Millisecond))
 		}
 		if len(tables) != exp.Tables {
-			fail("%s emitted %d tables, registry says %d", name, len(tables), exp.Tables)
+			return failf("%s emitted %d tables, registry says %d", name, len(tables), exp.Tables)
 		}
 		for i, t := range tables {
 			switch {
 			case *csv:
-				fmt.Print(t.CSV())
+				fmt.Fprint(stdout, t.CSV())
 			case *md:
-				fmt.Println(t.Markdown())
+				fmt.Fprintln(stdout, t.Markdown())
 			default:
-				fmt.Println(t.String())
+				fmt.Fprintln(stdout, t.String())
 			}
 			if *outDir != "" {
 				file := filepath.Join(*outDir, name+".csv")
@@ -331,25 +268,21 @@ func main() {
 					file = filepath.Join(*outDir, fmt.Sprintf("%s_%d.csv", name, i))
 				}
 				if err := os.WriteFile(file, []byte(t.CSV()), 0o644); err != nil {
-					fail("%v", err)
+					return failf("%v", err)
 				}
 			}
 		}
 	}
 	man.WallSeconds = time.Since(start).Seconds()
 	if *times {
-		fmt.Fprintf(os.Stderr, "# total    %v (par=%d)\n",
+		fmt.Fprintf(stderr, "# total    %v (par=%d)\n",
 			time.Duration(man.WallSeconds*float64(time.Second)).Round(time.Millisecond), *par)
 	}
 
-	// Close the pool before exporting so the derived whole-run gauges
-	// (worker utilization, cells/sec) are frozen; the deferred Close is
-	// then a no-op. The cache closes next so its shard files and index
-	// are durable before the manifest records its final stats.
+	// Close the pool, then the cache so its shard files and index are
+	// durable before the manifest records its final stats; the
+	// deferred Closes are then no-ops.
 	pool.Close()
-	if tracker != nil {
-		tracker.Finish()
-	}
 	if cache != nil {
 		cache.Close()
 		st := cache.Stats()
@@ -360,38 +293,27 @@ func main() {
 		p := profc.Snapshot()
 		rep := p.Report()
 		man.Profile = &rep
-		if reg != nil {
-			// Final fold so a -metrics file carries the profile gauges the
-			// /metrics endpoint refreshed per scrape.
-			p.MetricsInto(reg)
+		if err := writeFoldedStacks(man, *profileOut); err != nil {
+			return failf("%v", err)
 		}
-		if *profileOut != "" {
-			if err := writeFoldedStacks(man, *profileOut); err != nil {
-				fail("%v", err)
-			}
-			man.ProfileFile = *profileOut
-			fmt.Fprintf(os.Stderr, "# profile  %s: %d cause(s) across %d machine(s), %d gap(s) — fold with flamegraph.pl or load into speedscope\n",
-				*profileOut, len(rep.Causes), rep.Machines, rep.Gaps)
-		}
+		man.ProfileFile = *profileOut
+		fmt.Fprintf(stderr, "# profile  %s: %d cause(s) across %d machine(s), %d gap(s) — fold with flamegraph.pl or load into speedscope\n",
+			*profileOut, len(rep.Causes), rep.Machines, rep.Gaps)
 	}
 
-	if reg != nil && *metricsOut != "" {
-		if err := writeMetrics(reg, *metricsOut, *metricsProm); err != nil {
-			fail("%v", err)
-		}
-	}
 	if collector != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fail("%v", err)
+			return failf("%v", err)
 		}
 		if err := collector.WriteChromeJSON(f); err != nil {
-			fail("%v", err)
+			f.Close()
+			return failf("%v", err)
 		}
 		if err := f.Close(); err != nil {
-			fail("%v", err)
+			return failf("%v", err)
 		}
-		fmt.Fprintf(os.Stderr, "# trace    %s: %d machine(s), %d dropped event(s), %d machine(s) untraced — open at https://ui.perfetto.dev\n",
+		fmt.Fprintf(stderr, "# trace    %s: %d machine(s), %d dropped event(s), %d machine(s) untraced — open at https://ui.perfetto.dev\n",
 			*traceOut, collector.Machines(), collector.Dropped(), collector.Skipped())
 	}
 	manifestPath := *manifestOut
@@ -400,9 +322,10 @@ func main() {
 	}
 	if manifestPath != "" {
 		if err := writeManifest(man, manifestPath); err != nil {
-			fail("%v", err)
+			return failf("%v", err)
 		}
 	}
+	return 0
 }
 
 // writeFoldedStacks renders the per-experiment attribution rollup in
@@ -433,22 +356,6 @@ func writeFoldedStacks(man manifest, path string) error {
 		}
 	}
 	return f.Close()
-}
-
-func writeMetrics(reg *metrics.Registry, dest string, prom bool) error {
-	w := os.Stdout
-	if dest != "-" {
-		f, err := os.Create(dest)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if prom {
-		return reg.WriteProm(w)
-	}
-	return reg.WriteJSON(w)
 }
 
 func writeManifest(man manifest, path string) error {

@@ -1,11 +1,10 @@
 // Command armvet runs the armbar static-analysis suite (determvet,
-// lockvet, atomicvet, allocvet, metricvet, progvet) over package
-// patterns and exits nonzero if any finding survives //armvet:ignore
-// suppression. The fencevet subcommand verifies fence placements
-// instead of source: it explores every litmus shape's placement
-// lattice under the reorder-bounded semantics and cross-checks the
-// verdicts against absmodel's closed-form requirements (see
-// internal/explore).
+// lockvet, atomicvet, allocvet, progvet) over package patterns and
+// exits nonzero if any finding survives //armvet:ignore suppression.
+// The fencevet subcommand verifies fence placements instead of source:
+// it explores every litmus shape's placement lattice under the
+// reorder-bounded semantics and cross-checks the verdicts against
+// absmodel's closed-form requirements (see internal/explore).
 //
 //	armvet ./...          # what make lint runs
 //	armvet -list          # describe the passes

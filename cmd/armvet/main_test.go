@@ -42,7 +42,7 @@ func TestListFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"determvet", "lockvet", "atomicvet", "allocvet", "metricvet", "progvet"} {
+	for _, name := range []string{"determvet", "lockvet", "atomicvet", "allocvet", "progvet"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}

@@ -63,5 +63,5 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) (
 // Analyzers returns the default armvet pass suite in its canonical
 // order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetermVet, LockVet, AtomicVet, AllocVet, MetricVet, ProgVet}
+	return []*Analyzer{DetermVet, LockVet, AtomicVet, AllocVet, ProgVet}
 }

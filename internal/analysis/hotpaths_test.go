@@ -64,3 +64,26 @@ func TestHotPathFuncsExist(t *testing.T) {
 		}
 	}
 }
+
+// TestDeterministicPackagesExist fails on any DeterministicPackages key
+// that names no package. determvet runs only inside the packages it
+// loads, so a key left behind by a deleted or moved package checks
+// nothing while the lint gate stays green. Module keys must name a
+// module directory with Go sources; the fixture keys must name a
+// directory under testdata/src.
+func TestDeterministicPackagesExist(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range DeterministicPackages {
+		dir := filepath.Join("testdata", "src", filepath.FromSlash(key))
+		if rel, ok := strings.CutPrefix(key, l.ModuleName()+"/"); ok {
+			dir = filepath.Join(l.moduleRoot, filepath.FromSlash(rel))
+		}
+		names, err := goSourceFiles(dir)
+		if err != nil || len(names) == 0 {
+			t.Errorf("DeterministicPackages key %q names no package with Go sources (%s): %v", key, dir, err)
+		}
+	}
+}

@@ -55,10 +55,6 @@ func TestBadPkgTripsLockVet(t *testing.T) {
 	}
 }
 
-func TestMetricVet(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.MetricVet, "metricpkg")
-}
-
 func TestProgVet(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.ProgVet, "progpkg")
 }

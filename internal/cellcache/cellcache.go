@@ -39,8 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"armbar/internal/metrics"
 )
 
 // Key is the content address of one cell result: a SHA-256 digest over
@@ -68,19 +66,6 @@ type index struct {
 	Bytes    int64  `json:"bytes"`
 }
 
-// cacheMetrics holds the pre-resolved instruments, mirroring the
-// runner's poolMetrics pattern: set once before the first lookup, then
-// read without synchronization.
-type cacheMetrics struct {
-	hits, misses *metrics.Counter
-	bytes        *metrics.Gauge
-	keyBuild     *metrics.Histogram
-	lookup       *metrics.Histogram
-}
-
-// lookupBounds spans 10ns key builds up to pathological ~42s stalls.
-var lookupBounds = metrics.ExpBuckets(1e-8, 4, 12)
-
 // Cache is one open cache directory. The zero value is not usable;
 // call Open. All methods are safe for concurrent use by the runner's
 // worker pool; Put additionally assumes a single writing process per
@@ -90,10 +75,6 @@ type Cache struct {
 	dir      string
 	memOnly  bool // directory unusable: serve this process, persist nothing
 	codeHash Key
-
-	// obs is set once via SetMetrics before the first Get/Put (the
-	// same set-once happens-before contract as runner.Pool.obs).
-	obs *cacheMetrics
 
 	mu      sync.Mutex
 	entries map[Key][]byte // armvet:guardedby mu
@@ -167,34 +148,14 @@ func keyFor(codeHash Key, scope string, idx int) Key {
 // returned slice must be treated as read-only. Get is the runner's
 // per-cell probe and stays allocation-free on hits and misses.
 func (c *Cache) Get(scope string, idx int) ([]byte, bool) {
-	obs := c.obs
-	var t0 time.Time
-	if obs != nil {
-		t0 = time.Now() //armvet:ignore determvet — key-build histogram only; never reaches table output
-	}
 	k := keyFor(c.codeHash, scope, idx)
-	var t1 time.Time
-	if obs != nil {
-		t1 = time.Now() //armvet:ignore determvet — lookup histogram only
-		obs.keyBuild.Observe(t1.Sub(t0).Seconds())
-	}
 	c.mu.Lock()
 	data, ok := c.entries[k]
 	c.mu.Unlock()
-	if obs != nil {
-		d := time.Since(t1) //armvet:ignore determvet — lookup histogram only
-		obs.lookup.Observe(d.Seconds())
-	}
 	if ok {
 		c.hits.Add(1)
-		if obs != nil {
-			obs.hits.Inc()
-		}
 	} else {
 		c.misses.Add(1)
-		if obs != nil {
-			obs.misses.Inc()
-		}
 	}
 	return data, ok
 }
@@ -219,35 +180,12 @@ func (c *Cache) Put(scope string, idx int, data []byte) {
 			c.memOnly = true
 		}
 	}
-	if obs := c.obs; obs != nil {
-		obs.bytes.Set(float64(c.bytes))
-	}
 }
 
 // Counts reports lifetime hits and misses for this process — the
 // figure instrumentation reads deltas of these around each experiment.
 func (c *Cache) Counts() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// SetMetrics starts recording cache behavior into reg:
-// cache_hits_total / cache_misses_total, the cache_bytes gauge, and
-// per-cell key-build and lookup histograms. Call before the first Get;
-// nil cache or registry is a no-op.
-func (c *Cache) SetMetrics(reg *metrics.Registry) {
-	if c == nil || reg == nil {
-		return
-	}
-	c.obs = &cacheMetrics{
-		hits:     reg.Counter("cache_hits_total"),
-		misses:   reg.Counter("cache_misses_total"),
-		bytes:    reg.Gauge("cache_bytes"),
-		keyBuild: reg.Histogram("cache_key_build_seconds", lookupBounds),
-		lookup:   reg.Histogram("cache_lookup_seconds", lookupBounds),
-	}
-	c.mu.Lock()
-	c.obs.bytes.Set(float64(c.bytes))
-	c.mu.Unlock()
 }
 
 // LargeEntryBytes is the per-entry size above which Stats counts an
@@ -402,9 +340,6 @@ func (c *Cache) Clear() {
 	}
 	c.entries = make(map[Key][]byte)
 	c.bytes, c.stale, c.damaged = 0, 0, 0
-	if obs := c.obs; obs != nil {
-		obs.bytes.Set(0)
-	}
 }
 
 // --- on-disk plumbing -------------------------------------------------

@@ -23,7 +23,7 @@ import (
 var simPackages = []string{
 	"a64", "absmodel", "ace", "barrier", "cellcache", "core",
 	"dedup", "ds", "explore", "figures", "floorplan", "isa",
-	"locks", "mesi", "metrics", "pc", "platform", "prog", "report",
+	"locks", "mesi", "pc", "platform", "prog", "report",
 	"runner", "sb", "scenario", "sim", "topo",
 }
 

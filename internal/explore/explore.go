@@ -59,7 +59,6 @@ func exploreReuse(s *Shape, pl Placement, mode sim.Mode, bound int, wantWitness 
 	x := newFastExplorer(s, pl, mode == sim.TSO, bound, wantWitness, re)
 	x.pushInit()
 	x.run()
-	x.noteMetrics()
 
 	res := &Result{
 		Shape:     s.Name,

@@ -3,10 +3,8 @@ package explore
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
 
 	"armbar/internal/isa"
-	"armbar/internal/metrics"
 )
 
 // This file is the explorer's engine: an iterative worklist search
@@ -587,33 +585,4 @@ func (x *fastExplorer) addStale(w int, addr, old uint8) {
 	x.next[tl.staleOff+2*n] = addr
 	x.next[tl.staleOff+2*n+1] = old
 	x.next[tl.hdrOff+3] = byte(n + 1)
-}
-
-// globalMetrics is the explorer's observability seam, mirroring
-// sim.SetGlobalMetrics: dark by default, one atomic load per
-// exploration when unset.
-var globalMetrics atomic.Pointer[metrics.Registry]
-
-// SetMetrics installs (or, with nil, removes) the registry every
-// subsequent exploration folds its visited-table statistics into.
-func SetMetrics(reg *metrics.Registry) {
-	globalMetrics.Store(reg)
-}
-
-// metricsInto folds one exploration's table statistics into reg.
-func (x *fastExplorer) metricsInto(reg *metrics.Registry) {
-	reg.Counter("explore_runs_total").Inc()
-	reg.Counter("explore_states_total").Add(uint64(x.table.n))
-	reg.Counter("explore_probes_total").Add(x.table.probes)
-	reg.Counter("explore_table_lookups_total").Add(x.table.calls)
-	reg.Counter("explore_table_grows_total").Add(uint64(x.table.grows))
-	reg.Gauge("explore_table_occupancy").Set(x.table.occupancy())
-	reg.Gauge("explore_probe_length_mean").Set(x.table.meanProbe())
-	reg.Gauge("explore_table_slots").Set(float64(x.table.mask + 1))
-}
-
-func (x *fastExplorer) noteMetrics() {
-	if reg := globalMetrics.Load(); reg != nil {
-		x.metricsInto(reg)
-	}
 }

@@ -7,8 +7,7 @@ package explore
 // loop is allocation-free. Occupancy is tracked by a per-slot epoch
 // stamp rather than a sentinel so reset between lattice points is an
 // epoch bump, not a slab clear — a Minimize walk reuses one grown
-// table across every placement. Probe totals and grow counts feed the
-// internal/metrics export.
+// table across every placement.
 type vtable struct {
 	words  int      // packed words per state
 	stride int      // slot width in slots[]: 1 hash word + words
@@ -17,9 +16,6 @@ type vtable struct {
 	epoch  uint16
 	mask   uint64 // nslots - 1
 	n      int    // occupied slots
-	calls  uint64 // insert calls (hits + misses)
-	probes uint64 // total probe steps across insert calls
-	grows  int
 }
 
 const vtableMinSlots = 256
@@ -35,7 +31,7 @@ func newVTable(words int) *vtable {
 // reset empties the table in O(1), keeping the grown capacity for the
 // next exploration.
 func (t *vtable) reset() {
-	t.n, t.calls, t.probes, t.grows = 0, 0, 0, 0
+	t.n = 0
 	t.epoch++
 	if t.epoch == 0 { // uint16 wrap: old stamps become ambiguous
 		clear(t.epochs)
@@ -49,20 +45,17 @@ func (t *vtable) insert(ps []uint64, h uint64) bool {
 	if uint64(t.n+1)*10 >= (t.mask+1)*7 {
 		t.grow()
 	}
-	t.calls++
 	i := h & t.mask
-	for p := uint64(1); ; p++ {
+	for {
 		off := int(i) * t.stride
 		if t.epochs[i] != t.epoch {
 			t.epochs[i] = t.epoch
 			t.slots[off] = h
 			copy(t.slots[off+1:off+t.stride], ps)
 			t.n++
-			t.probes += p
 			return true
 		}
 		if t.slots[off] == h && equalWords(t.slots[off+1:off+t.stride], ps) {
-			t.probes += p
 			return false
 		}
 		i = (i + 1) & t.mask
@@ -79,7 +72,6 @@ func (t *vtable) grow() {
 	t.slots = make([]uint64, nslots*uint64(t.stride))
 	t.epochs = make([]uint16, nslots)
 	t.mask = nslots - 1
-	t.grows++
 	for s := range oldEpochs {
 		if oldEpochs[s] != t.epoch {
 			continue
@@ -95,19 +87,6 @@ func (t *vtable) grow() {
 			i = (i + 1) & t.mask
 		}
 	}
-}
-
-// occupancy returns the load factor in [0,1].
-func (t *vtable) occupancy() float64 {
-	return float64(t.n) / float64(t.mask+1)
-}
-
-// meanProbe returns the mean probe length per insert call.
-func (t *vtable) meanProbe() float64 {
-	if t.calls == 0 {
-		return 0
-	}
-	return float64(t.probes) / float64(t.calls)
 }
 
 func equalWords(a, b []uint64) bool {

@@ -3,7 +3,6 @@ package figures
 import (
 	"time"
 
-	"armbar/internal/metrics"
 	"armbar/internal/report"
 	"armbar/internal/sim"
 )
@@ -20,12 +19,15 @@ type ExperimentRun struct {
 	CacheMisses int     `json:"cache_misses,omitempty"` // cells simulated (and then stored)
 
 	// ProfileCycles is the experiment's cycle-attribution rollup
-	// (cause name -> simulated cycles), present when a global
-	// sim.ProfileCollector is installed. Cells within one experiment
-	// run concurrently, so the per-experiment delta is the finest
-	// attribution unit available; cached cells never simulate and
-	// contribute nothing (a fully warm experiment profiles empty).
+	// (cause name -> simulated cycles), and Sim the summed counters of
+	// its machines; both are present when RunInstrumented is given a
+	// profile collector. Cells within one experiment run concurrently,
+	// so the per-experiment delta is the finest attribution unit
+	// available; cached cells never simulate and contribute nothing (a
+	// fully warm experiment profiles empty). Sim omits the two
+	// high-water marks, which a delta cannot recover.
 	ProfileCycles map[string]float64 `json:"profile_cycles,omitempty"`
+	Sim           *sim.Stats         `json:"sim,omitempty"`
 }
 
 // cellCacheCounts is the slice of the cache the instrumentation needs:
@@ -37,11 +39,12 @@ type cellCacheCounts interface {
 
 // RunInstrumented generates exp and measures it: wall time, rendered
 // output size (CSV bytes, so the measure is independent of the display
-// format), and how many pool cells the experiment consumed. When reg
-// is non-nil the measurements are also recorded as metrics; a nil reg
-// only fills the returned record. The generated tables are returned
-// unchanged — instrumentation never alters experiment output.
-func RunInstrumented(exp Experiment, o Options, reg *metrics.Registry) ([]*report.Table, ExperimentRun) {
+// format), and how many pool cells the experiment consumed. When pc is
+// non-nil — the collector installed with sim.SetGlobalProfile — the
+// record also carries this experiment's share of it. The generated
+// tables are returned unchanged — instrumentation never alters
+// experiment output.
+func RunInstrumented(exp Experiment, o Options, pc *sim.ProfileCollector) ([]*report.Table, ExperimentRun) {
 	o = o.Scoped(exp.Name)
 	var hits0, misses0 uint64
 	counts, hasCache := o.Cache.(cellCacheCounts)
@@ -53,7 +56,6 @@ func RunInstrumented(exp Experiment, o Options, reg *metrics.Registry) ([]*repor
 	// snapshots of the cumulative collector bracket exactly this
 	// experiment's machines.
 	var prof0 sim.Profile
-	pc := sim.GlobalProfile()
 	if pc != nil {
 		prof0 = pc.Snapshot()
 	}
@@ -74,18 +76,10 @@ func RunInstrumented(exp Experiment, o Options, reg *metrics.Registry) ([]*repor
 		prof1 := pc.Snapshot()
 		delta := prof1.Sub(prof0)
 		run.ProfileCycles = delta.CyclesByCause()
+		run.Sim = &delta.Stats
 	}
 	for _, t := range tables {
 		run.OutputBytes += len(t.CSV())
-	}
-	if reg != nil {
-		reg.Counter("figures_experiments_total").Inc()
-		reg.Counter("figures_tables_total").Add(uint64(run.Tables))
-		reg.Counter("figures_output_bytes_total").Add(uint64(run.OutputBytes))
-		reg.Counter("figures_cells_total").Add(uint64(run.Cells))
-		reg.Gauge(metrics.Labeled("figures_wall_seconds", "exp", exp.Name)).Set(run.WallSeconds)
-		reg.Gauge(metrics.Labeled("figures_output_bytes", "exp", exp.Name)).Set(float64(run.OutputBytes))
-		reg.Gauge(metrics.Labeled("figures_cells", "exp", exp.Name)).Set(float64(run.Cells))
 	}
 	return tables, run
 }

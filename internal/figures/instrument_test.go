@@ -4,47 +4,56 @@ import (
 	"testing"
 
 	"armbar/internal/figures"
-	"armbar/internal/metrics"
 	"armbar/internal/runner"
+	"armbar/internal/sim"
 )
 
 func TestRunInstrumented(t *testing.T) {
-	exp, ok := figures.ByName("table3")
+	exp, ok := figures.ByName("table1")
 	if !ok {
-		t.Fatal("table3 missing from registry")
+		t.Fatal("table1 missing from registry")
 	}
-	reg := metrics.NewRegistry()
+	pc := sim.NewProfileCollector()
+	sim.SetGlobalProfile(pc)
+	defer sim.SetGlobalProfile(nil)
 	p := runner.New(2)
 	defer p.Close()
 	o := figures.Options{Quick: true, Pool: p}
-	tables, run := figures.RunInstrumented(exp, o, reg)
+	tables, run := figures.RunInstrumented(exp, o, pc)
 	if len(tables) != exp.Tables {
 		t.Fatalf("instrumentation changed table count: %d vs %d", len(tables), exp.Tables)
 	}
-	if run.Name != "table3" || run.Tables != exp.Tables {
+	if run.Name != "table1" || run.Tables != exp.Tables {
 		t.Fatalf("bad record: %+v", run)
 	}
 	if run.OutputBytes == 0 || run.WallSeconds < 0 {
 		t.Fatalf("empty measurements: %+v", run)
 	}
-	s := reg.Snapshot()
-	if s.Counters["figures_experiments_total"] != 1 {
-		t.Fatalf("experiments counter = %d", s.Counters["figures_experiments_total"])
+	// The collector started empty, so the experiment's share is all of
+	// it, less the high-water marks a delta cannot carry.
+	whole := pc.Snapshot()
+	if whole.Machines == 0 || whole.Stats.Loads == 0 {
+		t.Fatalf("table1 folded no profiled machines: %+v", whole)
 	}
-	if s.Gauges[`figures_wall_seconds{exp="table3"}`] < 0 {
-		t.Fatal("wall-time gauge missing")
+	want := whole.Stats
+	want.MaxEventHeap, want.MaxStoreBuf = 0, 0
+	if run.Sim == nil || *run.Sim != want {
+		t.Fatalf("record sim = %+v, want %+v", run.Sim, want)
 	}
-	if s.Counters["figures_output_bytes_total"] != uint64(run.OutputBytes) {
-		t.Fatal("output bytes counter disagrees with record")
+	if len(run.ProfileCycles) == 0 || run.ProfileCycles["work"] != whole.CyclesByCause()["work"] {
+		t.Fatalf("record profile_cycles = %v, collector %v", run.ProfileCycles, whole.CyclesByCause())
 	}
 
-	// The same experiment with a nil registry must still measure.
+	// The same experiment with no collector must still measure.
 	_, run2 := figures.RunInstrumented(exp, figures.Options{Quick: true}, nil)
 	if run2.OutputBytes != run.OutputBytes {
 		t.Fatalf("output bytes differ between runs: %d vs %d", run2.OutputBytes, run.OutputBytes)
 	}
 	if run2.Cells != 0 {
 		t.Fatalf("inline run reported %d pool cells, want 0", run2.Cells)
+	}
+	if run2.Sim != nil || run2.ProfileCycles != nil {
+		t.Fatalf("run without a collector reported a profile: %+v", run2)
 	}
 }
 

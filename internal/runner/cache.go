@@ -41,7 +41,6 @@ func MapCached[T any](p *Pool, cc CellCache, scope string, n int, fn func(i int)
 	futs := make([]*Future[T], n) // nil where the cache hit
 	for i := 0; i < n; i++ {
 		if data, ok := cc.Get(scope, i); ok && decodeCell(data, &out[i]) {
-			p.noteCached()
 			continue
 		}
 		i := i

@@ -26,9 +26,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"armbar/internal/metrics"
 )
 
 // Pool is a fixed-size worker pool with a bounded submission queue.
@@ -43,44 +40,7 @@ type Pool struct {
 
 	mu     sync.Mutex
 	closed bool // armvet:guardedby mu
-
-	// Observability (nil when dark): set once via SetMetrics before
-	// the first Submit. Instruments are pre-resolved so the per-task
-	// cost is two time.Now calls and a few atomic adds.
-	obs *poolMetrics // armvet:guardedby mu — set-once; Submit reads it after the SetMetrics happens-before
-
-	// Progress sink (nil when dark): set once via SetProgress before
-	// the first Submit. Per-cell cost is one or two atomic adds in the
-	// sink's implementation.
-	prog ProgressSink // armvet:guardedby mu — set-once; Submit reads it after the SetProgress happens-before
 }
-
-// ProgressSink receives cell lifecycle notifications from a pool: a
-// cell entering the submission queue, a worker picking it up, a worker
-// finishing it, and — from MapCached/GridCached — a cell served from
-// the persistent cache without ever being submitted. Implementations
-// must be safe for concurrent use and fast (the pool calls them
-// inline); internal/progress.Tracker is the production implementation
-// feeding the armbar -serve /progress endpoint.
-type ProgressSink interface {
-	CellQueued()
-	CellStarted()
-	CellDone()
-	CellCached()
-}
-
-// poolMetrics holds the pre-resolved instruments for one pool.
-type poolMetrics struct {
-	reg       *metrics.Registry
-	tasks     *metrics.Counter
-	queueWait *metrics.Histogram // seconds from Submit to a worker picking the cell up
-	service   *metrics.Histogram // seconds a worker spent inside the cell
-	busyNs    *metrics.Counter
-	start     time.Time
-}
-
-// waitBounds spans 1µs queue blips up to ~67s stalls.
-var waitBounds = metrics.ExpBuckets(1e-6, 4, 13)
 
 // New returns a pool of the given number of workers. workers <= 0
 // means GOMAXPROCS. The submission queue is bounded at twice the
@@ -124,74 +84,19 @@ func (p *Pool) TasksDone() uint64 {
 	return p.done.Load()
 }
 
-// SetMetrics starts recording pool behavior into reg: cells completed,
-// queue-wait and service-time histograms, worker busy time, and (at
-// Close) overall utilization and cells/sec. Call before the first
-// Submit; a nil pool or nil registry is a no-op.
-func (p *Pool) SetMetrics(reg *metrics.Registry) {
-	if p == nil || reg == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.obs = &poolMetrics{
-		reg:       reg,
-		tasks:     reg.Counter("runner_cells_total"),
-		queueWait: reg.Histogram("runner_queue_wait_seconds", waitBounds),
-		service:   reg.Histogram("runner_cell_service_seconds", waitBounds),
-		busyNs:    reg.Counter("runner_busy_ns_total"),
-		start:     time.Now(), //armvet:ignore determvet — observability wall clock; never reaches table output
-	}
-	reg.Gauge("runner_workers").Set(float64(p.workers))
-}
-
-// SetProgress starts reporting cell lifecycle events to s. Call before
-// the first Submit; a nil pool or nil sink is a no-op.
-func (p *Pool) SetProgress(s ProgressSink) {
-	if p == nil || s == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.prog = s
-}
-
-// noteCached reports a cache-served cell to the progress sink (cached
-// cells bypass Submit entirely, see MapCached).
-func (p *Pool) noteCached() {
-	if p == nil {
-		return
-	}
-	if s := p.prog; s != nil { //armvet:ignore lockvet — set-once before the first Submit; see the field contract
-		s.CellCached()
-	}
-}
-
 // Close stops accepting work and waits for in-flight cells to finish.
-// Close on a nil pool is a no-op. With metrics enabled the first Close
-// also freezes the derived whole-run gauges (worker utilization,
-// cells/sec).
+// Close on a nil pool, or a second Close, is a no-op.
 func (p *Pool) Close() {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	obs := p.obs
-	closing := !p.closed
-	if closing {
+	if !p.closed {
 		p.closed = true
 		close(p.tasks)
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
-	if closing && obs != nil {
-		elapsed := time.Since(obs.start).Seconds() //armvet:ignore determvet — utilization gauge only
-		if elapsed > 0 {
-			busy := float64(obs.busyNs.Value()) / 1e9
-			obs.reg.Gauge("runner_worker_utilization").Set(busy / (elapsed * float64(p.workers)))
-			obs.reg.Gauge("runner_cells_per_second").Set(float64(p.done.Load()) / elapsed)
-		}
-	}
 }
 
 // Future is the pending result of one submitted cell.
@@ -257,37 +162,7 @@ func Submit[T any](p *Pool, fn func() T) *Future[T] {
 		f.run(fn, nil)
 		return f
 	}
-	obs := p.obs   //armvet:ignore lockvet — set-once before the first Submit; see the field contract
-	prog := p.prog //armvet:ignore lockvet — set-once before the first Submit; see the field contract
-	if prog != nil {
-		prog.CellQueued()
-	}
-	var submitted time.Time
-	if obs != nil {
-		submitted = time.Now() //armvet:ignore determvet — queue-wait histogram only
-	}
-	p.tasks <- func() {
-		if prog != nil {
-			prog.CellStarted()
-		}
-		if obs == nil {
-			f.run(fn, &p.done)
-			if prog != nil {
-				prog.CellDone()
-			}
-			return
-		}
-		started := time.Now() //armvet:ignore determvet — service-time histogram only
-		obs.queueWait.Observe(started.Sub(submitted).Seconds())
-		f.run(fn, &p.done)
-		d := time.Since(started) //armvet:ignore determvet — service-time histogram only
-		obs.service.Observe(d.Seconds())
-		obs.busyNs.Add(uint64(d.Nanoseconds()))
-		obs.tasks.Inc()
-		if prog != nil {
-			prog.CellDone()
-		}
-	}
+	p.tasks <- func() { f.run(fn, &p.done) }
 	return f
 }
 

@@ -115,7 +115,6 @@ func (e *execEnv) done() bool { return int(e.pc) >= len(e.ops) }
 func (m *Machine) execStep(t *Thread) {
 	e := &t.env
 	m.retireStores(t.now)
-	m.now = t.now
 	op := &e.ops[e.pc]
 	if opExec[op.Code](m, t, e, op) {
 		m.noteServed(t)

@@ -66,31 +66,33 @@ type Config struct {
 	MaxTime float64
 }
 
-// Stats aggregates machine-wide counters for one run.
+// Stats aggregates machine-wide counters for one run. The JSON keys
+// are the run manifest's "sim" entries (see ProfileCollector).
 type Stats struct {
-	Loads         uint64
-	Stores        uint64
-	Hits          uint64
-	Misses        uint64
-	StaleReads    uint64
-	RMRStores     uint64
-	BarrierStalls float64 // total cycles threads spent blocked in barriers
-	MemTxns       uint64
-	SyncTxns      uint64
+	Loads         uint64  `json:"loads"`
+	Stores        uint64  `json:"stores"`
+	Hits          uint64  `json:"hits"`
+	Misses        uint64  `json:"misses"`
+	StaleReads    uint64  `json:"stale_reads"`
+	RMRStores     uint64  `json:"rmr_stores"`
+	BarrierStalls float64 `json:"barrier_stall_cycles"` // total cycles threads spent blocked in barriers
+	MemTxns       uint64  `json:"mem_txns"`
+	SyncTxns      uint64  `json:"sync_txns"`
 
-	// Engine health counters (free with the scheduler's bookkeeping;
-	// they feed the observability layer, see MetricsInto).
-	EventAllocs  uint64 // commit events allocated fresh
-	EventReuses  uint64 // commit events served from the free list
-	MaxEventHeap int    // high-water pending-commit heap depth
-	MaxStoreBuf  int    // high-water store-buffer occupancy (any thread)
+	// Engine health counters (free with the scheduler's bookkeeping).
+	// The two high-water marks are maxima, not sums, so a difference
+	// of two snapshots cannot recover them (see Profile.Sub).
+	EventAllocs  uint64 `json:"event_allocs"`             // commit events allocated fresh
+	EventReuses  uint64 `json:"event_reuses"`             // commit events served from the free list
+	MaxEventHeap int    `json:"max_event_heap,omitempty"` // high-water pending-commit heap depth
+	MaxStoreBuf  int    `json:"max_store_buf,omitempty"`  // high-water store-buffer occupancy (any thread)
 
 	// Scheduler counters, derived from the service sequence (see
 	// noteServed): an op whose thread also ran the previous op was
 	// processed inline with no handoff; a change of serving thread
 	// implies one handoff (historically one park and one wake).
-	InlineDispatches uint64
-	ParkWakes        uint64
+	InlineDispatches uint64 `json:"inline_dispatches"`
+	ParkWakes        uint64 `json:"park_wakes"`
 }
 
 // Machine is one simulated multiprocessor run.
@@ -131,8 +133,7 @@ type Machine struct {
 	started    bool
 
 	nextAddr uint64
-	stats    Stats   // snapshot readable after Run (see Stats)
-	now      float64 // time of the last processed operation
+	stats    Stats // snapshot readable after Run (see Stats)
 	tracer   Tracer
 	profc    *ProfileCollector // latched from SetGlobalProfile at New; nil = dark
 }
@@ -267,10 +268,6 @@ func (m *Machine) Run() float64 {
 	}
 	m.stats.MemTxns = m.fab.MemTxns
 	m.stats.SyncTxns = m.fab.SyncTxns
-	m.now = finish
-	if reg := globalMetrics.Load(); reg != nil {
-		m.MetricsInto(reg)
-	}
 	if m.profc != nil {
 		m.profc.fold(m)
 	}

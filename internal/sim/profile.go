@@ -3,15 +3,13 @@ package sim
 import (
 	"sync"
 	"sync/atomic"
-
-	"armbar/internal/metrics"
 )
 
 // This file is the cycle-attribution profiler. Every advance of a
 // thread's virtual clock is tagged with a Cause — the paper's question
-// is precisely *where barrier cycles go*, and aggregate op histograms
-// (metrics.go) cannot separate a DMB's transaction round trip from the
-// coherence miss that follows it. Attribution is structural, not
+// is precisely *where barrier cycles go*, and aggregate op counts
+// cannot separate a DMB's transaction round trip from the coherence
+// miss that follows it. Attribution is structural, not
 // sampled: the only two ways a thread's clock moves are the advBy /
 // advTo helpers below, so the per-cause sums reconstruct the engine's
 // own cycle counts exactly.
@@ -81,42 +79,24 @@ const (
 	NumCauses
 )
 
-// Profile-cause names, package-level constants in the exporter's
-// snake_case convention (enforced by armvet's metricvet pass).
-const (
-	causeNameIssue        = "issue"
-	causeNameCacheHit     = "cache_hit"
-	causeNameMiss         = "coherence_miss"
-	causeNameSBDrain      = "store_buffer_drain"
-	causeNameDMBFull      = "barrier_dmb_full"
-	causeNameDMBSt        = "barrier_dmb_st"
-	causeNameDMBLd        = "barrier_dmb_ld"
-	causeNameDSB          = "barrier_dsb"
-	causeNameISB          = "barrier_isb"
-	causeNameDep          = "barrier_dep"
-	causeNameSTLR         = "barrier_stlr"
-	causeNameAtomic       = "atomic_rmw"
-	causeNameSpin         = "spin_wait"
-	causeNameWork         = "work"
-	causeNameUnattributed = "unattributed"
-)
-
+// causeNames are the snake_case cause keys of the manifest and the
+// folded-stacks file.
 var causeNames = [NumCauses]string{
-	CauseIssue:        causeNameIssue,
-	CauseCacheHit:     causeNameCacheHit,
-	CauseMiss:         causeNameMiss,
-	CauseSBDrain:      causeNameSBDrain,
-	CauseDMBFull:      causeNameDMBFull,
-	CauseDMBSt:        causeNameDMBSt,
-	CauseDMBLd:        causeNameDMBLd,
-	CauseDSB:          causeNameDSB,
-	CauseISB:          causeNameISB,
-	CauseDep:          causeNameDep,
-	CauseSTLR:         causeNameSTLR,
-	CauseAtomic:       causeNameAtomic,
-	CauseSpin:         causeNameSpin,
-	CauseWork:         causeNameWork,
-	CauseUnattributed: causeNameUnattributed,
+	CauseIssue:        "issue",
+	CauseCacheHit:     "cache_hit",
+	CauseMiss:         "coherence_miss",
+	CauseSBDrain:      "store_buffer_drain",
+	CauseDMBFull:      "barrier_dmb_full",
+	CauseDMBSt:        "barrier_dmb_st",
+	CauseDMBLd:        "barrier_dmb_ld",
+	CauseDSB:          "barrier_dsb",
+	CauseISB:          "barrier_isb",
+	CauseDep:          "barrier_dep",
+	CauseSTLR:         "barrier_stlr",
+	CauseAtomic:       "atomic_rmw",
+	CauseSpin:         "spin_wait",
+	CauseWork:         "work",
+	CauseUnattributed: "unattributed",
 }
 
 func (c Cause) String() string {
@@ -205,6 +185,10 @@ type Profile struct {
 	Threads  uint64
 	Machines uint64
 
+	// Stats sums the machines' counters (the high-water marks are
+	// maxima across machines).
+	Stats Stats
+
 	// Gaps counts clock writes that bypassed attribution plus threads
 	// whose shadow clock disagreed with the engine clock at fold time.
 	// Zero means the conservation invariant held exactly.
@@ -242,8 +226,48 @@ func (p *Profile) Add(o *Profile) {
 	}
 	p.Threads += o.Threads
 	p.Machines += o.Machines
+	p.Stats.add(&o.Stats)
 	p.Gaps += o.Gaps
 	p.EngineCycles += o.EngineCycles
+}
+
+// add folds o into s: counters sum, high-water marks take the max.
+func (s *Stats) add(o *Stats) {
+	s.Loads += o.Loads
+	s.Stores += o.Stores
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.StaleReads += o.StaleReads
+	s.RMRStores += o.RMRStores
+	s.BarrierStalls += o.BarrierStalls
+	s.MemTxns += o.MemTxns
+	s.SyncTxns += o.SyncTxns
+	s.EventAllocs += o.EventAllocs
+	s.EventReuses += o.EventReuses
+	s.MaxEventHeap = max(s.MaxEventHeap, o.MaxEventHeap)
+	s.MaxStoreBuf = max(s.MaxStoreBuf, o.MaxStoreBuf)
+	s.InlineDispatches += o.InlineDispatches
+	s.ParkWakes += o.ParkWakes
+}
+
+// sub returns s minus o for the counters. The high-water marks come
+// back zero: a maximum cannot be differenced.
+func (s Stats) sub(o Stats) Stats {
+	return Stats{
+		Loads:            s.Loads - o.Loads,
+		Stores:           s.Stores - o.Stores,
+		Hits:             s.Hits - o.Hits,
+		Misses:           s.Misses - o.Misses,
+		StaleReads:       s.StaleReads - o.StaleReads,
+		RMRStores:        s.RMRStores - o.RMRStores,
+		BarrierStalls:    s.BarrierStalls - o.BarrierStalls,
+		MemTxns:          s.MemTxns - o.MemTxns,
+		SyncTxns:         s.SyncTxns - o.SyncTxns,
+		EventAllocs:      s.EventAllocs - o.EventAllocs,
+		EventReuses:      s.EventReuses - o.EventReuses,
+		InlineDispatches: s.InlineDispatches - o.InlineDispatches,
+		ParkWakes:        s.ParkWakes - o.ParkWakes,
+	}
 }
 
 // Sub returns p minus o, the attribution delta between two snapshots
@@ -257,6 +281,7 @@ func (p Profile) Sub(o Profile) Profile {
 	}
 	d.Threads -= o.Threads
 	d.Machines -= o.Machines
+	d.Stats = p.Stats.sub(o.Stats)
 	d.Gaps -= o.Gaps
 	d.EngineCycles -= o.EngineCycles
 	return d
@@ -285,8 +310,8 @@ type CauseCycles struct {
 	Ops    uint64  `json:"ops"`
 }
 
-// ProfileReport is the JSON shape of a profile (manifest section,
-// /profile endpoint). Causes appear in taxonomy order; causes never
+// ProfileReport is the JSON shape of a profile (the manifest's
+// "profile" section). Causes appear in taxonomy order; causes never
 // observed are omitted.
 type ProfileReport struct {
 	Machines         uint64        `json:"machines"`
@@ -295,6 +320,7 @@ type ProfileReport struct {
 	EngineCycles     float64       `json:"engine_cycles"`
 	AttributedCycles float64       `json:"attributed_cycles"`
 	Causes           []CauseCycles `json:"causes"`
+	Sim              Stats         `json:"sim"`
 }
 
 // Report renders the profile for export.
@@ -305,6 +331,7 @@ func (p *Profile) Report() ProfileReport {
 		Gaps:             p.Gaps,
 		EngineCycles:     p.EngineCycles,
 		AttributedCycles: p.Attributed(),
+		Sim:              p.Stats,
 	}
 	for c := Cause(0); c < NumCauses; c++ {
 		if p.Ops[c] == 0 && p.Cycles[c] == 0 {
@@ -331,25 +358,11 @@ func (p *Profile) CyclesByCause() map[string]float64 {
 	return out
 }
 
-// MetricsInto exports the profile as registry gauges. Gauge-set (not
-// counter-add) semantics: the caller passes a cumulative snapshot, so
-// re-export is idempotent — the /metrics handler refreshes on every
-// scrape.
-func (p *Profile) MetricsInto(reg *metrics.Registry) {
-	for c := Cause(0); c < NumCauses; c++ {
-		reg.Gauge("sim_profile_cycles{cause=\"" + causeNames[c] + "\"}").Set(p.Cycles[c])
-		reg.Gauge("sim_profile_ops{cause=\"" + causeNames[c] + "\"}").Set(float64(p.Ops[c]))
-	}
-	reg.Gauge("sim_profile_machines").Set(float64(p.Machines))
-	reg.Gauge("sim_profile_threads").Set(float64(p.Threads))
-	reg.Gauge("sim_profile_gaps").Set(float64(p.Gaps))
-	reg.Gauge("sim_profile_engine_cycles").Set(p.EngineCycles)
-	reg.Gauge("sim_profile_attributed_cycles").Set(p.Attributed())
-}
-
 // ProfileCollector accumulates profiles across machines. Machines fold
 // into it once at the end of Run (one mutex acquisition per *machine*,
 // never per op), so a -par grid of cells aggregates into one table.
+// The fold also sums each machine's Stats, so a collector carries the
+// run's simulator counters next to its cycle attribution.
 type ProfileCollector struct {
 	mu sync.Mutex
 	p  Profile // armvet:guardedby mu
@@ -366,6 +379,7 @@ func (c *ProfileCollector) fold(m *Machine) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.p.Machines++
+	c.p.Stats.add(&m.stats)
 	for _, t := range m.threads {
 		c.p.addThread(t)
 	}
@@ -385,9 +399,9 @@ func (c *ProfileCollector) Reset() {
 	c.p = Profile{}
 }
 
-// globalProfile mirrors globalMetrics (see metrics.go): process-global
-// because experiment cells build their own machines, atomic for -par
-// safety, set once at startup.
+// globalProfile is process-global because experiment cells build their
+// own machines, atomic for -par safety, and set once at startup (the
+// same contract as SetMachineTracerFactory).
 var globalProfile atomic.Pointer[ProfileCollector]
 
 // SetGlobalProfile installs (or, with nil, removes) the collector every
@@ -397,16 +411,10 @@ func SetGlobalProfile(c *ProfileCollector) {
 	globalProfile.Store(c)
 }
 
-// GlobalProfile returns the installed collector, or nil.
-func GlobalProfile() *ProfileCollector {
-	return globalProfile.Load()
-}
-
 // Profile returns this machine's own attribution table (complete after
 // Run; same read contract as Stats).
 func (m *Machine) Profile() Profile {
-	var p Profile
-	p.Machines = 1
+	p := Profile{Machines: 1, Stats: m.stats}
 	for _, t := range m.threads {
 		p.addThread(t)
 	}

@@ -4,8 +4,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"armbar/internal/metrics"
 )
 
 // checkConserved asserts the profile's structural invariant (no gaps:
@@ -136,7 +134,7 @@ func TestProfileCauseBreakdown(t *testing.T) {
 // profiling disabled must not silently claim conservation — the whole
 // run surfaces as gap/unattributed cycles.
 func TestProfileDarkMachineReportsGaps(t *testing.T) {
-	if GlobalProfile() != nil {
+	if globalProfile.Load() != nil {
 		t.Fatal("global profile unexpectedly installed")
 	}
 	m := newTestMachine(WMM, 42)
@@ -199,8 +197,8 @@ func TestProfileReportShape(t *testing.T) {
 	}
 	checkConserved(t, &delta)
 	byCause := delta.CyclesByCause()
-	if byCause[causeNameWork] <= 0 {
-		t.Errorf("delta CyclesByCause work = %g", byCause[causeNameWork])
+	if byCause[CauseWork.String()] <= 0 {
+		t.Errorf("delta CyclesByCause work = %g", byCause[CauseWork.String()])
 	}
 	for name, v := range byCause {
 		if v == 0 {
@@ -209,30 +207,34 @@ func TestProfileReportShape(t *testing.T) {
 	}
 }
 
-// TestProfileMetricsInto checks the Prometheus-facing gauges, including
-// idempotent re-export (gauge-set semantics).
-func TestProfileMetricsInto(t *testing.T) {
+// TestProfileFoldsStats checks that the collector sums the machines'
+// counters, keeps the maxima of their high-water marks, and that a
+// delta recovers one machine's counters with the marks left zero.
+func TestProfileFoldsStats(t *testing.T) {
 	pc := NewProfileCollector()
 	SetGlobalProfile(pc)
 	defer SetGlobalProfile(nil)
-	runDifferential(t, WMM, 42, engCompiled)
-	p := pc.Snapshot()
+	first := runDifferential(t, WMM, 42, engCompiled)
+	mid := pc.Snapshot()
+	second := runDifferential(t, WMM, 7, engCompiled)
+	end := pc.Snapshot()
 
-	reg := metrics.NewRegistry()
-	p.MetricsInto(reg)
-	p.MetricsInto(reg) // second export must not double anything
-	snap := reg.Snapshot()
-	if got := snap.Gauges[`sim_profile_cycles{cause="work"}`]; got != p.Cycles[CauseWork] {
-		t.Errorf("work gauge %g, profile %g", got, p.Cycles[CauseWork])
+	want := first.stats
+	want.add(&second.stats)
+	if end.Stats != want {
+		t.Errorf("collector stats %+v, want %+v", end.Stats, want)
 	}
-	if got := snap.Gauges["sim_profile_machines"]; got != 1 {
-		t.Errorf("machines gauge %g", got)
+	if end.Stats.MaxStoreBuf != max(first.stats.MaxStoreBuf, second.stats.MaxStoreBuf) || end.Stats.MaxStoreBuf == 0 {
+		t.Errorf("store-buffer high-water mark %d from %d and %d",
+			end.Stats.MaxStoreBuf, first.stats.MaxStoreBuf, second.stats.MaxStoreBuf)
 	}
-	if got := snap.Gauges["sim_profile_gaps"]; got != 0 {
-		t.Errorf("gaps gauge %g", got)
+	if r := end.Report(); r.Sim != end.Stats {
+		t.Errorf("report sim %+v, want %+v", r.Sim, end.Stats)
 	}
-	if got := snap.Gauges["sim_profile_engine_cycles"]; got != p.EngineCycles {
-		t.Errorf("engine cycles gauge %g, want %g", got, p.EngineCycles)
+	want = second.stats
+	want.MaxEventHeap, want.MaxStoreBuf = 0, 0
+	if d := end.Sub(mid); d.Stats != want {
+		t.Errorf("delta stats %+v, want %+v", d.Stats, want)
 	}
 }
 

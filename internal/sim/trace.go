@@ -1,6 +1,10 @@
 package sim
 
-import "armbar/internal/topo"
+import (
+	"sync/atomic"
+
+	"armbar/internal/topo"
+)
 
 // TraceKind classifies a traced operation.
 type TraceKind int
@@ -64,6 +68,24 @@ func (m *Machine) SetTracer(tr Tracer) {
 		panic("sim: SetTracer after Run")
 	}
 	m.tracer = tr
+}
+
+// machineTracerFactory is process-global because experiment cells
+// build their own machines deep inside experiment packages, and atomic
+// for -par safety; a main package sets it once at startup.
+var machineTracerFactory atomic.Pointer[func() Tracer]
+
+// SetMachineTracerFactory installs (or, with nil, removes) a factory
+// consulted by New: a non-nil returned Tracer is installed on the
+// fresh machine as if by SetTracer. The factory runs on whichever
+// goroutine builds the machine and must be safe for concurrent use;
+// cmd/armbar's -trace-out passes trace.Collector.NewTracer.
+func SetMachineTracerFactory(f func() Tracer) {
+	if f == nil {
+		machineTracerFactory.Store(nil)
+		return
+	}
+	machineTracerFactory.Store(&f)
 }
 
 // emit sends an event to the tracer if one is installed.

@@ -8,6 +8,7 @@ import (
 
 	"armbar/internal/isa"
 	"armbar/internal/platform"
+	"armbar/internal/runner"
 	"armbar/internal/sim"
 )
 
@@ -225,6 +226,51 @@ func TestCollectorMergesMachines(t *testing.T) {
 	}
 	if doc.TraceEvents[0].Pid != 0 || doc.TraceEvents[1].Pid != 1 {
 		t.Fatalf("pids must identify machines: %+v", doc.TraceEvents)
+	}
+}
+
+// TestCollectorFromPoolWorkers builds machines on four pool workers
+// under the process-wide tracer factory, as a -par ≥ 2 run with
+// -trace-out does: the first 8 of 16 machines get the budget's
+// recorders, the other 8 run untraced, and the merged trace holds one
+// pid per traced machine. make race runs it under the race detector.
+func TestCollectorFromPoolWorkers(t *testing.T) {
+	col := NewCollector(64, 8)
+	sim.SetMachineTracerFactory(col.NewTracer)
+	defer sim.SetMachineTracerFactory(nil)
+	p := runner.New(4)
+	defer p.Close()
+	runner.Map(p, 16, func(i int) float64 {
+		m := sim.New(sim.Config{Plat: platform.Kunpeng916(), Mode: sim.WMM, Seed: int64(i)})
+		a := m.Alloc(1)
+		m.Spawn(0, func(th *sim.Thread) {
+			th.Store(a, 1)
+			th.Barrier(isa.DMBFull)
+		})
+		m.Spawn(32, func(th *sim.Thread) { th.Load(a) })
+		return m.Run()
+	})
+	if col.Machines() != 8 || col.Skipped() != 8 {
+		t.Fatalf("machines/skipped = %d/%d, want 8/8", col.Machines(), col.Skipped())
+	}
+	var buf bytes.Buffer
+	if err := col.WriteChromeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Pid int `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	pids := map[int]bool{}
+	for _, ev := range doc.TraceEvents {
+		pids[ev.Pid] = true
+	}
+	if len(pids) != 8 {
+		t.Fatalf("trace holds %d machines, want 8", len(pids))
 	}
 }
 

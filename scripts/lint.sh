@@ -1,6 +1,6 @@
 #!/bin/sh
 # Static-analysis gate: run the armvet pass suite (determvet, lockvet,
-# atomicvet, allocvet, metricvet) over the whole module and fail on any finding.
+# atomicvet, allocvet, progvet) over the whole module and fail on any finding.
 # Run without arguments, it first checks that every Go file outside the
 # hidden build and cache directories is gofmt-clean, and fails naming
 # the files that are not.
