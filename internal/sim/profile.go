@@ -9,10 +9,10 @@ import (
 // thread's virtual clock is tagged with a Cause — the paper's question
 // is precisely *where barrier cycles go*, and aggregate op counts
 // cannot separate a DMB's transaction round trip from the coherence
-// miss that follows it. Attribution is structural, not
-// sampled: the only two ways a thread's clock moves are the advBy /
-// advTo helpers below, so the per-cause sums reconstruct the engine's
-// own cycle counts exactly.
+// miss that follows it. Attribution is structural, not sampled: the
+// only two ways a thread's clock moves are the advBy / advTo helpers
+// below, so the per-cause sums reconstruct the engine's own cycle
+// counts exactly.
 //
 // Conservation invariant. Each thread carries a shadow clock
 // (threadProfile.now) updated by the *same* floating-point operation as
