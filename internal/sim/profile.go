@@ -252,7 +252,7 @@ func (s *Stats) add(o *Stats) {
 
 // sub returns s minus o for the counters. The high-water marks come
 // back zero: a maximum cannot be differenced.
-func (s Stats) sub(o Stats) Stats {
+func (s *Stats) sub(o *Stats) Stats {
 	return Stats{
 		Loads:            s.Loads - o.Loads,
 		Stores:           s.Stores - o.Stores,
@@ -281,7 +281,7 @@ func (p Profile) Sub(o Profile) Profile {
 	}
 	d.Threads -= o.Threads
 	d.Machines -= o.Machines
-	d.Stats = p.Stats.sub(o.Stats)
+	d.Stats = p.Stats.sub(&o.Stats)
 	d.Gaps -= o.Gaps
 	d.EngineCycles -= o.EngineCycles
 	return d

@@ -74,8 +74,7 @@ func TestObservabilityIsHarmless(t *testing.T) {
 	// The same seed must produce the same virtual time and counters
 	// dark, with a global profile collector, and with a tracer.
 	m, dark := fencedRun(nil)
-	pc := sim.NewProfileCollector()
-	sim.SetGlobalProfile(pc)
+	sim.SetGlobalProfile(sim.NewProfileCollector())
 	mp, profiled := fencedRun(nil)
 	sim.SetGlobalProfile(nil)
 	mt, traced := fencedRun(&countingTracer{})
@@ -84,8 +83,5 @@ func TestObservabilityIsHarmless(t *testing.T) {
 	}
 	if mp.Stats() != m.Stats() || mt.Stats() != m.Stats() {
 		t.Fatalf("observability changed counters: dark %+v, profiled %+v, traced %+v", m.Stats(), mp.Stats(), mt.Stats())
-	}
-	if got := pc.Snapshot().Stats; got != m.Stats() {
-		t.Fatalf("collector folded %+v, machine counted %+v", got, m.Stats())
 	}
 }
