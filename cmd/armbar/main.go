@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	armbar [-quick] [-seed N] [-par N] [-csv] [-profile-out f] [-trace-out f] [-manifest f] <experiment> [...]
+//	armbar [-quick] [-seed N] [-par N] [-csv] [-profile-out f] [-trace-out f] [-manifest f] [-cpuprofile f] <experiment> [...]
 //	armbar perfcheck [-snapshot BENCH_sim.json] [-threshold 1.8]
 //	armbar cache [stats|gc|clear] [-dir .armbar-cache]
 //
@@ -21,12 +21,15 @@
 // hits, and with -profile-out its cycle attribution and simulator
 // counters. -profile-out also writes the cycle-attribution profile as
 // folded stacks for flamegraph tooling; -trace-out writes a merged
-// Chrome/Perfetto trace of the simulated machines. perfcheck reruns
-// the hot-path microbenchmarks and fails when they regress against
-// BENCH_sim.json.
+// Chrome/Perfetto trace of the simulated machines. -cpuprofile writes a
+// Go CPU profile of the host work (`go tool pprof`), with each
+// experiment's samples, pool workers' included, under the pprof label
+// experiment=<name>. perfcheck reruns the hot-path microbenchmarks and
+// fails when they regress against BENCH_sim.json.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -35,12 +38,14 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
 
 	"armbar/internal/cellcache"
 	"armbar/internal/figures"
+	"armbar/internal/report"
 	"armbar/internal/runner"
 	"armbar/internal/sim"
 	"armbar/internal/trace"
@@ -147,6 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"write the cycle-attribution profile as folded stacks (flamegraph.pl / speedscope input) to this file; also puts each experiment's cycles and simulator counters in the manifest")
 	traceOut := fs.String("trace-out", "", "write a merged Chrome/Perfetto trace of the simulated machines to this file")
 	manifestOut := fs.String("manifest", "", "write a run manifest (seed, flags, git rev, per-experiment metrics) to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a Go CPU profile of the run to this file, each experiment's samples under the pprof label experiment=<name>")
 	cacheOn := onOff(true)
 	fs.Var(&cacheOn, "cache", "consult the persistent result cache: on|off (default on; -cache=off recomputes everything)")
 	cacheDir := fs.String("cache-dir", ".armbar-cache", "result-cache directory (see README \"Result cache\")")
@@ -183,6 +189,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		args = figures.Names()
 	} else if args[0] == "platforms" {
 		args = []string{"table2"}
+	}
+	// Resolve every name before the first experiment runs, so a typo at
+	// the end of a long list costs nothing and prints nothing.
+	exps := make([]figures.Experiment, len(args))
+	for i, name := range args {
+		exp, ok := figures.ByName(name)
+		if !ok {
+			fmt.Fprintf(stderr, "armbar: unknown experiment %q (have: %s)\n",
+				name, strings.Join(figures.Names(), " "))
+			return 2
+		}
+		exps[i] = exp
 	}
 
 	// Observability sinks. Both hooks are installed before any machine
@@ -236,15 +254,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Args:        requested,
 		TraceFile:   *traceOut,
 	}
-	start := time.Now()
-	for _, name := range args {
-		exp, ok := figures.ByName(name)
-		if !ok {
-			fmt.Fprintf(stderr, "armbar: unknown experiment %q (have: %s)\n",
-				name, strings.Join(figures.Names(), " "))
-			return 2
+	stopCPUProfile := func() error { return nil }
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			return failf("%v", err)
 		}
-		tables, run := figures.RunInstrumented(exp, o, profc)
+		defer stop()
+		stopCPUProfile = stop
+	}
+	start := time.Now()
+	for _, exp := range exps {
+		name := exp.Name
+		var tables []*report.Table
+		var run figures.ExperimentRun
+		pprof.Do(context.Background(), pprof.Labels("experiment", name), func(ctx context.Context) {
+			pool.Label(ctx)
+			tables, run = figures.RunInstrumented(exp, o, profc)
+		})
 		man.Experiments = append(man.Experiments, run)
 		if *times {
 			fmt.Fprintf(stderr, "# %-8s %2d table(s) in %v\n", name, len(tables),
@@ -274,6 +301,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	man.WallSeconds = time.Since(start).Seconds()
+	if err := stopCPUProfile(); err != nil {
+		return failf("%v", err)
+	}
 	if *times {
 		fmt.Fprintf(stderr, "# total    %v (par=%d)\n",
 			time.Duration(man.WallSeconds*float64(time.Second)).Round(time.Millisecond), *par)
@@ -326,6 +356,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// startCPUProfile starts a Go CPU profile into a new file at path and
+// returns the function that stops it and closes the file; only its
+// first call does anything.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	stopped := false
+	return func() error {
+		if stopped {
+			return nil
+		}
+		stopped = true
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // writeFoldedStacks renders the per-experiment attribution rollup in

@@ -146,3 +146,45 @@ func TestSinksKeepOutputAndRecordSim(t *testing.T) {
 		t.Fatal("trace holds no machine")
 	}
 }
+
+// TestUnknownExperimentRejectedUpFront: a bad name anywhere in the list
+// fails the run before its first experiment, with nothing on stdout
+// and no output directory made.
+func TestUnknownExperimentRejectedUpFront(t *testing.T) {
+	outDir := filepath.Join(t.TempDir(), "out")
+	var out, errb bytes.Buffer
+	code := run([]string{"-quick", "-cache=off", "-par", "1", "-o", outDir, "table1", "bogus"}, &out, &errb)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2\n%s", code, errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("stdout holds %d bytes before the rejection:\n%s", out.Len(), out.String())
+	}
+	if !strings.Contains(errb.String(), `unknown experiment "bogus"`) {
+		t.Errorf("stderr does not name the bad experiment:\n%s", errb.String())
+	}
+	if _, err := os.Stat(outDir); !os.IsNotExist(err) {
+		t.Errorf("output directory made before the rejection (stat: %v)", err)
+	}
+}
+
+// TestCPUProfileKeepsOutput: -cpuprofile writes a non-empty profile,
+// and the tables are byte-identical to the same run without it, with
+// cells on pool workers.
+func TestCPUProfileKeepsOutput(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.pprof")
+	args := []string{"-quick", "-par", "2", "-cache=off"}
+	exps := []string{"table1", "fig4"}
+	dark := runArmbar(t, append(args, exps...)...)
+	lit := runArmbar(t, append(append(args, "-cpuprofile", prof), exps...)...)
+	if lit != dark {
+		t.Fatalf("-cpuprofile changed stdout:\n--- without\n%s\n--- with\n%s", dark, lit)
+	}
+	st, err := os.Stat(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() == 0 {
+		t.Fatal("CPU profile is empty")
+	}
+}

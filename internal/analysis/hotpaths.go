@@ -74,6 +74,9 @@ var HotPathFuncs = map[string]bool{
 	"armbar/internal/sim.Thread.StoreRelease":  true,
 	"armbar/internal/sim.Thread.Barrier":       true,
 	"armbar/internal/sim.Thread.SpinUntil":     true,
+	"armbar/internal/sim.Thread.SpinAny":       true,
+	"armbar/internal/sim.Thread.SpinSweep":     true,
+	"armbar/internal/sim.Thread.spinProbes":    true,
 	"armbar/internal/sim.SpinCmp.holds":        true,
 	"armbar/internal/sim.Machine.doLoad":       true,
 	"armbar/internal/sim.Machine.doStore":      true,
@@ -107,6 +110,7 @@ var HotPathFuncs = map[string]bool{
 	"armbar/internal/sim.execWork":            true,
 	"armbar/internal/sim.execRMW":             true,
 	"armbar/internal/sim.execSpin":            true,
+	"armbar/internal/sim.execEnv.probe":       true,
 	"armbar/internal/sim.storeStall":          true,
 	"armbar/internal/sim.rmwStall":            true,
 
@@ -160,6 +164,17 @@ var HotPathFuncs = map[string]bool{
 	"armbar/internal/mesi.sharerWord":               true,
 	"armbar/internal/mesi.Directory.rank":           true,
 	"armbar/internal/mesi.Directory.AcquireAtomic":  true,
+
+	// Simulated Pilot receiver (internal/core/simpilot.go): every
+	// Pilot wait and poll stages the receiver's probes, so taking a
+	// message must not allocate either (TestPilotWaitsAllocsPerRun in
+	// internal/locks).
+	"armbar/internal/core.SimReceiver.Probes":  true,
+	"armbar/internal/core.SimReceiver.Accept":  true,
+	"armbar/internal/core.SimReceiver.seen":    true,
+	"armbar/internal/core.SimReceiver.Observe": true,
+	"armbar/internal/core.SimReceiver.TryRecv": true,
+	"armbar/internal/core.SimReceiver.Recv":    true,
 
 	// Interconnect cost model (internal/ace).
 	"armbar/internal/ace.Fabric.Response": true,

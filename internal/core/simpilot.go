@@ -25,10 +25,15 @@ type SimSender struct {
 }
 
 // SimReceiver is the consuming side (Algorithm 4) for simulated threads.
+// Its poll is two spin-wait probes, kept in step with the codec: a
+// change of the data word, then of the fallback flag, from the values
+// last seen. Staging them here lets every wait and poll run as one
+// sim.Thread.SpinAny or SpinSweep op that allocates nothing.
 type SimReceiver struct {
 	w    SimWord
 	pool []uint64
 	rx   rx
+	poll [2]sim.Probe
 }
 
 // Sender returns the sending half. pool is the hash pool both halves
@@ -39,7 +44,10 @@ func (w SimWord) Sender(pool []uint64) SimSender {
 
 // Receiver returns the receiving half over the sender's pool.
 func (w SimWord) Receiver(pool []uint64) SimReceiver {
-	return SimReceiver{w: w, pool: pool}
+	return SimReceiver{w: w, pool: pool, poll: [2]sim.Probe{
+		{Addr: w.Data, Cmp: sim.SpinNE},
+		{Addr: w.Flag, Cmp: sim.SpinNE},
+	}}
 }
 
 // Send publishes v with one plain store and *no barrier* — the whole
@@ -53,11 +61,41 @@ func (s *SimSender) Send(t *sim.Thread, v uint64) {
 	}
 }
 
+// Probes returns the receiver's poll as spin-wait probes, for a
+// caller that waits on this receiver and other words in one op: probe
+// 0 holds once the data word changed and probe 1 once the fallback
+// flag did. The slice aliases the receiver, so a caller that keeps a
+// copy in its own probe table copies it again after each Accept.
+func (r *SimReceiver) Probes() []sim.Probe { return r.poll[:] }
+
+// Accept takes the message that probe i of Probes saw change to v: it
+// records v as the data word (i == 0) or the fallback flag last seen
+// and decodes the next message.
+func (r *SimReceiver) Accept(i int, v uint64) uint64 {
+	r.seen(i, v)
+	return r.rx.decode(r.pool)
+}
+
+// seen records the new value v that probe i saw.
+func (r *SimReceiver) seen(i int, v uint64) {
+	if i == 0 {
+		r.rx.data = v
+	} else {
+		r.rx.flag = v
+	}
+	r.poll[i].Val = v
+}
+
 // Observe polls once without consuming a message: it loads the data
 // word, and the flag only if the data word is unchanged, and reports
 // whether either changed since the last poll.
 func (r *SimReceiver) Observe(t *sim.Thread) bool {
-	return r.rx.seenData(t.Load(r.w.Data)) || r.rx.seenFlag(t.Load(r.w.Flag))
+	i, v := t.SpinSweep(r.poll[:], 0)
+	if i < 0 {
+		return false
+	}
+	r.seen(i, v)
+	return true
 }
 
 // DecodeAt decodes the last observed data word as message n (counted
@@ -77,12 +115,7 @@ func (r *SimReceiver) TryRecv(t *sim.Thread) (uint64, bool) {
 }
 
 // Recv polls until a message arrives, pausing Nops(pause) after each
-// miss.
+// miss: Algorithm 4's loop as one SpinAny op.
 func (r *SimReceiver) Recv(t *sim.Thread, pause int) uint64 {
-	for {
-		if v, ok := r.TryRecv(t); ok {
-			return v
-		}
-		t.Nops(pause)
-	}
+	return r.Accept(t.SpinAny(r.poll[:], pause))
 }

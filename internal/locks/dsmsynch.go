@@ -44,10 +44,12 @@ type DSMSynchLock struct {
 
 	// Pilot endpoints per node (pilot mode): whichever thread is
 	// combining (serialized by the queue) sends, the owning client
-	// receives.
+	// receives, and waits on the receiver's probes plus a handoff probe
+	// of the node's state in its own probe table.
 	tx     []core.SimSender
 	rx     []core.SimReceiver
-	toggle []int // per client: which of its two nodes to use next
+	wait   [][3]sim.Probe // per client
+	toggle []int          // per client: which of its two nodes to use next
 }
 
 // NewDSMSynch allocates the lock for nClients on machine m.
@@ -83,6 +85,7 @@ func NewDSMSynch(m *sim.Machine, nClients int, pilot bool, barriers [2]isa.Barri
 			l.tx = append(l.tx, w.Sender(pool))
 			l.rx = append(l.rx, w.Receiver(pool))
 		}
+		l.wait = make([][3]sim.Probe, nClients)
 	}
 	return l
 }
@@ -113,18 +116,17 @@ func (l *DSMSynchLock) Exec(t *sim.Thread, client int, cs CS, arg uint64) uint64
 	pred := t.Swap(l.tail, node)
 	if pred != 0 {
 		t.Store(pred+0, node)
-		// Wait: in pilot mode completion arrives as a ret-word change;
-		// locked=0 with completed=0 means "you are the combiner now".
+		// Wait: in pilot mode completion arrives as a ret-word change
+		// (the receiver's two probes); locked=0 with completed=0 means
+		// "you are the combiner now" (the acquiring third probe).
 		if l.pilot {
-			for {
-				if v, ok := l.rx[idx].TryRecv(t); ok {
-					return v
-				}
-				if t.LoadAcquire(state) == 0 {
-					break // handoff: become combiner
-				}
-				t.Nops(spinPause)
+			w := l.wait[client][:]
+			copy(w, l.rx[idx].Probes())
+			w[2] = sim.Probe{Addr: state, Cmp: sim.SpinEQ, Val: 0, Acquire: true}
+			if i, v := t.SpinAny(w, spinPause); i < 2 {
+				return l.rx[idx].Accept(i, v)
 			}
+			// Handoff: become combiner.
 		} else if t.SpinUntil(state, true, sim.SpinNE, 1, spinPause) == 2 {
 			// 2 = served; 0 = handoff: become combiner.
 			t.Barrier(isa.DMBLd)

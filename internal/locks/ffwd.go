@@ -40,10 +40,12 @@ type FFWDLock struct {
 }
 
 // server is the dedicated FFWD server's state; Run spawns a thread
-// running it alongside the clients.
+// running it alongside the clients. Its sweep is one probe table over
+// every request line, per client the request flag's change from the
+// last flag seen (plain mode) or the Pilot receiver's two probes.
 type server struct {
 	l        *FFWDLock
-	oldFlag  []uint64 // last seen request flag (plain mode)
+	sweep    []sim.Probe
 	respFlag []uint64 // last stored response flag (plain mode)
 	reqRx    []core.SimReceiver
 	respTx   []core.SimSender
@@ -80,7 +82,6 @@ func NewFFWD(m *sim.Machine, nClients int, pilot bool, barriers [2]isa.Barrier) 
 	}
 	s := &server{
 		l:        l,
-		oldFlag:  make([]uint64, nClients),
 		respFlag: make([]uint64, nClients),
 		cs:       make([]CS, nClients),
 		args:     make([]uint64, nClients),
@@ -95,6 +96,11 @@ func NewFFWD(m *sim.Machine, nClients int, pilot bool, barriers [2]isa.Barrier) 
 			l.respRx = append(l.respRx, resp.Receiver(pool))
 			s.reqRx = append(s.reqRx, req.Receiver(pool))
 			s.respTx = append(s.respTx, resp.Sender(pool))
+			s.sweep = append(s.sweep, s.reqRx[i].Probes()...)
+		}
+	} else {
+		for _, req := range l.req {
+			s.sweep = append(s.sweep, sim.Probe{Addr: req, Cmp: sim.SpinNE, Acquire: l.barX == isa.LDAR})
 		}
 	}
 	return l
@@ -128,39 +134,29 @@ func (l *FFWDLock) Exec(t *sim.Thread, c int, cs CS, arg uint64) uint64 {
 // pending request found, publish all responses with one shared Y
 // barrier (plain mode). It exits when *remaining reaches zero (the
 // count of client threads still working).
+//
+// A sweep polls the request lines in client order, and only a sweep
+// that found no request pauses. Each SpinSweep polls on from the
+// client after the last one found, so the sweep issues the loads of a
+// poll loop over every client, and *remaining is checked once per
+// sweep, after the pause or the service that ends it.
 func (s *server) run(t *sim.Thread, remaining *int) {
 	l := s.l
+	k := len(s.sweep) / l.nClients // probes per client
 	pending := make([]int, 0, l.nClients)
 	for *remaining > 0 {
 		pending = pending[:0]
-		for c := 0; c < l.nClients; c++ {
-			if l.pilot {
-				// Request signal: encoded-arg change or fallback flag.
-				arg, ok := s.reqRx[c].TryRecv(t)
-				if !ok {
-					continue
-				}
-				s.applyBarX(t)
-				s.args[c] = arg
-				pending = append(pending, c)
-				continue
+		for from, pause := 0, spinPause; from < len(s.sweep); pause = 0 {
+			i, v := t.SpinSweep(s.sweep[from:], pause)
+			if i < 0 {
+				break
 			}
-			var f uint64
-			if l.barX == isa.LDAR {
-				f = t.LoadAcquire(l.req[c])
-			} else {
-				f = t.Load(l.req[c])
-			}
-			if f == s.oldFlag[c] {
-				continue
-			}
-			s.oldFlag[c] = f
-			s.applyBarX(t)
-			s.args[c] = t.Load(l.req[c] + 8)
+			c := (from + i) / k
+			s.take(t, c, (from+i)%k, v)
 			pending = append(pending, c)
+			from = (c + 1) * k
 		}
 		if len(pending) == 0 {
-			t.Nops(spinPause)
 			continue
 		}
 		if l.pilot {
@@ -192,6 +188,23 @@ func (s *server) run(t *sim.Thread, remaining *int) {
 			t.Store(l.resp[c], s.respFlag[c])
 		}
 	}
+}
+
+// take consumes client c's request, which the sweep found when its
+// probe j read v: the Pilot-encoded argument (or a fallback-flag
+// nudge) is decoded, while a plain toggled flag is recorded and the
+// argument loaded behind the line-4 barrier.
+func (s *server) take(t *sim.Thread, c, j int, v uint64) {
+	if s.l.pilot {
+		arg := s.reqRx[c].Accept(j, v)
+		copy(s.sweep[2*c:], s.reqRx[c].Probes())
+		s.applyBarX(t)
+		s.args[c] = arg
+		return
+	}
+	s.sweep[c].Val = v
+	s.applyBarX(t)
+	s.args[c] = t.Load(s.l.req[c] + 8)
 }
 
 // applyBarX applies the line-4 request-consumption barrier. LDAR is

@@ -30,17 +30,21 @@ type FCLock struct {
 	resp  []uint64
 	cs    []CS
 
-	// Client-side protocol state: the toggled request flag, and the
-	// plain response flag or the Pilot response receiver.
+	// Client-side protocol state: the toggled request flag, the Pilot
+	// response receiver, and the client's wait as a probe table: the
+	// response probes (the receiver's two, or in plain mode the
+	// response flag's change from the last flag seen), then the latch
+	// reading free.
 	clReqFlag []uint64
-	clFb      []uint64
 	clRx      []core.SimReceiver
+	clWait    [][]sim.Probe
 
 	// Combiner-side mirrors (whoever combines reads/writes these; the
-	// latch serializes access).
-	coSeenReq []uint64
-	coFb      []uint64
-	coTx      []core.SimSender
+	// latch serializes access): the scan's probe table over the
+	// request words, each waiting for a change from the last word seen.
+	coScan []sim.Probe
+	coFb   []uint64
+	coTx   []core.SimSender
 }
 
 // NewFC allocates a flat-combining lock for nClients.
@@ -56,21 +60,29 @@ func NewFC(m *sim.Machine, nClients int, pilot bool, barY isa.Barrier) *FCLock {
 		resp:      make([]uint64, nClients),
 		cs:        make([]CS, nClients),
 		clReqFlag: make([]uint64, nClients),
-		clFb:      make([]uint64, nClients),
-		coSeenReq: make([]uint64, nClients),
+		clWait:    make([][]sim.Probe, nClients),
+		coScan:    make([]sim.Probe, nClients),
 		coFb:      make([]uint64, nClients),
 	}
 	for i := 0; i < nClients; i++ {
 		l.req[i] = m.Alloc(1)
 		l.resp[i] = m.Alloc(1)
+		l.coScan[i] = sim.Probe{Addr: l.req[i], Cmp: sim.SpinNE, Acquire: true}
 	}
+	var pool []uint64
 	if pilot {
-		pool := core.HashPool(0xFC)
-		for _, resp := range l.resp {
+		pool = core.HashPool(0xFC)
+	}
+	for c, resp := range l.resp {
+		if pilot {
 			w := core.SimWord{Data: resp, Flag: resp + 8}
 			l.clRx = append(l.clRx, w.Receiver(pool))
 			l.coTx = append(l.coTx, w.Sender(pool))
+			l.clWait[c] = append(l.clWait[c], l.clRx[c].Probes()...)
+		} else {
+			l.clWait[c] = append(l.clWait[c], sim.Probe{Addr: resp + 8, Cmp: sim.SpinNE})
 		}
+		l.clWait[c] = append(l.clWait[c], sim.Probe{Addr: l.latch, Cmp: sim.SpinEQ, Val: 0})
 	}
 	return l
 }
@@ -86,18 +98,21 @@ func (l *FCLock) Exec(t *sim.Thread, c int, cs CS, arg uint64) uint64 {
 	l.clReqFlag[c] ^= 1
 	t.Store(l.req[c], l.clReqFlag[c])
 
+	// Wait until the response arrives or the latch reads free.
+	w := l.clWait[c]
+	resp := w[:len(w)-1]
 	for {
-		// Response arrived?
-		if v, ok := l.tryRecvResponse(t, c); ok {
-			return v
+		i, v := t.SpinAny(w, spinPause)
+		if i < len(resp) {
+			return l.response(t, c, i, v)
 		}
 		// Try to become the combiner.
-		if t.Load(l.latch) == 0 && t.CompareAndSwap(l.latch, 0, 1) {
+		if t.CompareAndSwap(l.latch, 0, 1) {
 			l.combine(t)
 			t.Barrier(isa.DMBSt)
 			t.Store(l.latch, 0)
-			if v, ok := l.tryRecvResponse(t, c); ok {
-				return v
+			if i, v := t.SpinSweep(resp, 0); i >= 0 {
+				return l.response(t, c, i, v)
 			}
 			// Our own request raced past this combining round; keep
 			// waiting (a later combiner will serve it).
@@ -106,28 +121,33 @@ func (l *FCLock) Exec(t *sim.Thread, c int, cs CS, arg uint64) uint64 {
 	}
 }
 
-// tryRecvResponse polls the client's response line once.
-func (l *FCLock) tryRecvResponse(t *sim.Thread, c int) (uint64, bool) {
+// response takes client c's response, which its response probe i
+// read as v.
+func (l *FCLock) response(t *sim.Thread, c, i int, v uint64) uint64 {
+	w := l.clWait[c]
 	if l.pilot {
-		return l.clRx[c].TryRecv(t)
+		ret := l.clRx[c].Accept(i, v)
+		copy(w, l.clRx[c].Probes())
+		return ret
 	}
-	// Plain: the response flag lives at +8; the value at +0.
-	if f := t.Load(l.resp[c] + 8); f != l.clFb[c] {
-		l.clFb[c] = f
-		t.Barrier(isa.DMBLd)
-		return t.Load(l.resp[c]), true
-	}
-	return 0, false
+	// Plain: the response flag at +8 toggled; the value lives at +0.
+	w[0].Val = v
+	t.Barrier(isa.DMBLd)
+	return t.Load(l.resp[c])
 }
 
 // combine scans every publication record and serves the pending ones.
+// Each SpinSweep of the scan polls on from the record after the last
+// one served.
 func (l *FCLock) combine(t *sim.Thread) {
-	for c := range l.req {
-		f := t.LoadAcquire(l.req[c])
-		if f == l.coSeenReq[c] {
-			continue
+	for from := 0; from < len(l.coScan); {
+		i, f := t.SpinSweep(l.coScan[from:], 0)
+		if i < 0 {
+			return
 		}
-		l.coSeenReq[c] = f
+		c := from + i
+		from = c + 1
+		l.coScan[c].Val = f
 		arg := t.Load(l.req[c] + 8)
 		raw := l.cs[c](t, arg)
 		if l.pilot {

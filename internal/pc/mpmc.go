@@ -219,29 +219,45 @@ func runPilotFanIn(m *sim.Machine, cfg MPMCConfig, prodCores []topo.CoreID, cons
 	}
 	total := n * cfg.Messages
 	m.Spawn(consCore, func(t *sim.Thread) {
+		// The consumer's round-robin poll is one probe table: the
+		// receiver probes of every producer not yet done, two each, in
+		// producer order.
 		recvs := make([]core.SimReceiver, n)
-		done := make([]int, n)
+		live := make([]int, n)
+		probes := make([]sim.Probe, 0, 2*n)
 		for i := range recvs {
 			recvs[i] = words[i].Receiver(pools[i])
+			live[i] = i
+			probes = append(probes, recvs[i].Probes()...)
 		}
+		done := make([]int, n)
 		got := 0
 		for got < total {
-			idle := true
-			for p := 0; p < n; p++ {
+			// Idle rounds pause and poll again inside SpinAny; a round
+			// that receives goes on from the producer after each one
+			// served, with no pause at its end.
+			i, v := t.SpinAny(probes, 8)
+			for i >= 0 {
+				k := i / 2
+				p := live[k]
+				x := recvs[p].Accept(i%2, v)
+				copy(probes[2*k:], recvs[p].Probes())
+				t.Nops(2) // unshuffle: xor + counter bump
+				*sum += x
+				done[p]++
+				got++
+				t.Store(acks[p], uint64(done[p]))
+				next := 2 * (k + 1)
 				if done[p] == cfg.Messages {
-					continue
+					live = append(live[:k], live[k+1:]...)
+					probes = append(probes[:2*k], probes[2*k+2:]...)
+					next = 2 * k
 				}
-				if v, ok := recvs[p].TryRecv(t); ok {
-					t.Nops(2) // unshuffle: xor + counter bump
-					*sum += v
-					done[p]++
-					got++
-					t.Store(acks[p], uint64(done[p]))
-					idle = false
+				j, w := t.SpinSweep(probes[next:], 0)
+				if j < 0 {
+					break
 				}
-			}
-			if idle {
-				t.Nops(8)
+				i, v = next+j, w
 			}
 		}
 	})

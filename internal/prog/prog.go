@@ -43,6 +43,8 @@ const (
 	SpinEQ                // poll until the value == Val, pausing Cyc between polls
 	SpinNE                // poll until the value != Val, pausing Cyc between polls
 	SpinGE                // poll until the value >= Val, pausing Cyc between polls
+	SpinAny               // poll a staged probe table until one probe holds, pausing Cyc between sweeps
+	SpinSweep             // poll a staged probe table once, then pause Cyc if no probe held
 
 	// Free control codes: pure pc/counter updates, no simulated time,
 	// no dispatch — they correspond to Go-level control flow in a
@@ -63,7 +65,7 @@ func (c Code) IsControl() bool { return c == Jump || c == LoopEnd }
 var codeNames = [NumCodes]string{
 	"load", "loadacq", "loadacqpc", "store", "storerel", "barrier",
 	"work", "fetchadd", "swap", "cas", "spin_eq", "spin_ne", "spin_ge",
-	"jump", "loopend",
+	"spin_any", "spin_sweep", "jump", "loopend",
 }
 
 func (c Code) String() string {
@@ -114,6 +116,13 @@ const MaxOps = 1 << 16
 // acquiring load if Bar is isa.LDAR and a relaxed one if Bar is None,
 // and pauses Cyc cycles after each poll that fails the condition. The
 // executor advances past it only at its satisfying poll.
+//
+// SpinAny and SpinSweep are the multi-probe spin-waits of a closure
+// thread (sim.Thread.SpinAny and SpinSweep): their probes (address,
+// poll flavor, condition and value each) sit in a table the call
+// stages with the executor, and the op carries only the pause in Cyc.
+// A Program has no probe tables, so Validate rejects both codes; a
+// program waits on one address per spin op.
 type Op struct {
 	Code  Code
 	AMode AddrMode
@@ -165,6 +174,8 @@ func (p *Program) Validate() error {
 			if !(op.Cyc >= 0) || math.IsInf(op.Cyc, 1) {
 				return bad("pause %g is not finite and >= 0", op.Cyc)
 			}
+		case SpinAny, SpinSweep:
+			return bad("probe-table spin-waits are staged by closure threads only")
 		case Barrier:
 			switch op.Bar {
 			case isa.DMBFull, isa.DMBSt, isa.DMBLd, isa.DSBFull, isa.DSBSt, isa.DSBLd, isa.ISB,

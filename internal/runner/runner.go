@@ -21,9 +21,11 @@
 package runner
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 )
@@ -36,7 +38,8 @@ type Pool struct {
 	workers int
 	tasks   chan func()
 	wg      sync.WaitGroup
-	done    atomic.Uint64 // cells completed (including panicked ones)
+	done    atomic.Uint64   // cells completed (including panicked ones)
+	labels  context.Context // pprof labels of the cells submitted next (see Label)
 
 	mu     sync.Mutex
 	closed bool // armvet:guardedby mu
@@ -53,6 +56,7 @@ func New(workers int) *Pool {
 	p := &Pool{
 		workers: workers,
 		tasks:   make(chan func(), 2*workers),
+		labels:  context.Background(),
 	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
@@ -82,6 +86,22 @@ func (p *Pool) TasksDone() uint64 {
 		return 0
 	}
 	return p.done.Load()
+}
+
+// Label runs every cell submitted from now on under the pprof labels
+// of ctx (set with pprof.Do or pprof.WithLabels), so a CPU profile
+// attributes a worker's samples to the labels of the code that
+// submitted the cell; a nil ctx clears them. Like Submit, it belongs
+// to the assembling goroutine. On a nil pool, cells run on the
+// submitter's goroutine under its own labels, and Label does nothing.
+func (p *Pool) Label(ctx context.Context) {
+	if p == nil {
+		return
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	p.labels = ctx
 }
 
 // Close stops accepting work and waits for in-flight cells to finish.
@@ -162,7 +182,11 @@ func Submit[T any](p *Pool, fn func() T) *Future[T] {
 		f.run(fn, nil)
 		return f
 	}
-	p.tasks <- func() { f.run(fn, &p.done) }
+	labels := p.labels
+	p.tasks <- func() {
+		pprof.SetGoroutineLabels(labels)
+		f.run(fn, &p.done)
+	}
 	return f
 }
 

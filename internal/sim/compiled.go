@@ -35,13 +35,18 @@ func (m *Machine) SpawnProgram(core topo.CoreID, p *prog.Program) *Thread {
 
 // execEnv is the executor's per-thread state: the flat op array, the
 // program counter, the loop counters, the result of the latest load,
-// atomic or spin-wait, and whether a spin-wait's next step is the
-// pause after a failed poll. It lives in the Thread, in the machine's
-// thread arena: running a program allocates nothing.
+// atomic or spin-wait, and a spin-wait's progress: the probe table a
+// closure's multi-probe wait staged, the index of the probe it polls
+// next (once the wait ends, of the probe that held, or -1 for a sweep
+// in which none did), and whether its next step is the pause after a
+// sweep in which no probe held. It lives in the Thread, in the
+// machine's thread arena: running a program allocates nothing.
 type execEnv struct {
 	ops      []prog.Op
 	tables   [][]uint64
+	probes   []Probe
 	pc       int32
+	sweep    int32
 	counters [prog.MaxLoopDepth]int64
 	res      uint64
 	pausing  bool
@@ -129,7 +134,7 @@ func (m *Machine) execStep(t *Thread) {
 // opExec is the executor's dispatch table: the function serving each
 // machine-visible opcode, which reports whether it served its op
 // (false: it only advanced the clock, and the op retries). The three
-// atomics share execRMW and the three spin-waits execSpin, which read
+// atomics share execRMW and the five spin-waits execSpin, which read
 // the flavor from op.Code. Control codes never reach dispatch —
 // stepControl folds them — so their slots stay nil.
 var opExec = [prog.NumCodes]func(*Machine, *Thread, *execEnv, *prog.Op) bool{
@@ -146,6 +151,8 @@ var opExec = [prog.NumCodes]func(*Machine, *Thread, *execEnv, *prog.Op) bool{
 	prog.SpinEQ:    execSpin,
 	prog.SpinNE:    execSpin,
 	prog.SpinGE:    execSpin,
+	prog.SpinAny:   execSpin,
+	prog.SpinSweep: execSpin,
 }
 
 func execLoad(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
@@ -255,36 +262,61 @@ func execRMW(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	return true
 }
 
-// execSpin serves the next step of a spin-wait: the pause after a poll
-// that failed the condition, or a poll. Only a satisfying poll
-// completes the op; each other step is served, and the thread stays on
-// the op until it is the run-heap minimum again. Poll cycles attribute
-// to CauseSpin instead of their service cause: the spinning flag
-// remaps inside the attribution helpers and never touches the
-// simulation itself.
+// execSpin serves the next step of every spin-wait, a compiled
+// SpinEQ/NE/GE op (one probe, the op's own) or a closure's SpinAny or
+// SpinSweep (the staged probe table): the pause after a sweep in which
+// no probe held, or the poll of the next probe. A poll that holds
+// completes the op, and so does a SpinSweep's end (its pause, or its
+// last poll when it has none). Every other step is served, and the
+// thread stays on the op until it is the run-heap minimum again. Poll
+// cycles attribute to CauseSpin instead of their service cause: the
+// spinning flag remaps inside the attribution helpers and never
+// touches the simulation itself.
 func execSpin(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	start := t.now
 	if e.pausing {
 		e.pausing = false
 		t.advBy(CauseWork, op.Cyc)
 		m.emit(t, TraceWork, 0, start, t.now, "")
+		if op.Code == prog.SpinSweep {
+			e.sweep = -1
+			e.pc++
+		}
 		return true
 	}
-	a := e.addr(op)
-	acquire := op.Bar == isa.LDAR
+	p, last := e.probe(op)
 	t.spinning = true
-	v := m.doLoad(t, a, acquire)
+	v := m.doLoad(t, p.Addr, p.Acquire)
 	t.spinning = false
-	if acquire {
-		m.emit(t, TraceLoad, a, start, t.now, "acquire")
+	if p.Acquire {
+		m.emit(t, TraceLoad, p.Addr, start, t.now, "acquire")
 	} else {
-		m.emit(t, TraceLoad, a, start, t.now, "")
+		m.emit(t, TraceLoad, p.Addr, start, t.now, "")
 	}
-	if SpinCmp(op.Code-prog.SpinEQ).holds(v, op.Val) {
+	switch {
+	case p.Cmp.holds(v, p.Val):
 		e.res = v
 		e.pc++
-	} else {
-		e.pausing = op.Cyc > 0
+	case !last:
+		e.sweep++
+	case op.Cyc > 0:
+		e.sweep = 0
+		e.pausing = true
+	case op.Code == prog.SpinSweep:
+		e.sweep = -1
+		e.pc++
+	default:
+		e.sweep = 0
 	}
 	return true
+}
+
+// probe returns the spin-wait's next poll and whether it is the last
+// of its sweep: probe e.sweep of a closure's staged table, or a
+// compiled spin op's own single probe.
+func (e *execEnv) probe(op *prog.Op) (Probe, bool) {
+	if op.Code == prog.SpinAny || op.Code == prog.SpinSweep {
+		return e.probes[e.sweep], int(e.sweep) == len(e.probes)-1
+	}
+	return Probe{Addr: e.addr(op), Val: op.Val, Cmp: SpinCmp(op.Code - prog.SpinEQ), Acquire: op.Bar == isa.LDAR}, true
 }

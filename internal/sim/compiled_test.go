@@ -34,23 +34,27 @@ const (
 	engLoop      engine = iota // closures with hand-written poll loops: the reference
 	engSpinUntil               // closures that wait with Thread.SpinUntil
 	engCompiled                // compiled programs (SpawnProgram)
+	engSpinAny                 // closures that wait with Thread.SpinAny and SpinSweep
 )
 
 func (e engine) String() string {
-	return [...]string{"loop", "spin-until", "compiled"}[e]
+	return [...]string{"loop", "spin-until", "compiled", "spin-any"}[e]
 }
 
 // diffRun is one observation of the differential workload: everything
 // the machine exposes, so any divergence between engines is caught.
 // woke lists, for closure engines, which thread's body ran next after
 // each completed wait, so Go code between ops is checked to run at
-// the same point of the service sequence.
+// the same point of the service sequence. A workload may also record
+// what each wait returned, and every thread's final clock.
 type diffRun struct {
 	elapsed float64
 	stats   Stats
 	final   []uint64
 	events  []TraceEvent
 	woke    []int
+	waits   []waitResult
+	clocks  []float64
 }
 
 // spinWait is a closure's spin-wait: the hand-written loop
@@ -351,6 +355,12 @@ func compareRuns(t *testing.T, where string, eng engine, ref, got diffRun) {
 	}
 	if eng != engCompiled && !reflect.DeepEqual(ref.woke, got.woke) {
 		t.Errorf("%s: wake order diverges\nloop: %v\n%v: %v", where, ref.woke, eng, got.woke)
+	}
+	if !reflect.DeepEqual(ref.waits, got.waits) {
+		t.Errorf("%s: wait results diverge\nloop: %v\n%v: %v", where, ref.waits, eng, got.waits)
+	}
+	if !reflect.DeepEqual(ref.clocks, got.clocks) {
+		t.Errorf("%s: thread clocks diverge\nloop: %v\n%v: %v", where, ref.clocks, eng, got.clocks)
 	}
 	if !reflect.DeepEqual(ref.events, got.events) {
 		n := min(len(ref.events), len(got.events))

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -76,7 +78,10 @@ func TestProfileIsHarmless(t *testing.T) {
 // pads are Work ops), and SpinUntil must attribute exactly as the
 // compiled ops do: equal cycles and ops for every cause. The
 // hand-written loops are opaque Go control flow, so they attribute no
-// spin at all.
+// spin at all. On TestSpinAnyDifferential's random probe sets, the
+// ops and cycles the sweep loop attributes to the load causes beyond
+// the SpinAny/SpinSweep run's are exactly that run's spin_wait ops and
+// cycles, and every other cause matches.
 func TestProfileSpinAttribution(t *testing.T) {
 	pc := NewProfileCollector()
 	SetGlobalProfile(pc)
@@ -108,6 +113,58 @@ func TestProfileSpinAttribution(t *testing.T) {
 			t.Errorf("%s: hand-written loops attributed %d spin ops; their spins are invisible by design",
 				in.name, loop.Ops[CauseSpin])
 		}
+	}
+	for c := 0; c < 4; c++ {
+		plan := newProbePlan(rand.New(rand.NewSource(int64(c))))
+		for _, mode := range []Mode{WMM, TSO} {
+			pc.Reset()
+			runProbeWaits(t, mode, 42, plan, engLoop)
+			loop := pc.Snapshot()
+			checkConserved(t, &loop)
+			pc.Reset()
+			runProbeWaits(t, mode, 42, plan, engSpinAny)
+			op := pc.Snapshot()
+			checkConserved(t, &op)
+			checkSpinMoved(t, fmt.Sprintf("probe case %d mode %v", c, mode), loop, op)
+		}
+	}
+}
+
+// checkSpinMoved asserts that op differs from loop only by load-cause
+// polls moved to spin_wait.
+func checkSpinMoved(t *testing.T, where string, loop, op Profile) {
+	t.Helper()
+	if loop.Ops[CauseSpin] != 0 {
+		t.Errorf("%s: the hand-written loop attributed %d spin ops", where, loop.Ops[CauseSpin])
+	}
+	if op.Ops[CauseSpin] == 0 {
+		t.Errorf("%s: the op attributed no spin ops", where)
+	}
+	var movedOps uint64
+	var movedCycles float64
+	for c := Cause(0); c < NumCauses; c++ {
+		switch c {
+		case CauseIssue, CauseCacheHit, CauseMiss:
+			movedOps += loop.Ops[c] - op.Ops[c]
+			movedCycles += loop.Cycles[c] - op.Cycles[c]
+		case CauseSpin:
+		default:
+			if loop.Ops[c] != op.Ops[c] || loop.Cycles[c] != op.Cycles[c] {
+				t.Errorf("%s: cause %v moved: loop %d ops / %g cycles, op %d / %g",
+					where, c, loop.Ops[c], loop.Cycles[c], op.Ops[c], op.Cycles[c])
+			}
+		}
+	}
+	if movedOps != op.Ops[CauseSpin] {
+		t.Errorf("%s: the loop's load-cause ops exceed the op's by %d, but the op has %d spin_wait ops",
+			where, movedOps, op.Ops[CauseSpin])
+	}
+	if rel := math.Abs(movedCycles-op.Cycles[CauseSpin]) / op.Cycles[CauseSpin]; rel > 1e-9 {
+		t.Errorf("%s: %g load-cause cycles moved, but the op has %g spin_wait cycles",
+			where, movedCycles, op.Cycles[CauseSpin])
+	}
+	if !reflect.DeepEqual(loop.Stats, op.Stats) {
+		t.Errorf("%s: stats differ", where)
 	}
 }
 

@@ -62,6 +62,7 @@ type Thread struct {
 	// side of the switch (see sched.go).
 	env   execEnv
 	stage [1]prog.Op
+	probe [1]Probe // SpinUntil's probe table
 	body  func(*Thread)
 	next  func() (struct{}, bool)
 	stop  func()
@@ -217,31 +218,94 @@ func (c SpinCmp) holds(x, v uint64) bool {
 	return x >= v
 }
 
-// SpinUntil polls addr until the value read satisfies cmp against v,
-// pausing pause nops between polls, and returns the satisfying value.
-// The ops are exactly those of
+// Probe is one poll of a spin-wait: a load of Addr, acquiring
+// (LoadAcquire) if Acquire is set and relaxed otherwise, whose value
+// ends the wait when it satisfies Cmp against Val.
+type Probe struct {
+	Addr    uint64
+	Val     uint64
+	Cmp     SpinCmp
+	Acquire bool
+}
+
+// SpinAny polls probes in order, one sweep after another, pausing
+// pause nops after each sweep in which no probe held, and returns the
+// index and the value of the first probe that holds. The ops are
+// exactly those of
 //
-//	for x := load(addr); !cmp(x, v); x = load(addr) { t.Nops(pause) }
+//	for {
+//		for i, p := range probes {
+//			if x := load(p); p.Cmp holds for x { return i, x }
+//		}
+//		t.Nops(pause)
+//	}
 //
-// with load a LoadAcquire if acquire is set and a Load otherwise, so
-// the wait times and outcomes are the loop's. Unlike the loop, the
-// whole wait is one staged op, the spin op a compiled program runs:
-// once another thread holds the minimum time, the scheduler's driver
-// serves the remaining polls and pauses itself and resumes this
-// thread's body only after the satisfying poll. Polls attribute to the
-// spin_wait profile cause and pauses to work.
-func (t *Thread) SpinUntil(addr uint64, acquire bool, cmp SpinCmp, v uint64, pause int) uint64 {
-	if cmp > SpinGE {
-		badSpinCmp(cmp)
+// with load a LoadAcquire for an acquiring probe and a Load otherwise,
+// so the wait times and outcomes are the loop's. Unlike the loop, the
+// whole wait is one staged op: once another thread holds the minimum
+// time, the scheduler's driver serves the remaining polls and pauses
+// itself and resumes this thread's body only after the poll that
+// holds. Polls attribute to the spin_wait profile cause and pauses to
+// work.
+//
+// The executor reads probes in place until the wait ends, so the
+// caller keeps the table (in its lock, receiver or thread state, where
+// a wait allocates nothing) and must not change it meanwhile. probes
+// must not be empty.
+func (t *Thread) SpinAny(probes []Probe, pause int) (int, uint64) {
+	if len(probes) == 0 {
+		badProbes()
 	}
-	o := prog.Op{Code: prog.SpinEQ + prog.Code(cmp), Addr: addr, Val: v}
-	if acquire {
-		o.Bar = isa.LDAR
+	return t.spinProbes(prog.SpinAny, probes, pause)
+}
+
+// SpinSweep is one sweep of SpinAny: it polls probes in order and
+// returns the index and value of the first that holds, or, if none
+// does, pauses pause nops and returns -1. A caller whose loop must run
+// Go code between sweeps (checking for shutdown, or going on from
+// the probe after the one that held) uses it to keep the exact op
+// sequence of its hand-written sweep. An empty sweep only pauses.
+func (t *Thread) SpinSweep(probes []Probe, pause int) (int, uint64) {
+	if len(probes) == 0 {
+		t.Nops(pause)
+		return -1, 0
 	}
+	return t.spinProbes(prog.SpinSweep, probes, pause)
+}
+
+// spinProbes stages a multi-probe wait: the probe table goes to the
+// executor and the op carries the pause, pre-scaled like Nops.
+func (t *Thread) spinProbes(code prog.Code, probes []Probe, pause int) (int, uint64) {
+	for i := range probes {
+		if probes[i].Cmp > SpinGE {
+			badSpinCmp(probes[i].Cmp)
+		}
+	}
+	o := prog.Op{Code: code}
 	if pause > 0 {
 		o.Cyc = float64(pause) / t.m.cost.IssueWidth
 	}
-	return t.op(o)
+	t.env.probes, t.env.sweep = probes, 0
+	v := t.op(o)
+	t.env.probes = nil
+	if t.env.sweep < 0 {
+		return -1, 0
+	}
+	return int(t.env.sweep), v
+}
+
+// SpinUntil polls addr until the value read satisfies cmp against v,
+// pausing pause nops between polls, and returns the satisfying value:
+// SpinAny with the one probe {addr, v, cmp, acquire}, staged in the
+// thread. The ops are exactly those of
+//
+//	for x := load(addr); !cmp(x, v); x = load(addr) { t.Nops(pause) }
+//
+// the loop a compiled program's SpinEQ/SpinNE/SpinGE op runs.
+func (t *Thread) SpinUntil(addr uint64, acquire bool, cmp SpinCmp, v uint64, pause int) uint64 {
+	t.probe[0] = Probe{Addr: addr, Val: v, Cmp: cmp, Acquire: acquire}
+	_, x := t.SpinAny(t.probe[:], pause)
+	return x
 }
 
 // --- op semantics, shared by every opExec entry (compiled.go) -------
@@ -538,7 +602,7 @@ func (m *Machine) doBarrier(t *Thread, b isa.Barrier) {
 	}
 }
 
-// badBarrier and badSpinCmp report malformed closure calls. They live
+// badBarrier, badSpinCmp and badProbes report malformed closure calls. They live
 // outside the op paths so those carry no fmt machinery or
 // panic-operand boxing.
 //
@@ -550,6 +614,11 @@ func badBarrier(b isa.Barrier) {
 //go:noinline
 func badSpinCmp(c SpinCmp) {
 	panic(fmt.Sprintf("sim: bad spin condition %d", c))
+}
+
+//go:noinline
+func badProbes() {
+	panic("sim: SpinAny needs at least one probe")
 }
 
 func maxf(a, b float64) float64 {
