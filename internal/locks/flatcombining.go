@@ -64,23 +64,21 @@ func NewFC(m *sim.Machine, nClients int, pilot bool, barY isa.Barrier) *FCLock {
 		coScan:    make([]sim.Probe, nClients),
 		coFb:      make([]uint64, nClients),
 	}
-	for i := 0; i < nClients; i++ {
-		l.req[i] = m.Alloc(1)
-		l.resp[i] = m.Alloc(1)
-		l.coScan[i] = sim.Probe{Addr: l.req[i], Cmp: sim.SpinNE, Acquire: true}
-	}
 	var pool []uint64
 	if pilot {
 		pool = core.HashPool(0xFC)
 	}
-	for c, resp := range l.resp {
+	for c := range l.req {
+		l.req[c] = m.Alloc(1)
+		l.resp[c] = m.Alloc(1)
+		l.coScan[c] = sim.Probe{Addr: l.req[c], Cmp: sim.SpinNE, Acquire: true}
 		if pilot {
-			w := core.SimWord{Data: resp, Flag: resp + 8}
+			w := core.SimWord{Data: l.resp[c], Flag: l.resp[c] + 8}
 			l.clRx = append(l.clRx, w.Receiver(pool))
 			l.coTx = append(l.coTx, w.Sender(pool))
 			l.clWait[c] = append(l.clWait[c], l.clRx[c].Probes()...)
 		} else {
-			l.clWait[c] = append(l.clWait[c], sim.Probe{Addr: resp + 8, Cmp: sim.SpinNE})
+			l.clWait[c] = append(l.clWait[c], sim.Probe{Addr: l.resp[c] + 8, Cmp: sim.SpinNE})
 		}
 		l.clWait[c] = append(l.clWait[c], sim.Probe{Addr: l.latch, Cmp: sim.SpinEQ, Val: 0})
 	}

@@ -214,6 +214,8 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 		"release spin poll": {Ops: []Op{{Code: SpinEQ, Addr: 64, Bar: isa.STLR}}},
 		"fenced spin poll":  {Ops: []Op{{Code: SpinNE, Addr: 64, Bar: isa.DMBFull}}},
 		"RCpc spin poll":    {Ops: []Op{{Code: SpinGE, Addr: 64, Bar: isa.LDAPR}}},
+		"probe-table wait":  {Ops: []Op{{Code: SpinAny, Cyc: 1}}},
+		"probe-table sweep": {Ops: []Op{{Code: SpinSweep}}},
 	}
 	for name, p := range cases {
 		p := p

@@ -91,17 +91,13 @@ func (p *Pool) TasksDone() uint64 {
 // Label runs every cell submitted from now on under the pprof labels
 // of ctx (set with pprof.Do or pprof.WithLabels), so a CPU profile
 // attributes a worker's samples to the labels of the code that
-// submitted the cell; a nil ctx clears them. Like Submit, it belongs
-// to the assembling goroutine. On a nil pool, cells run on the
-// submitter's goroutine under its own labels, and Label does nothing.
+// submitted the cell. Like Submit, it belongs to the assembling
+// goroutine. On a nil pool, cells run on the submitter's goroutine
+// under its own labels, and Label does nothing.
 func (p *Pool) Label(ctx context.Context) {
-	if p == nil {
-		return
+	if p != nil {
+		p.labels = ctx
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	p.labels = ctx
 }
 
 // Close stops accepting work and waits for in-flight cells to finish.

@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"context"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -244,5 +246,34 @@ func TestTasksDoneCounts(t *testing.T) {
 	}
 	if (*Pool)(nil).TasksDone() != 0 {
 		t.Fatal("nil pool must report 0 tasks")
+	}
+}
+
+// TestLabelReachesWorkers: after Label, cells run on the workers under
+// the submitter's pprof labels, which a goroutine profile written from
+// inside a cell shows; before it, no goroutine carries them.
+func TestLabelReachesWorkers(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	const label = `"experiment":"labeled"`
+	profile := func(int) string {
+		var b strings.Builder
+		if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+			t.Error(err)
+		}
+		return b.String()
+	}
+	for _, prof := range Map(p, 4, profile) {
+		if strings.Contains(prof, label) {
+			t.Fatal("a goroutine carries the label before Label")
+		}
+	}
+	pprof.Do(context.Background(), pprof.Labels("experiment", "labeled"), func(ctx context.Context) {
+		p.Label(ctx)
+	})
+	for i, prof := range Map(p, 4, profile) {
+		if !strings.Contains(prof, label) {
+			t.Fatalf("cell %d: no goroutine carries the label after Label", i)
+		}
 	}
 }

@@ -262,9 +262,9 @@ func execRMW(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	return true
 }
 
-// execSpin serves the next step of every spin-wait, a compiled
-// SpinEQ/NE/GE op (one probe, the op's own) or a closure's SpinAny or
-// SpinSweep (the staged probe table): the pause after a sweep in which
+// execSpin serves the next step of every spin-wait, a SpinEQ/NE/GE op
+// (one probe, the op's own: a compiled program's or SpinUntil's) or a
+// closure's SpinAny or SpinSweep (the staged probe table): the pause after a sweep in which
 // no probe held, or the poll of the next probe. A poll that holds
 // completes the op, and so does a SpinSweep's end (its pause, or its
 // last poll when it has none). Every other step is served, and the
@@ -313,7 +313,7 @@ func execSpin(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 
 // probe returns the spin-wait's next poll and whether it is the last
 // of its sweep: probe e.sweep of a closure's staged table, or a
-// compiled spin op's own single probe.
+// SpinEQ/NE/GE op's own single probe.
 func (e *execEnv) probe(op *prog.Op) (Probe, bool) {
 	if op.Code == prog.SpinAny || op.Code == prog.SpinSweep {
 		return e.probes[e.sweep], int(e.sweep) == len(e.probes)-1

@@ -9,7 +9,8 @@
 // its own ops inline while it is the thread with the smallest virtual
 // time, and yields to the driver only when another thread must run
 // first; the driver then serves the yielded op, including every poll
-// of a SpinUntil wait. Given one seed, a run is fully deterministic.
+// of a spin-wait (SpinUntil, SpinAny, SpinSweep). Given one seed, a
+// run is fully deterministic.
 //
 // The model implements the mechanisms the paper identifies as the
 // sources of barrier cost on real ARM silicon:

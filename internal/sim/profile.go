@@ -64,8 +64,8 @@ const (
 	// CauseAtomic is the exclusive-acquisition cost of LSE atomics.
 	CauseAtomic
 	// CauseSpin is a spin-wait poll, of a SpinEQ/SpinNE/SpinGE op from
-	// a program or from Thread.SpinUntil (the pauses between polls are
-	// CauseWork). It overrides the underlying cause so lock-acquisition
+	// a program or of Thread.SpinUntil, SpinAny or SpinSweep (the
+	// pauses between polls are CauseWork). It overrides the underlying cause so lock-acquisition
 	// spinning is separable from useful loads.
 	CauseSpin
 	// CauseWork is local computation (Work/Nops).

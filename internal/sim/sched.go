@@ -26,9 +26,10 @@ import (
 // all. The suspended thread's op stays staged: the driver serves it
 // when the thread becomes the minimum and resumes the body only once
 // the op completes. Most ops complete at their first service, but a
-// spin-wait (SpinUntil) is one op that completes only at its
-// satisfying poll, so the driver serves every earlier poll and pause
-// with no coroutine switch.
+// spin-wait is one op that completes only at the poll that ends it:
+// whether it watches one probe (SpinUntil, a compiled SpinEQ/NE/GE)
+// or several (SpinAny, or one SpinSweep), the driver serves every
+// earlier poll and pause with no coroutine switch.
 //
 // The service order is that of every earlier engine: no op is served
 // until every thread has been primed up to its first op, and the next

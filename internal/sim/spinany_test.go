@@ -188,49 +188,42 @@ const probeCases = 12
 // in both memory modes, at two seeds, every wait returns the same index
 // and value at the same clock, and the traced event sequence, the
 // stats, the final memory, every thread's clock and the wake order are
-// identical.
+// identical. The plans must also cover what the claim rests on: waits
+// ended by each probe position, one sweeps that found nothing, and
+// waits that swept their table more than once.
 func TestSpinAnyDifferential(t *testing.T) {
+	var byIndex [4]int
+	missed, resweeps := 0, 0
 	for c := 0; c < probeCases; c++ {
 		plan := newProbePlan(rand.New(rand.NewSource(int64(c))))
+		probes := 0
+		for w := range plan.waits {
+			for _, wt := range plan.waits[w] {
+				probes += len(wt.probes)
+			}
+		}
 		for _, mode := range []Mode{WMM, TSO} {
 			for _, seed := range []int64{42, 7} {
 				where := fmt.Sprintf("probe case %d mode %v seed %d", c, mode, seed)
 				ref := runProbeWaits(t, mode, seed, plan, engLoop)
-				compareRuns(t, where, engSpinAny, ref, runProbeWaits(t, mode, seed, plan, engSpinAny))
-			}
-		}
-	}
-}
-
-// TestSpinAnyCoversItsCases checks that the random plans exercise what
-// the differential claims to: waits ended by each probe position, one
-// sweeps that found nothing, and waits that swept more than once.
-func TestSpinAnyCoversItsCases(t *testing.T) {
-	var byIndex [4]int
-	var missed, resweeps int
-	for c := 0; c < probeCases; c++ {
-		plan := newProbePlan(rand.New(rand.NewSource(int64(c))))
-		run := runProbeWaits(t, WMM, 42, plan, engSpinAny)
-		polls := 0
-		for _, e := range run.events {
-			if e.Kind == TraceLoad && e.Thread != 0 {
-				polls++
-			}
-		}
-		waits := 0
-		for w := range plan.waits {
-			for _, wt := range plan.waits[w] {
-				waits += len(wt.probes)
-			}
-		}
-		if polls > waits {
-			resweeps++
-		}
-		for _, r := range run.waits {
-			if r.index < 0 {
-				missed++
-			} else {
-				byIndex[r.index]++
+				got := runProbeWaits(t, mode, seed, plan, engSpinAny)
+				compareRuns(t, where, engSpinAny, ref, got)
+				for _, r := range got.waits {
+					if r.index < 0 {
+						missed++
+					} else {
+						byIndex[r.index]++
+					}
+				}
+				polls := 0
+				for _, e := range got.events {
+					if e.Kind == TraceLoad && e.Thread != 0 {
+						polls++
+					}
+				}
+				if polls > probes {
+					resweeps++
+				}
 			}
 		}
 	}
@@ -243,6 +236,6 @@ func TestSpinAnyCoversItsCases(t *testing.T) {
 		t.Error("no one-sweep wait found nothing")
 	}
 	if resweeps == 0 {
-		t.Error("no case swept a probe table more than once")
+		t.Error("no run swept a probe table more than once")
 	}
 }

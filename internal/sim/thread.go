@@ -62,7 +62,6 @@ type Thread struct {
 	// side of the switch (see sched.go).
 	env   execEnv
 	stage [1]prog.Op
-	probe [1]Probe // SpinUntil's probe table
 	body  func(*Thread)
 	next  func() (struct{}, bool)
 	stop  func()
@@ -295,17 +294,29 @@ func (t *Thread) spinProbes(code prog.Code, probes []Probe, pause int) (int, uin
 }
 
 // SpinUntil polls addr until the value read satisfies cmp against v,
-// pausing pause nops between polls, and returns the satisfying value:
-// SpinAny with the one probe {addr, v, cmp, acquire}, staged in the
-// thread. The ops are exactly those of
+// pausing pause nops between polls, and returns the satisfying value.
+// It is SpinAny's one-probe case, SpinAny([{addr, v, cmp, acquire}],
+// pause), with the ops of
 //
 //	for x := load(addr); !cmp(x, v); x = load(addr) { t.Nops(pause) }
 //
-// the loop a compiled program's SpinEQ/SpinNE/SpinGE op runs.
+// and the driver serves its polls and pauses as it serves those of
+// every spin-wait op, whether it has one probe or several. Its probe
+// travels in the op itself, as a compiled SpinEQ/SpinNE/SpinGE op's
+// does, so the in-place locks' single-address waits poll without a
+// table lookup.
 func (t *Thread) SpinUntil(addr uint64, acquire bool, cmp SpinCmp, v uint64, pause int) uint64 {
-	t.probe[0] = Probe{Addr: addr, Val: v, Cmp: cmp, Acquire: acquire}
-	_, x := t.SpinAny(t.probe[:], pause)
-	return x
+	if cmp > SpinGE {
+		badSpinCmp(cmp)
+	}
+	o := prog.Op{Code: prog.SpinEQ + prog.Code(cmp), Addr: addr, Val: v}
+	if acquire {
+		o.Bar = isa.LDAR
+	}
+	if pause > 0 {
+		o.Cyc = float64(pause) / t.m.cost.IssueWidth
+	}
+	return t.op(o)
 }
 
 // --- op semantics, shared by every opExec entry (compiled.go) -------
