@@ -10,11 +10,11 @@ GO ?= go
 # the perf-regression gate against the committed BENCH_sim.json. `-run 'Test'` keeps the race pass on the (fast)
 # unit tests rather than the benchmarks. scalecheck re-runs the
 # 256-core barrier smoke under the race detector so the scheduler's
-# driver loop is exercised at scale on every merge. benchcheck
-# compiles and tests the perfbench module, which the root module's
-# ./... never reaches.
+# driver loop is exercised at scale on every merge. fuzz runs each
+# native fuzz target for 10 s. benchcheck compiles and tests the
+# perfbench module, which the root module's ./... never reaches.
 .PHONY: verify
-verify: build vet lint test examples race scalecheck profilecheck cachecheck digestcheck fencecheck perfcheck benchcheck
+verify: build vet lint test fuzz examples race scalecheck profilecheck cachecheck digestcheck fencecheck perfcheck benchcheck
 
 .PHONY: build
 build:
@@ -35,6 +35,20 @@ lint:
 .PHONY: test
 test:
 	$(GO) test ./...
+
+# Native fuzzing: every decoder of outside input runs its fuzz target
+# for 10 s. FuzzParseFile takes A64 run files (directives, the
+# atomics, nop #N, var x = v), FuzzShardDecode result-cache shard
+# bytes, FuzzValidate compiled programs and FuzzPackRoundTrip packed
+# explorer states. A crasher is a real defect: commit the input the
+# fuzzer writes under the package's testdata/fuzz with its fix, so the
+# plain test run replays it.
+.PHONY: fuzz
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFile$$' -fuzztime 10s ./cmd/a64run
+	$(GO) test -run '^$$' -fuzz '^FuzzShardDecode$$' -fuzztime 10s ./internal/cellcache
+	$(GO) test -run '^$$' -fuzz '^FuzzValidate$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzPackRoundTrip$$' -fuzztime 10s ./internal/explore
 
 # Example smoke: build every examples/* main and run it; a nonzero exit
 # fails the step. examples/trace writes its Chrome trace into the same

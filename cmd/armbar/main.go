@@ -21,11 +21,13 @@
 // hits, and with -profile-out its cycle attribution and simulator
 // counters. -profile-out also writes the cycle-attribution profile as
 // folded stacks for flamegraph tooling; -trace-out writes a merged
-// Chrome/Perfetto trace of the simulated machines. -cpuprofile writes a
-// Go CPU profile of the host work (`go tool pprof`), with each
-// experiment's samples, pool workers' included, under the pprof label
-// experiment=<name>. perfcheck reruns the hot-path microbenchmarks and
-// fails when they regress against BENCH_sim.json.
+// Chrome/Perfetto trace of the simulated machines, and runs cells
+// inline as -par 1 does, so the file is the same at any -par.
+// -cpuprofile writes a Go CPU profile of the host work (`go tool
+// pprof`), with each experiment's samples, pool workers' included,
+// under the pprof label experiment=<name>. perfcheck reruns the
+// hot-path microbenchmarks and fails when they regress against
+// BENCH_sim.json.
 package main
 
 import (
@@ -150,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	times := fs.Bool("times", true, "report per-experiment wall time on stderr")
 	profileOut := fs.String("profile-out", "",
 		"write the cycle-attribution profile as folded stacks (flamegraph.pl / speedscope input) to this file; also puts each experiment's cycles and simulator counters in the manifest")
-	traceOut := fs.String("trace-out", "", "write a merged Chrome/Perfetto trace of the simulated machines to this file")
+	traceOut := fs.String("trace-out", "", "write a merged Chrome/Perfetto trace of the simulated machines to this file (runs cells inline, as -par 1)")
 	manifestOut := fs.String("manifest", "", "write a run manifest (seed, flags, git rev, per-experiment metrics) to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a Go CPU profile of the run to this file, each experiment's samples under the pprof label experiment=<name>")
 	cacheOn := onOff(true)
@@ -212,11 +214,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sim.SetGlobalProfile(profc)
 		defer sim.SetGlobalProfile(nil)
 	}
+	// The collector hands its recorders to machines in the order they
+	// are built, so -trace-out runs cells inline: a pool would build
+	// them, and order the trace, as its workers happen to run.
 	var collector *trace.Collector
 	if *traceOut != "" {
 		collector = trace.NewCollector(traceCap, traceMachines)
 		sim.SetMachineTracerFactory(collector.NewTracer)
 		defer sim.SetMachineTracerFactory(nil)
+		*par = 1
 	}
 
 	// One pool for the whole invocation; -par 1 keeps cells inline on

@@ -188,3 +188,39 @@ func TestCPUProfileKeepsOutput(t *testing.T) {
 		t.Fatal("CPU profile is empty")
 	}
 }
+
+// TestTraceSameAtAnyPar: -trace-out runs cells inline, so fig4's trace
+// file at -par 2 is byte-identical to the one at -par 1, and the run
+// reports the par it used.
+func TestTraceSameAtAnyPar(t *testing.T) {
+	dir := t.TempDir()
+	traces := map[string][]byte{}
+	for _, par := range []string{"2", "1"} {
+		traceFile := filepath.Join(dir, "trace"+par+".json")
+		manifestFile := filepath.Join(dir, "manifest"+par+".json")
+		var out, errb bytes.Buffer
+		args := []string{"-quick", "-cache=off", "-par", par, "-trace-out", traceFile, "-manifest", manifestFile, "fig4"}
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("armbar %v: exit %d\n%s", args, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), "(par=1)") {
+			t.Errorf("-par %s: total line does not report par=1:\n%s", par, errb.String())
+		}
+		var man struct {
+			Par int `json:"par"`
+		}
+		data, err := os.ReadFile(manifestFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &man); err != nil || man.Par != 1 {
+			t.Errorf("-par %s: manifest par = %d (%v), want 1", par, man.Par, err)
+		}
+		if traces[par], err = os.ReadFile(traceFile); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(traces["1"]) == 0 || !bytes.Equal(traces["1"], traces["2"]) {
+		t.Fatalf("trace at -par 2 (%d bytes) differs from -par 1 (%d bytes)", len(traces["2"]), len(traces["1"]))
+	}
+}

@@ -14,12 +14,22 @@
 //	str xS, [xN]         | str xS, [xN, #imm]
 //	ldar xD, [xN]        | ldapr xD, [xN]
 //	stlr xS, [xN]
+//	ldaddal xS, xT, [xN] — xT = old *xN; *xN += xS
+//	swpal xS, xT, [xN]   — xT = old *xN; *xN = xS
+//	casal xS, xT, [xN]   — xS = old *xN; *xN = xT if old == xS
 //	dmb ish|ishst|ishld  — the paper's DMB full / st / ld
 //	dsb ish|ishst|ishld
 //	isb
-//	nop
+//	nop                  | nop #N
 //	b label | beq | bne | ble | blt | bge | bgt
 //	cbz xN, label | cbnz xN, label
+//
+// The atomics are the LSE acquire-release forms, the ones the
+// simulator implements: every earlier store drains before one runs,
+// and no later load reads older than it. Their plain, acquire-only and
+// release-only spellings (ldadd, swpa, casl, ...) are rejected by
+// name. "nop #N" is a pseudo-form, not an A64 instruction: N nops
+// issued as one op, the padding of the paper's loops.
 //
 // The memory operands address simulated memory directly: load an
 // allocated address into a register with mov (via Exec's initial
@@ -52,6 +62,9 @@ const (
 	opLdar
 	opLdapr
 	opStlr
+	opLdaddal
+	opSwpal
+	opCasal
 	opDmb
 	opDsb
 	opIsb
@@ -70,10 +83,10 @@ const (
 // instr is one decoded instruction.
 type instr struct {
 	op      opcode
-	rd      int // destination / compared / source register
-	rn      int // base / first operand register
-	rm      int // second operand register
-	imm     int64
+	rd      int         // destination / compared / source register
+	rn      int         // base / first operand register
+	rm      int         // second operand register
+	imm     int64       // immediate, memory offset or nop count
 	barrier isa.Barrier // dmb/dsb option
 	target  int         // branch target instruction index
 	label   string      // unresolved target (parse time)
@@ -159,7 +172,14 @@ func parseInstr(line string, ln int, symbols map[string]uint64) (instr, error) {
 
 	switch mnemonic {
 	case "nop":
-		ins.op = opNop
+		ins.op, ins.imm = opNop, 1
+		if len(args) > 0 {
+			n, ok := immOf(args[0])
+			if len(args) != 1 || !ok || n <= 0 {
+				return fail("nop takes no operand or one #N, N > 0")
+			}
+			ins.imm = n
+		}
 	case "isb":
 		ins.op = opIsb
 	case "dmb", "dsb":
@@ -276,6 +296,30 @@ func parseInstr(line string, ln int, symbols map[string]uint64) (instr, error) {
 		} else {
 			ins.op = opStlr
 		}
+	case "ldaddal", "swpal", "casal":
+		if len(args) != 3 {
+			return fail(mnemonic + " needs xS, xT, [xN]")
+		}
+		ins.rd, ins.rm = mustReg(args[0]), mustReg(args[1])
+		rn, off, err := memOperand(args[2])
+		if err != nil {
+			return fail(err.Error())
+		}
+		if off != 0 {
+			return fail("atomics take [xN] with no offset")
+		}
+		ins.rn = rn
+		switch mnemonic {
+		case "ldaddal":
+			ins.op = opLdaddal
+		case "swpal":
+			ins.op = opSwpal
+		default:
+			ins.op = opCasal
+		}
+	case "ldadd", "ldadda", "ldaddl", "swp", "swpa", "swpl", "cas", "casa", "casl":
+		base := strings.TrimSuffix(strings.TrimSuffix(mnemonic, "l"), "a")
+		return fail("the simulator's atomics are acquire-release; write " + base + "al")
 	case "b", "beq", "bne", "ble", "blt", "bge", "bgt":
 		if len(args) != 1 {
 			return fail("branch needs a label")

@@ -1,6 +1,7 @@
 package a64
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -175,17 +176,64 @@ func TestAcquireReleaseMnemonics(t *testing.T) {
 	}
 }
 
+// TestAtomics pins the LSE operand order: ldaddal and swpal return the
+// old value in xT, casal returns it in xS and swaps only on a match.
+func TestAtomics(t *testing.T) {
+	src := `
+		mov x1, #5
+		ldaddal x1, x2, [x0]   // *x0 = 5, x2 = 0
+		mov x3, #9
+		swpal x3, x4, [x0]     // *x0 = 9, x4 = 5
+		mov x5, #7
+		mov x6, #11
+		casal x5, x6, [x0]     // no match: x5 = 9, *x0 stays 9
+		mov x7, #9
+		casal x7, x6, [x0]     // match: x7 = 9, *x0 = 11
+		ldr x8, [x0]
+	`
+	regs, _ := runOn(t, src, func(m *sim.Machine) Regs {
+		var r Regs
+		r[0] = m.Alloc(1)
+		return r
+	})
+	want := map[int]uint64{2: 0, 4: 5, 5: 9, 7: 9, 8: 11}
+	for r, v := range want {
+		if regs[r] != v {
+			t.Errorf("x%d = %d, want %d (regs %v)", r, regs[r], v, regs[:9])
+		}
+	}
+}
+
+// TestNopCount pins "nop #N" as N nops issued as one op: it pads as
+// long as N single nops.
+func TestNopCount(t *testing.T) {
+	_, one := runOn(t, "nop #300\nmov x0, #1", func(*sim.Machine) Regs { return Regs{} })
+	_, many := runOn(t, strings.Repeat("nop\n", 300)+"mov x0, #1", func(*sim.Machine) Regs { return Regs{} })
+	if one < 100 || math.Abs(one-many) > 1e-6 {
+		t.Fatalf("nop #300 ran %v cycles, 300 nops %v; want equal and >= 100 (issue width 3)", one, many)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := map[string]string{
-		"frob x0":           "unknown mnemonic",
-		"mov x99, #1":       "bad register",
-		"dmb":               "needs an option",
-		"dmb osh":           "unknown barrier option",
-		"b nowhere":         "undefined label",
-		"ldr x0, x1":        "bad memory operand",
-		"x: nop\nx: nop":    "duplicate label",
-		"add x0, x1":        "needs 3 operands",
-		"ldr x0, [x1, foo]": "bad offset",
+		"nop #0":                   "nop takes no operand or one #N, N > 0",
+		"nop x1":                   "nop takes no operand or one #N, N > 0",
+		"nop #2, #3":               "nop takes no operand or one #N, N > 0",
+		"ldadd x1, x2, [x0]":       "write ldaddal",
+		"swpa x1, x2, [x0]":        "write swpal",
+		"casl x1, x2, [x0]":        "write casal",
+		"casal x1, [x0]":           "casal needs xS, xT, [xN]",
+		"ldaddal x1, x2, [x0, #8]": "atomics take [xN] with no offset",
+		"swpal x1, x99, [x0]":      "bad register",
+		"frob x0":                  "unknown mnemonic",
+		"mov x99, #1":              "bad register",
+		"dmb":                      "needs an option",
+		"dmb osh":                  "unknown barrier option",
+		"b nowhere":                "undefined label",
+		"ldr x0, x1":               "bad memory operand",
+		"x: nop\nx: nop":           "duplicate label",
+		"add x0, x1":               "needs 3 operands",
+		"ldr x0, [x1, foo]":        "bad offset",
 	}
 	for src, want := range cases {
 		_, err := Parse(src)

@@ -14,9 +14,9 @@ type Regs [32]uint64
 // Exec runs the program on a simulated thread, starting from the given
 // register file, until it falls off the end or executes maxInstrs
 // instructions (0 = 10 million, a runaway guard). It returns the final
-// registers and the number of instructions executed. A load or store
-// whose address lies outside the machine's allocated lines stops it
-// with an error before the access.
+// registers and the number of instructions executed. A load, store or
+// atomic whose address lies outside the machine's allocated lines
+// stops it with an error before the access.
 func (p *Program) Exec(t *sim.Thread, regs Regs, maxInstrs int) (Regs, int, error) {
 	if maxInstrs <= 0 {
 		maxInstrs = 10_000_000
@@ -47,7 +47,7 @@ func (p *Program) Exec(t *sim.Thread, regs Regs, maxInstrs int) (Regs, int, erro
 		next := pc + 1
 		switch ins.op {
 		case opNop:
-			t.Nops(1)
+			t.Nops(int(ins.imm))
 		case opMovImm:
 			set(ins.rd, uint64(ins.imm))
 			t.Nops(1)
@@ -77,7 +77,7 @@ func (p *Program) Exec(t *sim.Thread, regs Regs, maxInstrs int) (Regs, int, erro
 			d := int64(get(ins.rd)) - int64(get(ins.rn))
 			nzSet, cmpNeg, cmpZero = true, d < 0, d == 0
 			t.Nops(1)
-		case opLdr, opLdar, opLdapr, opStr, opStlr:
+		case opLdr, opLdar, opLdapr, opStr, opStlr, opLdaddal, opSwpal, opCasal:
 			addr := get(ins.rn) + uint64(ins.imm)
 			if !t.Allocated(addr) {
 				return regs, executed, fmt.Errorf("a64: address %#x outside the allocated lines at pc %d (%s)",
@@ -92,8 +92,14 @@ func (p *Program) Exec(t *sim.Thread, regs Regs, maxInstrs int) (Regs, int, erro
 				set(ins.rd, t.LoadAcquirePC(addr))
 			case opStr:
 				t.Store(addr, get(ins.rd))
-			default: // opStlr
+			case opStlr:
 				t.StoreRelease(addr, get(ins.rd))
+			case opLdaddal:
+				set(ins.rm, t.FetchAdd(addr, get(ins.rd)))
+			case opSwpal:
+				set(ins.rm, t.Swap(addr, get(ins.rd)))
+			default: // opCasal
+				set(ins.rd, t.CompareAndSwapValue(addr, get(ins.rd), get(ins.rm)))
 			}
 		case opDmb, opDsb:
 			t.Barrier(ins.barrier)

@@ -21,7 +21,7 @@ var DeterministicPackages = map[string]bool{
 	"armbar/internal/runner":    true,
 	"armbar/internal/mesi":      true,
 	"armbar/internal/trace":     true,
-	"armbar/internal/scenario":  true,
+	"armbar/internal/a64":       true,
 	"armbar/internal/cellcache": true,
 	"armbar/internal/explore":   true,
 	"determ":                    true,

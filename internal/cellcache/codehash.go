@@ -24,7 +24,7 @@ var simPackages = []string{
 	"a64", "absmodel", "ace", "barrier", "cellcache", "core",
 	"dedup", "ds", "explore", "figures", "floorplan", "isa",
 	"locks", "mesi", "pc", "platform", "prog", "report",
-	"runner", "sb", "scenario", "sim", "topo",
+	"runner", "sb", "sim", "topo",
 }
 
 var (

@@ -1,7 +1,7 @@
 // Package prog defines the simulator's one op representation: the
 // micro-op. A compiled program (sim.SpawnProgram) is a flat []Op
 // lowered from a fixed op sequence (an abstracted-model loop, a
-// barrier-zoo round, a scenario thread spec), and each call a closure
+// barrier-zoo round, a sampled litmus shape), and each call a closure
 // thread makes on its sim.Thread handle stages one Op as the thread's
 // one-op program. Every operand is pre-resolved at build time —
 // addresses to absolute values or per-iteration address tables, nop
@@ -37,9 +37,9 @@ const (
 	StoreRel              // STLR
 	Barrier               // standalone order-preserving instruction
 	Work                  // local computation, Cycles long
-	FetchAdd              // LSE atomic add, returns old (discarded)
-	Swap                  // LSE atomic swap
-	CAS                   // LSE compare-and-swap
+	FetchAdd              // LSE atomic add (LDADDAL), returns old
+	Swap                  // LSE atomic swap (SWPAL), returns old
+	CAS                   // LSE compare-and-swap (CASAL), returns old
 	SpinEQ                // poll until the value == Val, pausing Cyc between polls
 	SpinNE                // poll until the value != Val, pausing Cyc between polls
 	SpinGE                // poll until the value >= Val, pausing Cyc between polls

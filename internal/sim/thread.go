@@ -173,22 +173,31 @@ func (t *Thread) Work(cycles float64) {
 	t.op(prog.Op{Code: prog.Work, Cyc: cycles})
 }
 
-// FetchAdd atomically adds delta to *addr and returns the old value.
-// Like ARM LSE atomics it acts directly on the coherent copy (no store
-// buffering) and is relaxed: it implies no ordering of other accesses.
+// FetchAdd atomically adds delta to *addr and returns the old value:
+// LDADDAL. Like ARM LSE atomics it acts directly on the coherent copy
+// (no store buffering), and it is acquire-release: every earlier store
+// is observable before it, and no later load reads older than it.
 func (t *Thread) FetchAdd(addr, delta uint64) uint64 {
 	return t.op(prog.Op{Code: prog.FetchAdd, Addr: addr, Val: delta})
 }
 
-// Swap atomically stores v and returns the old value (relaxed).
+// Swap atomically stores v and returns the old value: SWPAL, ordered
+// like FetchAdd.
 func (t *Thread) Swap(addr, v uint64) uint64 {
 	return t.op(prog.Op{Code: prog.Swap, Addr: addr, Val: v})
 }
 
 // CompareAndSwap atomically replaces old with new; it reports whether
-// the swap happened (relaxed ordering).
+// the swap happened. It is CASAL, ordered like FetchAdd.
 func (t *Thread) CompareAndSwap(addr, old, new uint64) bool {
-	return t.op(prog.Op{Code: prog.CAS, Addr: addr, Val: old, Val2: new}) == 1
+	return t.CompareAndSwapValue(addr, old, new) == old
+}
+
+// CompareAndSwapValue is CompareAndSwap returning the value *addr held,
+// as CASAL writes it into its compare register: old itself when the
+// swap happened.
+func (t *Thread) CompareAndSwapValue(addr, old, new uint64) uint64 {
+	return t.op(prog.Op{Code: prog.CAS, Addr: addr, Val: old, Val2: new})
 }
 
 // SpinCmp is the exit condition of a spin-wait. Its values follow
@@ -327,8 +336,9 @@ func (t *Thread) SpinUntil(addr uint64, acquire bool, cmp SpinCmp, v uint64, pau
 // operation applies to the committed value at the op's processing
 // point — the linearization order is the deterministic global
 // start-time order. The release half (waiting out the store buffer)
-// happened in the caller via clock-advance-and-retry. A CAS returns 1
-// if it swapped, 0 if not.
+// happened in the caller via clock-advance-and-retry. Every code
+// returns the old value; a CAS swapped if that equals its compare
+// value.
 func (m *Machine) doRMW(t *Thread, code prog.Code, addr, value, value2 uint64) uint64 {
 	if occ := m.cost.RMWOccupancy; occ > 0 {
 		// Occupancy model (scale-out platforms): atomics to one line
@@ -354,24 +364,20 @@ func (m *Machine) doRMW(t *Thread, code prog.Code, addr, value, value2 uint64) u
 		t.stats.RMRStores++
 		m.stats.RMRStores++
 	}
-	var result uint64
 	switch code {
 	case prog.FetchAdd:
 		m.dir.CommitStore(t.core, addr, old+value, commitAt, m.invProc())
-		result = old
 	case prog.Swap:
 		m.dir.CommitStore(t.core, addr, value, commitAt, m.invProc())
-		result = old
 	case prog.CAS:
 		if old == value {
 			m.dir.CommitStore(t.core, addr, value2, commitAt, m.invProc())
-			result = 1
 		}
 	}
 	if c := t.lastAddrStore.get(addr); commitAt > c {
 		t.lastAddrStore.put(addr, commitAt)
 	}
-	return result
+	return old
 }
 
 // doLoad implements relaxed and acquiring loads.
