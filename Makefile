@@ -37,8 +37,9 @@ test:
 	$(GO) test ./...
 
 # Native fuzzing: every decoder of outside input runs its fuzz target
-# for 10 s. FuzzParseFile takes A64 run files (directives, the
-# atomics, nop #N, var x = v), FuzzShardDecode result-cache shard
+# for 10 s. FuzzParseFile parses and assembles A64 run files
+# (directives, the atomics, nop #N, var x = v) and FuzzRunFile runs
+# them, FuzzShardDecode takes result-cache shard
 # bytes, FuzzValidate compiled programs and FuzzPackRoundTrip packed
 # explorer states. A crasher is a real defect: commit the input the
 # fuzzer writes under the package's testdata/fuzz with its fix, so the
@@ -46,6 +47,7 @@ test:
 .PHONY: fuzz
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFile$$' -fuzztime 10s ./cmd/a64run
+	$(GO) test -run '^$$' -fuzz '^FuzzRunFile$$' -fuzztime 10s ./cmd/a64run
 	$(GO) test -run '^$$' -fuzz '^FuzzShardDecode$$' -fuzztime 10s ./internal/cellcache
 	$(GO) test -run '^$$' -fuzz '^FuzzValidate$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzPackRoundTrip$$' -fuzztime 10s ./internal/explore

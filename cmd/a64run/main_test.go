@@ -40,34 +40,79 @@ func TestParseFileDirectives(t *testing.T) {
 // malformedFiles are inputs a runner file must reject, each with the
 // error it must name.
 var malformedFiles = map[string]string{
-	"bogus directive":                       "line 1: unknown directive",
-	"platform":                              "platform needs a name",
-	"platform nope":                         `unknown platform "nope"`,
-	"runs x\nthread core=0\nend":            "bad runs",
-	"seed x\nthread core=0\nend":            "bad seed",
-	"seed 7 8\nthread core=0\nend":          "bad seed",
-	"thread core=x\nend":                    "bad core",
-	"var x":                                 "no threads",
-	"mode":                                  "mode must be WMM or TSO",
-	"mode WWM":                              "mode must be WMM or TSO",
-	"seed":                                  "bad seed",
-	"runs":                                  "bad runs",
-	"var":                                   "var needs a name",
-	"var x = y":                             `bad value for var "x"`,
-	"var x\nvar x\nthread core=0\nend":      `line 2: duplicate var "x"`,
-	"var x y\nthread core=0\nend":           `line 1: var "x y": want var name or var name = value`,
-	"thread cpu=3\nend":                     `line 1: unknown thread field "cpu=3"`,
-	"thread core=1 junk\nend":               `line 1: unknown thread field "junk"`,
-	"var x\nthread core=0\n  nop":           "line 2: thread has no end",
-	"\nthread core=999\n  nop\nend":         "line 2: core 999 is not on Kunpeng916",
-	"platform Kirin960\nthread core=8\nend": "line 2: core 8 is not on Kirin960 (cores 0-7)",
+	"bogus directive":              "line 1: unknown directive",
+	"platform":                     "platform needs a name",
+	"runs x\nthread core=0\nend":   "bad runs",
+	"seed x\nthread core=0\nend":   "bad seed",
+	"seed 7 8\nthread core=0\nend": "bad seed",
+	"thread core=x\nend":           "bad core",
+	"var x":                        "no threads",
+	"mode":                         "mode must be WMM or TSO",
+	"mode WWM":                     "mode must be WMM or TSO",
+	"seed":                         "bad seed",
+	"runs":                         "bad runs",
+	"var":                          "var needs a name",
+	"var x = y":                    `bad value for var "x"`,
+	"var x\nthread core=0\n  nop":  "line 2: thread has no end",
 }
 
-func TestParseFileErrors(t *testing.T) {
-	for src, want := range malformedFiles {
+// wantParseErrors checks that parseFile rejects each file with an
+// error containing the text files maps it to.
+func wantParseErrors(t *testing.T, files map[string]string) {
+	t.Helper()
+	for src, want := range files {
 		_, err := parseFile(src)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("parseFile(%q) error = %v, want containing %q", src, err, want)
+		}
+	}
+}
+
+func TestParseFileErrors(t *testing.T) { wantParseErrors(t, malformedFiles) }
+
+// unknownFields are files with a directive, thread field or var form
+// the format lacks, each with the error it must name.
+var unknownFields = map[string]string{
+	"typo 1\nthread core=0\nend":  `line 1: unknown directive "typo"`,
+	"var x y\nthread core=0\nend": `line 1: var "x y": want var name or var name = value`,
+	"thread cpu=3\nend":           `line 1: unknown thread field "cpu=3"`,
+	"thread core=1 junk\nend":     `line 1: unknown thread field "junk"`,
+}
+
+func TestUnknownFieldRejected(t *testing.T) { wantParseErrors(t, unknownFields) }
+
+// invalidFiles are files rejected before a cycle runs, by parseFile or
+// by run's assembly of the thread bodies, each with the error it must
+// name.
+var invalidFiles = map[string]string{
+	"platform nope":                         `line 1: unknown platform "nope"`,
+	"mode SC\nthread core=0\nend":           `line 1: mode must be WMM or TSO, not "SC"`,
+	"platform Kunpeng916\nvar x":            "a64run: no threads",
+	"\nthread core=999\n  nop\nend":         "line 2: core 999 is not on Kunpeng916",
+	"platform Kirin960\nthread core=8\nend": "line 2: core 8 is not on Kirin960 (cores 0-7)",
+	"thread core=0\n  mov x1, =y\nend":      "thread 0: a64: line 2: unknown symbol =y",
+	"thread core=0\n  dmb mfence\nend":      "thread 0: a64: line 2: unknown barrier option",
+	"thread core=0\n  jump out\nout:\nend":  "thread 0: a64: line 2: unknown mnemonic",
+	"thread core=0\n  nop #0\nend":          "thread 0: a64: line 2: nop takes no operand or one #N, N > 0",
+	"var x\nvar x\nthread core=0\nend":      `line 2: duplicate var "x"`,
+	// Load-acquire and store-release are instructions, not barriers:
+	// alone they lack their operands.
+	"thread core=0\n  ldar\nend":  `thread 0: a64: line 2: load needs 2 operands in "ldar"`,
+	"thread core=0\n  ldapr\nend": `thread 0: a64: line 2: load needs 2 operands in "ldapr"`,
+	"thread core=0\n  stlr\nend":  `thread 0: a64: line 2: store needs 2 operands in "stlr"`,
+}
+
+// TestValidationErrors pins that an invalid file yields an error and
+// no result.
+func TestValidationErrors(t *testing.T) {
+	for src, want := range invalidFiles {
+		s, err := parseFile(src)
+		var res *result
+		if err == nil {
+			res, err = run(s, 1, 0, nil)
+		}
+		if res != nil || err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: result %+v, error %v; want no result and an error containing %q", src, res, err, want)
 		}
 	}
 }
@@ -79,18 +124,15 @@ var failingRuns = map[string]string{
 	"thread core=0\n  mov x1, #-8\n  ldr x0, [x1]\nend": "address 0xfffffffffffffff8 outside the allocated lines at pc 1 (ldr x0, [x1])",
 	// Far past the allocated lines: the directory would grow its
 	// tables to this address and exhaust memory.
-	"thread core=0\n  mov x1, #0x40000000\n  ldr x0, [x1]\nend":                    "address 0x40000000 outside the allocated lines",
-	"thread core=0\n  mov x1, #0x40000000\n  ldaddal x2, x3, [x1]\nend":            "address 0x40000000 outside the allocated lines at pc 1 (ldaddal",
-	"thread core=0\n  mov x1, #0x40000000\n  swpal x2, x3, [x1]\nend":              "address 0x40000000 outside the allocated lines at pc 1 (swpal",
-	"thread core=0\n  mov x1, #0x40000000\n  casal x2, x3, [x1]\nend":              "address 0x40000000 outside the allocated lines at pc 1 (casal",
-	"thread core=0\n  mov x1, =y\nend":                                             "thread 0: a64: line 2: unknown symbol =y",
-	"thread core=0\n  ldadd x2, x3, [x1]\nend":                                     "write ldaddal",
-	"var x\nthread core=0\n  nop #300000000000\n  mov x1, =x\n  ldr x0, [x1]\nend": "simulation aborted: sim: watchdog",
+	"thread core=0\n  mov x1, #0x40000000\n  ldr x0, [x1]\nend":         "address 0x40000000 outside the allocated lines",
+	"thread core=0\n  mov x1, #0x40000000\n  ldaddal x2, x3, [x1]\nend": "address 0x40000000 outside the allocated lines at pc 1 (ldaddal",
+	"thread core=0\n  mov x1, #0x40000000\n  swpal x2, x3, [x1]\nend":   "address 0x40000000 outside the allocated lines at pc 1 (swpal",
+	"thread core=0\n  mov x1, #0x40000000\n  casal x2, x3, [x1]\nend":   "address 0x40000000 outside the allocated lines at pc 1 (casal",
+	"thread core=0\n  ldadd x2, x3, [x1]\nend":                          "write ldaddal",
 }
 
 // TestRunErrors pins that a program the simulator cannot run fails
-// with an error rather than a panic. The last case pads 1e11 cycles
-// on a 3-wide core, past the 5e10-cycle MaxTime watchdog.
+// with an error rather than a panic.
 func TestRunErrors(t *testing.T) {
 	for src, want := range failingRuns {
 		s, err := parseFile(src)
@@ -103,7 +145,18 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// fuzzMaxImm bounds the integer literals of a file FuzzParseFile runs.
+// watchdogFile pads 1e11 cycles on a 3-wide core before its load, past
+// the simulator's 5e10-cycle MaxTime watchdog.
+const watchdogFile = "var x\nthread core=0\n  nop #300000000000\n  mov x1, =x\n  ldr x0, [x1]\nend"
+
+func TestRunReturnsSimulationAbort(t *testing.T) {
+	res, err := run(mustParse(t, watchdogFile), 1, 0, nil)
+	if res != nil || err == nil || !strings.Contains(err.Error(), "simulation aborted: sim: watchdog") {
+		t.Fatalf("run = %+v, %v; want the watchdog abort as an error", res, err)
+	}
+}
+
+// fuzzMaxImm bounds the integer literals of a file FuzzRunFile runs.
 // A "nop #N" pads N/issue-width cycles and a fuzzed thread executes at
 // most 4096 instructions, so literals up to 1<<20 keep every thread
 // below 4.3e9 cycles, far from the 5e10-cycle MaxTime watchdog.
@@ -122,41 +175,40 @@ func fuzzable(text string) bool {
 	return true
 }
 
+// fuzzSeeds are the seed files of FuzzParseFile and FuzzRunFile.
+var fuzzSeeds = []string{
+	example,
+	"mode", "seed", "runs", "var", "mode WWM",
+	"thread core=999\n  nop\nend",
+	"thread core=0\n  beq out\nout:\n  nop\nend",
+	"thread core=0\n  mov x1, #-8\n  ldr x0, [x1]\nend",
+	"thread core=0\n  mov x1, #0x40000000\n  ldr x0, [x1]\nend",
+	// Malformed files of TestValidationErrors, TestUnknownFieldRejected
+	// and TestParseFileErrors.
+	"var x\nvar x\nthread core=0\nend",
+	"var x y\nthread core=0\nend",
+	"thread cpu=3\nend",
+	"thread core=1 junk\nend",
+	"var x\nthread core=0\n  nop",
+	// Message passing with barriers, then with the atomics.
+	mpBarriers,
+	mpAtomics,
+	// Parsed, not run: it pads past the watchdog.
+	watchdogFile,
+	emptyBodies,
+	alternatingCounter,
+	"var x = 5\nthread core=0\n  mov x1, =x\n  mov x2, #5\n  mov x3, #9\n  casal x2, x3, [x1]\n  mov x0, x2\nend",
+	// The operand barriers are instructions.
+	"var x\nthread core=0\n  mov x1, =x\n  ldar x0, [x1]\nend",
+	"var x\nthread core=0\n  mov x1, =x\n  ldapr x0, [x1]\nend",
+	"var x\nthread core=0\n  mov x1, =x\n  stlr x1, [x1]\nend",
+}
+
 // FuzzParseFile feeds arbitrary runner files through the directive
-// parser and the A64 assembler, with the spec's vars as symbols, and
-// runs each file that parses once with a small instruction budget.
-// Parsing may not panic. A run may fail with an error, but not abort
-// the simulation: no instruction blocks, so 4096 per thread cannot
-// reach the watchdog unless a nop pads that far (fuzzable), and
-// Exec's address check keeps a program from touching memory past the
-// allocated lines.
+// parser and the A64 assembler, with the spec's vars as symbols.
+// Neither may panic.
 func FuzzParseFile(f *testing.F) {
-	f.Add(example)
-	for _, src := range []string{
-		"mode", "seed", "runs", "var", "mode WWM",
-		"thread core=999\n  nop\nend",
-		"thread core=0\n  beq out\nout:\n  nop\nend",
-		"thread core=0\n  mov x1, #-8\n  ldr x0, [x1]\nend",
-		"thread core=0\n  mov x1, #0x40000000\n  ldr x0, [x1]\nend",
-		// The malformed files of TestParseFileErrors.
-		"var x\nvar x\nthread core=0\nend",
-		"var x y\nthread core=0\nend",
-		"thread cpu=3\nend",
-		"thread core=1 junk\nend",
-		"var x\nthread core=0\n  nop",
-		// Message passing with barriers, then with the atomics.
-		mpBarriers,
-		mpAtomics,
-		// A nop that pads past the watchdog: parsed, not run.
-		"var x\nthread core=0\n  nop #300000000000\n  mov x1, =x\n  ldr x0, [x1]\nend",
-		emptyBodies,
-		alternatingCounter,
-		"var x = 5\nthread core=0\n  mov x1, =x\n  mov x2, #5\n  mov x3, #9\n  casal x2, x3, [x1]\n  mov x0, x2\nend",
-		// The operand barriers are instructions.
-		"var x\nthread core=0\n  mov x1, =x\n  ldar x0, [x1]\nend",
-		"var x\nthread core=0\n  mov x1, =x\n  ldapr x0, [x1]\nend",
-		"var x\nthread core=0\n  mov x1, =x\n  stlr x1, [x1]\nend",
-	} {
+	for _, src := range fuzzSeeds {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
@@ -171,12 +223,35 @@ func FuzzParseFile(f *testing.F) {
 		for _, th := range s.threads {
 			a64.ParseWithSymbols(th.src, symbols)
 		}
-		if !fuzzable(text) {
+	})
+}
+
+// FuzzRunFile runs each arbitrary runner file that parses once with a
+// small instruction budget. A run may fail with an error, but not
+// abort the simulation: no instruction blocks, so 4096 per thread
+// cannot reach the watchdog unless a nop pads that far (fuzzable), and
+// Exec's address check keeps a program from touching memory past the
+// allocated lines. A run that succeeds yields one x0 and one
+// ThreadStats per thread and one final value per var.
+func FuzzRunFile(f *testing.F) {
+	for _, src := range fuzzSeeds {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := parseFile(text)
+		if err != nil || !fuzzable(text) {
 			return
 		}
-		if _, err := run(s, s.seed, 4096, nil); err != nil &&
-			strings.Contains(err.Error(), "simulation aborted") {
-			t.Fatal(err)
+		res, err := run(s, s.seed, 4096, nil)
+		if err != nil {
+			if strings.Contains(err.Error(), "simulation aborted") {
+				t.Fatal(err)
+			}
+			return
+		}
+		if len(res.x0) != len(s.threads) || len(res.threads) != len(s.threads) || len(res.final) != len(s.vars) {
+			t.Fatalf("%d x0s and %d ThreadStats for %d threads, %d final values for %d vars",
+				len(res.x0), len(res.threads), len(s.threads), len(res.final), len(s.vars))
 		}
 	})
 }
