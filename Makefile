@@ -7,8 +7,9 @@ GO ?= go
 # handoff, and the result cache and trace collector that pool workers
 # share), the cycle-attribution conservation invariant over the fast golden
 # subset, the golden digest of every experiment's -quick output, then
-# the perf-regression gate against the committed BENCH_sim.json. `-run 'Test'` keeps the race pass on the (fast)
-# unit tests rather than the benchmarks. scalecheck re-runs the
+# the perf gate, which runs the hot-path microbenchmarks of the tree and
+# of its last commit in alternating pairs. `-run 'Test'` keeps the race pass on
+# the (fast) unit tests rather than the benchmarks. scalecheck re-runs the
 # 256-core barrier smoke under the race detector so the scheduler's
 # driver loop is exercised at scale on every merge. fuzz runs each
 # native fuzz target for 10 s. benchcheck compiles and tests the
@@ -146,16 +147,24 @@ benchcheck:
 bench-sim:
 	$(GO) test -run '^$$' -bench 'Rendezvous|StoreCommit|StoreDMB|CompiledDispatch|CellCacheHit|DirectoryRank|DirectorySharerChurn|BarrierScale|ExploreStates|LockHandoff' -benchmem ./internal/sim ./internal/cellcache ./internal/mesi ./internal/barrier ./internal/explore ./internal/locks
 
-# Regenerate the committed BENCH_sim.json snapshot from bench-sim.
+# Record bench-sim in BENCH_sim.json, its manifest and
+# BENCH_history.jsonl: the trajectory of the hot-path numbers across
+# commits. Nothing gates on these files.
 .PHONY: bench-snapshot
 bench-snapshot:
 	./scripts/bench_snapshot.sh
 
-# Perf-regression gate: rerun the hot-path microbenchmarks and fail
-# when they regress against the committed BENCH_sim.json.
+# Perf gate: scripts/ab.sh runs the twelve bench-sim microbenchmarks
+# of this checkout and of BASE back to back, ten pairs each with the
+# side that goes first alternating, and fails when a median ns/op is
+# more than 25% worse than BASE's or allocs/op grows. BASE=HEAD gates
+# the working tree against its last commit; pass BASE=<parent> to gate
+# a committed change.
+BASE ?= HEAD
+
 .PHONY: perfcheck
 perfcheck:
-	./scripts/perf_gate.sh
+	./scripts/ab.sh $(BASE) micro
 
 # One full-suite regeneration through the parallel runner.
 .PHONY: bench-all

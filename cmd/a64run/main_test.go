@@ -202,6 +202,11 @@ var fuzzSeeds = []string{
 	"var x\nthread core=0\n  mov x1, =x\n  ldar x0, [x1]\nend",
 	"var x\nthread core=0\n  mov x1, =x\n  ldapr x0, [x1]\nend",
 	"var x\nthread core=0\n  mov x1, =x\n  stlr x1, [x1]\nend",
+	// Immediates past int64's positive range, and the operand forms
+	// the assembler rejects.
+	"thread core=0\n  mov x1, #0xffffffffffffffff\n  cmp x1, #0x8000000000000000\n  isb sy\nend",
+	"thread core=0\n  add x1, x1, #foo\nend",
+	"thread core=0\n  isb junk\nend",
 }
 
 // FuzzParseFile feeds arbitrary runner files through the directive

@@ -3,7 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"armbar/internal/cellcache"
 )
@@ -12,9 +12,13 @@ import (
 // verbs of the persistent result cache (see README "Result cache").
 // stats prints the cache's self-description; gc drops records written
 // by other code versions (and, with -max-age, whole shard files not
-// touched for that long); clear removes everything.
-func cacheMain(args []string) int {
-	fs := flag.NewFlagSet("armbar cache", flag.ExitOnError)
+// touched for that long); clear removes everything. The verb comes
+// before the flags; any argument left after them is a usage error, so
+// `armbar cache -dir D clear` clears nothing. It returns 0 on success
+// and 2 on a usage error.
+func cacheMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("armbar cache", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	dir := fs.String("dir", ".armbar-cache", "cache directory to operate on")
 	maxAge := fs.Duration("max-age", 0, "with gc: also drop shard files older than this (0 = keep all ages)")
 	fs.Usage = func() {
@@ -26,42 +30,53 @@ func cacheMain(args []string) int {
 		verb = args[0]
 		args = args[1:]
 	}
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "armbar cache: unexpected argument %q after the flags; the verb comes first\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
+	switch verb {
+	case "stats", "gc", "clear":
+	default:
+		fmt.Fprintf(stderr, "armbar cache: unknown verb %q (want stats, gc or clear)\n", verb)
+		fs.Usage()
+		return 2
+	}
 
 	c := cellcache.Open(*dir)
 	defer c.Close()
 	switch verb {
-	case "stats":
-		// nothing extra: stats print below for every verb
 	case "gc":
 		removed, reclaimed := c.GC(*maxAge)
-		fmt.Printf("gc: removed %d record(s), reclaimed %d byte(s)\n", removed, reclaimed)
+		fmt.Fprintf(stdout, "gc: removed %d record(s), reclaimed %d byte(s)\n", removed, reclaimed)
 	case "clear":
 		c.Clear()
-		fmt.Printf("clear: cache emptied\n")
-	default:
-		fmt.Fprintf(os.Stderr, "armbar cache: unknown verb %q (want stats, gc or clear)\n", verb)
-		fs.Usage()
-		return 2
+		fmt.Fprintf(stdout, "clear: cache emptied\n")
 	}
 	st := c.Stats()
-	fmt.Printf("dir:       %s\n", st.Dir)
-	fmt.Printf("code hash: %s\n", st.CodeHash)
-	fmt.Printf("entries:   %d (%d from other code versions)\n", st.Entries, st.StaleEntries)
-	fmt.Printf("bytes:     %d", st.Bytes)
+	fmt.Fprintf(stdout, "dir:       %s\n", st.Dir)
+	fmt.Fprintf(stdout, "code hash: %s\n", st.CodeHash)
+	fmt.Fprintf(stdout, "entries:   %d (%d from other code versions)\n", st.Entries, st.StaleEntries)
+	fmt.Fprintf(stdout, "bytes:     %d", st.Bytes)
 	if st.Entries > 0 {
-		fmt.Printf(" (mean %d, max %d per entry)", st.MeanEntryBytes, st.MaxEntryBytes)
+		fmt.Fprintf(stdout, " (mean %d, max %d per entry)", st.MeanEntryBytes, st.MaxEntryBytes)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if st.LargeEntries > 0 {
-		fmt.Printf("warning:   %d entr%s over %d bytes — some generator caches whole sweeps instead of cells\n",
+		fmt.Fprintf(stdout, "warning:   %d entr%s over %d bytes — some generator caches whole sweeps instead of cells\n",
 			st.LargeEntries, plural(st.LargeEntries, "y is", "ies are"), int64(cellcache.LargeEntryBytes))
 	}
 	if st.DamagedFiles > 0 {
-		fmt.Printf("damaged:   %d shard file(s) had a corrupt tail (discarded)\n", st.DamagedFiles)
+		fmt.Fprintf(stdout, "damaged:   %d shard file(s) had a corrupt tail (cut back to the intact records)\n", st.DamagedFiles)
 	}
 	if st.MemoryOnly {
-		fmt.Printf("warning:   directory unusable; cache is memory-only\n")
+		fmt.Fprintf(stdout, "warning:   directory unusable; cache is memory-only\n")
 	}
 	return 0
 }

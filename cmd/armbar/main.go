@@ -4,7 +4,6 @@
 // Usage:
 //
 //	armbar [-quick] [-seed N] [-par N] [-csv] [-profile-out f] [-trace-out f] [-manifest f] [-cpuprofile f] <experiment> [...]
-//	armbar perfcheck [-snapshot BENCH_sim.json] [-threshold 1.8]
 //	armbar cache [stats|gc|clear] [-dir .armbar-cache]
 //
 // Experiments: table1 table2 table3 fig2 fig3 fig4 fig5 fig6a fig6b
@@ -25,9 +24,8 @@
 // inline as -par 1 does, so the file is the same at any -par.
 // -cpuprofile writes a Go CPU profile of the host work (`go tool
 // pprof`), with each experiment's samples, pool workers' included,
-// under the pprof label experiment=<name>. perfcheck reruns the
-// hot-path microbenchmarks and fails when they regress against
-// BENCH_sim.json.
+// under the pprof label experiment=<name>. `armbar cache` inspects,
+// garbage-collects or clears the result cache.
 package main
 
 import (
@@ -134,11 +132,8 @@ func main() {
 // run is main minus the process exit, so tests can drive it. It
 // returns 0 on success, 1 when the run fails and 2 on a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && args[0] == "perfcheck" {
-		return perfcheckMain(args[1:])
-	}
 	if len(args) > 0 && args[0] == "cache" {
-		return cacheMain(args[1:])
+		return cacheMain(args[1:], stdout, stderr)
 	}
 	fs := flag.NewFlagSet("armbar", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -172,7 +167,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	args = fs.Args()
 	if len(args) == 0 {
 		fmt.Fprintf(stderr, "usage: armbar [-quick] [-seed N] [-par N] [-csv] [-cache=off] <experiment> [...]\n")
-		fmt.Fprintf(stderr, "       armbar perfcheck [-snapshot BENCH_sim.json]\n")
 		fmt.Fprintf(stderr, "       armbar cache [stats|gc|clear] [-dir .armbar-cache]\n")
 		fmt.Fprintf(stderr, "experiments: %s all\n", strings.Join(figures.Names(), " "))
 		return 2

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"armbar/internal/cellcache"
 )
 
 // simCounters are the additive sim.Stats keys every manifest
@@ -165,6 +167,50 @@ func TestUnknownExperimentRejectedUpFront(t *testing.T) {
 	}
 	if _, err := os.Stat(outDir); !os.IsNotExist(err) {
 		t.Errorf("output directory made before the rejection (stat: %v)", err)
+	}
+}
+
+// TestCacheVerbs drives `armbar cache` through run: a verb after the
+// flags and a bad flag are usage errors (exit 2) that leave the
+// directory as it was, and `cache clear -dir D` empties it.
+func TestCacheVerbs(t *testing.T) {
+	dir := t.TempDir()
+	c := cellcache.Open(dir)
+	for i := 0; i < 30; i++ {
+		c.Put("cachecli#0", i, []byte{byte(i)})
+	}
+	c.Close()
+	entries := func() int {
+		c := cellcache.Open(dir)
+		defer c.Close()
+		return c.Stats().Entries
+	}
+
+	for _, args := range [][]string{
+		{"cache", "-dir", dir, "clear"},
+		{"cache", "-dir", dir, "gc", "1h"},
+		{"cache", "clear", "-dir", dir, "extra"},
+		{"cache", "-bogus"},
+		{"cache", "purge", "-dir", dir},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("armbar %v: exit %d, want 2\n%s%s", args, code, out.String(), errb.String())
+		}
+		if out.Len() != 0 || errb.Len() == 0 {
+			t.Errorf("armbar %v: stdout %q, stderr %q; want only a usage error", args, out.String(), errb.String())
+		}
+		if n := entries(); n != 30 {
+			t.Fatalf("armbar %v left %d entries, want all 30", args, n)
+		}
+	}
+
+	out := runArmbar(t, "cache", "clear", "-dir", dir)
+	if !strings.Contains(out, "clear: cache emptied") || !strings.Contains(out, "entries:   0") {
+		t.Errorf("cache clear printed:\n%s", out)
+	}
+	if n := entries(); n != 0 {
+		t.Fatalf("cache clear left %d entries", n)
 	}
 }
 

@@ -19,7 +19,7 @@
 //	casal xS, xT, [xN]   — xS = old *xN; *xN = xT if old == xS
 //	dmb ish|ishst|ishld  — the paper's DMB full / st / ld
 //	dsb ish|ishst|ishld
-//	isb
+//	isb                  | isb sy
 //	nop                  | nop #N
 //	b label | beq | bne | ble | blt | bge | bgt
 //	cbz xN, label | cbnz xN, label
@@ -28,8 +28,10 @@
 // simulator implements: every earlier store drains before one runs,
 // and no later load reads older than it. Their plain, acquire-only and
 // release-only spellings (ldadd, swpa, casl, ...) are rejected by
-// name. "nop #N" is a pseudo-form, not an A64 instruction: N nops
-// issued as one op, the padding of the paper's loops.
+// name. An immediate #imm is an int64 or a 64-bit pattern
+// (#0xffffffffffffffff is -1). "nop #N" is a pseudo-form, not an A64
+// instruction: N nops issued as one op, the padding of the paper's
+// loops.
 //
 // The memory operands address simulated memory directly: load an
 // allocated address into a register with mov (via Exec's initial
@@ -181,6 +183,9 @@ func parseInstr(line string, ln int, symbols map[string]uint64) (instr, error) {
 			ins.imm = n
 		}
 	case "isb":
+		if len(args) > 1 || len(args) == 1 && strings.ToLower(args[0]) != "sy" {
+			return fail("isb takes no operand or sy")
+		}
 		ins.op = opIsb
 	case "dmb", "dsb":
 		if len(args) != 1 {
@@ -222,7 +227,9 @@ func parseInstr(line string, ln int, symbols map[string]uint64) (instr, error) {
 				return fail("unknown symbol =" + sym)
 			}
 			ins.op, ins.imm = opMovImm, int64(addr)
-		} else if imm, ok := immOf(args[1]); ok {
+		} else if imm, isImm, err := immOperand(args[1]); err != nil {
+			return fail(err.Error())
+		} else if isImm {
 			ins.op, ins.imm = opMovImm, imm
 		} else {
 			ins.op, ins.rn = opMovReg, mustReg(args[1])
@@ -232,7 +239,11 @@ func parseInstr(line string, ln int, symbols map[string]uint64) (instr, error) {
 			return fail("add/sub needs 3 operands")
 		}
 		ins.rd, ins.rn = mustReg(args[0]), mustReg(args[1])
-		if imm, ok := immOf(args[2]); ok {
+		imm, isImm, err := immOperand(args[2])
+		if err != nil {
+			return fail(err.Error())
+		}
+		if isImm {
 			ins.imm = imm
 			if mnemonic == "add" {
 				ins.op = opAddImm
@@ -258,7 +269,9 @@ func parseInstr(line string, ln int, symbols map[string]uint64) (instr, error) {
 			return fail("cmp needs 2 operands")
 		}
 		ins.rd = mustReg(args[0])
-		if imm, ok := immOf(args[1]); ok {
+		if imm, isImm, err := immOperand(args[1]); err != nil {
+			return fail(err.Error())
+		} else if isImm {
 			ins.op, ins.imm = opCmpImm, imm
 		} else {
 			ins.op, ins.rn = opCmpReg, mustReg(args[1])
@@ -413,14 +426,29 @@ func badReg(ins instr) string {
 	return ""
 }
 
-// immOf parses "#123" or plain integers.
+// immOf parses "#123" or a plain integer: an int64, or else a uint64
+// bit pattern, so #0xffffffffffffffff is -1.
 func immOf(s string) (int64, bool) {
 	s = strings.TrimPrefix(strings.TrimSpace(s), "#")
-	v, err := strconv.ParseInt(s, 0, 64)
-	if err != nil {
-		return 0, false
+	if v, err := strconv.ParseInt(s, 0, 64); err == nil {
+		return v, true
 	}
-	return v, true
+	v, err := strconv.ParseUint(s, 0, 64)
+	return int64(v), err == nil
+}
+
+// immOperand parses the last operand of mov, add, sub and cmp, which
+// is an immediate or a register. isImm is false for a register; an
+// operand that starts with # and is no integer is an error, not a
+// register.
+func immOperand(s string) (imm int64, isImm bool, err error) {
+	if v, ok := immOf(s); ok {
+		return v, true, nil
+	}
+	if strings.HasPrefix(strings.TrimSpace(s), "#") {
+		return 0, false, fmt.Errorf("bad immediate %q", strings.TrimSpace(s))
+	}
+	return 0, false, nil
 }
 
 // memOperand parses "[xN]" or "[xN, #off]".

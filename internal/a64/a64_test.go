@@ -214,26 +214,52 @@ func TestNopCount(t *testing.T) {
 	}
 }
 
+// TestWideImmediates runs the immediates past int64's positive range:
+// #0xffffffffffffffff is the 64-bit pattern -1 and
+// #0x8000000000000000 is MinInt64, so x1 compares greater than it.
+func TestWideImmediates(t *testing.T) {
+	src := `
+		mov x1, #0xffffffffffffffff
+		cmp x1, #0x8000000000000000
+		bgt greater
+		b done
+	greater:
+		mov x0, #1
+	done:
+		isb sy
+	`
+	regs, _ := runOn(t, src, func(*sim.Machine) Regs { return Regs{} })
+	if regs[1] != 0xffffffffffffffff || regs[0] != 1 {
+		t.Fatalf("x1 = %#x, x0 = %d; want 0xffffffffffffffff and 1 (x1 > MinInt64)", regs[1], regs[0])
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := map[string]string{
-		"nop #0":                   "nop takes no operand or one #N, N > 0",
-		"nop x1":                   "nop takes no operand or one #N, N > 0",
-		"nop #2, #3":               "nop takes no operand or one #N, N > 0",
-		"ldadd x1, x2, [x0]":       "write ldaddal",
-		"swpa x1, x2, [x0]":        "write swpal",
-		"casl x1, x2, [x0]":        "write casal",
-		"casal x1, [x0]":           "casal needs xS, xT, [xN]",
-		"ldaddal x1, x2, [x0, #8]": "atomics take [xN] with no offset",
-		"swpal x1, x99, [x0]":      "bad register",
-		"frob x0":                  "unknown mnemonic",
-		"mov x99, #1":              "bad register",
-		"dmb":                      "needs an option",
-		"dmb osh":                  "unknown barrier option",
-		"b nowhere":                "undefined label",
-		"ldr x0, x1":               "bad memory operand",
-		"x: nop\nx: nop":           "duplicate label",
-		"add x0, x1":               "needs 3 operands",
-		"ldr x0, [x1, foo]":        "bad offset",
+		"nop #0":                       "nop takes no operand or one #N, N > 0",
+		"nop x1":                       "nop takes no operand or one #N, N > 0",
+		"nop #2, #3":                   "nop takes no operand or one #N, N > 0",
+		"ldadd x1, x2, [x0]":           "write ldaddal",
+		"swpa x1, x2, [x0]":            "write swpal",
+		"casl x1, x2, [x0]":            "write casal",
+		"casal x1, [x0]":               "casal needs xS, xT, [xN]",
+		"ldaddal x1, x2, [x0, #8]":     "atomics take [xN] with no offset",
+		"swpal x1, x99, [x0]":          "bad register",
+		"frob x0":                      "unknown mnemonic",
+		"mov x99, #1":                  "bad register",
+		"dmb":                          "needs an option",
+		"dmb osh":                      "unknown barrier option",
+		"b nowhere":                    "undefined label",
+		"ldr x0, x1":                   "bad memory operand",
+		"x: nop\nx: nop":               "duplicate label",
+		"add x0, x1":                   "needs 3 operands",
+		"ldr x0, [x1, foo]":            "bad offset",
+		"add x1, x1, #foo":             "bad immediate",
+		"sub x1, x1, #0x1g":            "bad immediate",
+		"mov x1, #":                    "bad immediate",
+		"cmp x1, #0x10000000000000000": "bad immediate",
+		"isb junk":                     "isb takes no operand or sy",
+		"isb sy, sy":                   "isb takes no operand or sy",
 	}
 	for src, want := range cases {
 		_, err := Parse(src)

@@ -8,11 +8,11 @@ import (
 	"strings"
 )
 
-// AllocVet complements the runtime perf gate (scripts/perf_gate.sh
-// pinning BENCH_sim.json at 0 allocs/op): inside the committed
-// hot-path functions (HotPathFuncs, or any function whose doc carries
-// an `// armvet:hotpath` marker) it flags constructs that force — or
-// strongly invite — heap allocation:
+// AllocVet complements the runtime perf gate (`make perfcheck`, which
+// fails when a hot-path benchmark's 0 allocs/op grows): inside the
+// committed hot-path functions (HotPathFuncs, or any function whose doc
+// carries an `// armvet:hotpath` marker) it flags constructs that force
+// — or strongly invite — heap allocation:
 //
 //   - closure literals (captured variables escape);
 //   - fmt.* calls (variadic ...interface{} boxes every argument);

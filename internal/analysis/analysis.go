@@ -24,8 +24,8 @@
 //   - atomicvet: a field accessed through sync/atomic anywhere in a
 //     package is never read or written plainly elsewhere in it.
 //   - allocvet: the committed hot-path function list (the code paths
-//     BENCH_sim.json gates at 0 allocs/op) contains no constructs
-//     that force or invite heap allocation.
+//     whose benchmarks `make perfcheck` holds at 0 allocs/op) contains
+//     no constructs that force or invite heap allocation.
 //
 // A finding is silenced with `//armvet:ignore <pass>[,<pass>...]` on
 // the flagged line or in the doc-comment group above it; see

@@ -29,8 +29,8 @@ var DeterministicPackages = map[string]bool{
 }
 
 // HotPathFuncs is the committed list of functions on the simulator's
-// per-operation critical path — the code the BENCH_sim.json perf gate
-// pins at 0 allocs/op (BenchmarkCompiledDispatch,
+// per-operation critical path — the code whose benchmarks `make
+// perfcheck` holds at 0 allocs/op (BenchmarkCompiledDispatch,
 // BenchmarkRendezvousTwoThreads, BenchmarkStoreCommit,
 // BenchmarkStoreDMBFull). allocvet flags allocation-forcing constructs
 // inside them. Keys are "importpath.Receiver.name" (receiver

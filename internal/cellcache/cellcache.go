@@ -17,7 +17,8 @@
 // Each record is [4B code-hash prefix][32B key][4B len][4B crc32][val].
 // The cache is single-writer per process (Put serializes on one mutex)
 // and crash-safe by construction: a torn append fails the CRC on the
-// next load and only truncates the damaged tail. Corrupt records,
+// next load, which cuts the shard file back to its last intact record,
+// so records appended later are read again. Corrupt records,
 // missing files, an unwritable directory, or a format-version mismatch
 // all degrade to misses — the cache never turns an IO problem into an
 // experiment error.
@@ -403,18 +404,20 @@ func (c *Cache) load() {
 	c.loadLocked()
 }
 
-// loadLocked scans every shard file in order. armvet:holds mu
+// loadLocked scans every shard file in order. A shard with a damaged
+// record is truncated to the intact records before it: the loader
+// stops at the first bad record, so anything appended behind it would
+// never be read again. armvet:holds mu
 func (c *Cache) loadLocked() {
 	for s := 0; s < nShards; s++ {
 		data, err := os.ReadFile(c.shardPath(s))
 		if err != nil {
 			continue
 		}
-		ok := true
-		for off := 0; off < len(data); {
+		off := 0
+		for off < len(data) {
 			k, val, next, valid := parseRecord(data, off)
 			if !valid {
-				ok = false
 				break
 			}
 			// Last record wins, mirroring append order.
@@ -427,8 +430,13 @@ func (c *Cache) loadLocked() {
 			c.bytes += int64(len(val))
 			off = next
 		}
-		if !ok {
+		if off < len(data) {
 			c.damaged++
+			// Another process may have cut the file shorter since the
+			// read; truncating it then would pad it with zeros.
+			if fi, err := os.Stat(c.shardPath(s)); err == nil && fi.Size() > int64(off) {
+				os.Truncate(c.shardPath(s), int64(off))
+			}
 		}
 	}
 }

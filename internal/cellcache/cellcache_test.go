@@ -94,7 +94,6 @@ func TestCorruptTailIsDiscarded(t *testing.T) {
 	}
 
 	c2 := openWithHash(dir, h)
-	defer c2.Close()
 	st := c2.Stats()
 	if st.Entries != 8 {
 		t.Fatalf("intact records must survive a torn tail: %+v", st)
@@ -105,6 +104,21 @@ func TestCorruptTailIsDiscarded(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		if _, ok := c2.Get("exp#0", i); !ok {
 			t.Fatalf("entry %d lost to tail corruption", i)
+		}
+	}
+
+	// The load cut the garbage off, so what the reopened cache appends
+	// is read by the next Open instead of sitting behind the torn record.
+	vals := put(c2, "exp#1", 64)
+	c2.Close()
+	c3 := openWithHash(dir, h)
+	defer c3.Close()
+	if st := c3.Stats(); st.Entries != 72 || st.DamagedFiles != 0 {
+		t.Fatalf("want 72 entries in undamaged shards after the heal, got %+v", st)
+	}
+	for i, want := range vals {
+		if got, ok := c3.Get("exp#1", i); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("entry %d put after the reopen: (%q, %v), want %q", i, got, ok, want)
 		}
 	}
 }

@@ -63,7 +63,8 @@ func refDecode(data []byte) (recs []refRecord, end int) {
 // parseRecord must agree with the reference decoder record by record;
 // each intact record must be served byte-identical unless a later
 // intact record reuses its key (the last one wins); and damage may
-// show only as misses and DamagedFiles.
+// show only as misses and DamagedFiles, and the load cuts the file
+// back to its intact records.
 func FuzzShardDecode(f *testing.F) {
 	h := testHash("fuzz")
 	rec := func(scope string, idx int, val string) []byte {
@@ -126,6 +127,9 @@ func FuzzShardDecode(f *testing.F) {
 		st := c.Stats()
 		if st.Entries != len(want) || st.Bytes != wantBytes || st.DamagedFiles != wantDamaged || st.MemoryOnly {
 			t.Fatalf("stats %+v, want %d entries, %d bytes, %d damaged files", st, len(want), wantBytes, wantDamaged)
+		}
+		if fi, err := os.Stat(filepath.Join(dir, "shard-00.bin")); err != nil || fi.Size() != int64(end) {
+			t.Fatalf("shard after Open: %v, %v; want it cut back to its %d intact bytes", fi, err, end)
 		}
 	})
 }

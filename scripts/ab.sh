@@ -1,22 +1,32 @@
 #!/bin/sh
-# Paired A/B benchmark of this checkout against a git revision:
+# Paired A/B benchmark of this checkout against a git revision, and the
+# perf gate of `make perfcheck`:
 #
 #   scripts/ab.sh <rev> [workload...]
 #
-# It builds <rev> in a temporary git worktree (removed on exit) and, for
-# each workload (default: every workload BENCHMARK.json lists), runs
+# It extracts <rev> into a temporary directory with `git archive`
+# (removed on exit) and runs each workload ten times on each side,
+# alternating which side goes first in each pair. A workload is one of
+# BENCHMARK.json's workloads (the default: all of them), each run
 #
 #   bash perfbench/run.sh --workload W --seed 42 --seconds S --trace 0
 #
-# ten times in each checkout, alternating which side goes first in each
-# pair, with S the run_seconds BENCHMARK.json fixes. It then prints one
-# markdown row per workload and BENCHMARK.json end-to-end metric: both
-# medians, each side's interquartile range, in how many pairs this
-# checkout was better, and each side's failed/attempted cell counts
-# summed over its runs.
+# with S the run_seconds BENCHMARK.json fixes, or `micro`: the twelve
+# hot-path microbenchmarks of `make bench-sim`, each run alone from a
+# test binary that each side builds once.
 #
-# It needs only sh, git and awk, and writes only under each checkout's
-# .bench_build/ and a temporary directory.
+# It then prints one markdown row per workload and metric (for micro,
+# per benchmark and ns/op or allocs/op) with scripts/abstats.awk: both
+# medians, each side's interquartile range, in how many pairs this
+# checkout was better, each side's failed/attempted counts and the
+# verdict. A row is worse when this checkout's median is worse than
+# <rev>'s by more than the metric's bound (BENCHMARK.json's for its
+# metrics, 25% for ns/op, any growth for allocs/op), or when a run
+# printed no result; scripts/abmicro.json holds micro's two bounds. The
+# script exits 1 if any row is worse.
+#
+# It needs only sh, git, tar and awk, and writes only under each
+# side's .bench_build/ and the temporary directory.
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -27,9 +37,18 @@ rev=$1
 shift
 # Ten alternating pairs: the fewest that can show a win in nine of ten.
 pairs=10
+# The twelve hot-path microbenchmarks, as package/benchmark pairs, and
+# their six packages.
+micro="sim/RendezvousTwoThreads sim/StoreCommit sim/StoreDMBFull
+sim/CompiledDispatch cellcache/CellCacheHit mesi/DirectoryRank1024
+mesi/DirectorySharerChurn1024 barrier/BarrierScale64
+barrier/BarrierScale256 barrier/BarrierScale1024 explore/ExploreStates
+locks/LockHandoff"
+micropkgs="sim cellcache mesi barrier explore locks"
 
 head=$(git rev-parse --show-toplevel)
 bench=$head/BENCHMARK.json
+awkstats=$head/scripts/abstats.awk
 secs=$(awk '/"run_seconds"/ {
 	sub(/.*"run_seconds": */, ""); sub(/[^0-9.].*/, ""); print; exit
 }' "$bench")
@@ -50,119 +69,106 @@ on && match($0, /"name": *"[^"]*"/) {
 
 tmp=$(mktemp -d)
 base=$tmp/base
-cleanup() {
-	git -C "$head" worktree remove --force "$base" 2>/dev/null || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
+# Go makes its module cache read-only; make everything removable.
+trap 'chmod -R u+w "$tmp" 2>/dev/null; rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
-git -C "$head" worktree add --detach --quiet "$base" "$rev"
+mkdir "$base"
+git -C "$head" archive "$rev" | tar -x -C "$base"
 
-# run_one DIR WORKLOAD OUT appends the run's result line (the last line
-# perfbench prints) to OUT, or an empty result when the run printed
-# none.
+# dir SIDE is the source tree of side base or head.
+dir() {
+	if [ "$1" = base ]; then echo "$base"; else echo "$head"; fi
+}
+
+# One row set per workload; micro stands for its twelve benchmarks,
+# each a row micro/PACKAGE/BENCHMARK.
+rows=
+for w in "$@"; do
+	if [ "$w" = micro ]; then
+		for pb in $micro; do rows="$rows micro/$pb"; done
+		for side in base head; do
+			mkdir -p "$tmp/bin/$side"
+			for pkg in $micropkgs; do
+				echo "ab.sh: building $side internal/$pkg" >&2
+				(cd "$(dir "$side")" && go test -c -o "$tmp/bin/$side/$pkg.test" "./internal/$pkg")
+			done
+		done
+	else
+		rows="$rows $w"
+	fi
+done
+
+# run_one SIDE ROW appends the run's result line to $tmp/ROW.SIDE: the
+# last line perfbench prints, or the benchmark's ns/op and allocs/op in
+# the same form. A run that printed no result appends one with no
+# metrics.
 run_one() {
-	line=$(cd "$1" && bash perfbench/run.sh --workload "$2" --seed 42 \
-		--seconds "$secs" --trace 0 2>"$tmp/stderr" | tail -n 1) || true
-	case $line in
-	'{'*) echo "$line" >>"$3" ;;
+	out=$tmp/$(echo "$2" | tr / _).$1
+	case $2 in
+	micro/*)
+		pkg=${2#micro/}
+		pkg=${pkg%/*}
+		name=${2##*/}
+		# The timeout turns a hung benchmark into a run with no result.
+		line=$(cd "$(dir "$1")/internal/$pkg" && "$tmp/bin/$1/$pkg.test" \
+			-test.run '^$' -test.bench "^Benchmark$name\$" -test.benchtime 200ms \
+			-test.benchmem -test.timeout 2m 2>"$tmp/stderr" | awk -v b="Benchmark$name" '
+			$1 == b || index($1, b "-") == 1 {
+				for (i = 3; i < NF; i += 2) {
+					if ($(i + 1) == "ns/op") ns = $i
+					if ($(i + 1) == "allocs/op") allocs = $i
+				}
+			}
+			END {
+				if (ns != "" && allocs != "")
+					printf "{\"attempted\":1,\"failed\":0,\"metrics\":{\"ns/op\":{\"value\":%s},\"allocs/op\":{\"value\":%s}}}\n", ns, allocs
+			}') || true
+		empty='{"attempted":1,"failed":1,"metrics":{}}'
+		;;
 	*)
-		echo "ab.sh: $2 in $1 printed no result:" >&2
+		line=$(cd "$(dir "$1")" && bash perfbench/run.sh --workload "$2" --seed 42 \
+			--seconds "$secs" --trace 0 2>"$tmp/stderr" | tail -n 1) || true
+		empty='{"attempted":0,"failed":0,"metrics":{}}'
+		;;
+	esac
+	case $line in
+	'{'*) echo "$line" >>"$out" ;;
+	*)
+		echo "ab.sh: $2 on $1 printed no result:" >&2
 		tail -n 5 "$tmp/stderr" >&2
-		echo '{"attempted":0,"failed":0,"metrics":{}}' >>"$3"
+		echo "$empty" >>"$out"
 		;;
 	esac
 }
 
-for w in "$@"; do
+for r in $rows; do
 	i=1
 	while [ "$i" -le "$pairs" ]; do
-		echo "ab.sh: $w pair $i of $pairs" >&2
+		echo "ab.sh: $r pair $i of $pairs" >&2
 		if [ $((i % 2)) -eq 1 ]; then
-			run_one "$base" "$w" "$tmp/$w.base"
-			run_one "$head" "$w" "$tmp/$w.head"
+			run_one base "$r"
+			run_one head "$r"
 		else
-			run_one "$head" "$w" "$tmp/$w.head"
-			run_one "$base" "$w" "$tmp/$w.base"
+			run_one head "$r"
+			run_one base "$r"
 		fi
 		i=$((i + 1))
 	done
 done
 
-echo "$pairs alternating pairs per workload, --seconds $secs, seed 42; base = $rev"
+echo "$pairs alternating pairs per row (perfbench --seconds $secs --seed 42, micro -test.benchtime 200ms); base = $rev ($(git -C "$head" rev-parse --short "$rev")), head = this checkout"
 echo
-echo "| workload | metric | base median | head median | base IQR | head IQR | head better | base failed/attempted | head failed/attempted |"
-echo "|---|---|---|---|---|---|---|---|---|"
-for w in "$@"; do
-	awk -v w="$w" '
-	# value returns the number after "key": in a result line.
-	function value(l, key,    s) {
-		s = l
-		if (!sub(".*\"" key "\":(\\{\"value\":)?", "", s)) return ""
-		sub(/[,}].*/, "", s)
-		return s
-	}
-	# quantile of the sorted v[1..n] (linear interpolation).
-	function quantile(v, n, p,    h, lo) {
-		if (n == 0) return "n/a"
-		h = (n - 1) * p + 1
-		lo = int(h)
-		if (lo >= n) return v[n]
-		return v[lo] + (h - lo) * (v[lo + 1] - v[lo])
-	}
-	function sortn(v, n,    i, j, x) {
-		for (i = 2; i <= n; i++) {
-			x = v[i]
-			for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
-			v[j + 1] = x
-		}
-	}
-	FILENAME ~ /BENCHMARK.json$/ {
-		if ($0 ~ /"end_to_end"/) inE2E = 1
-		else if ($0 ~ /"per_layer"/) inE2E = 0
-		if (inE2E && match($0, /"name": *"[^"]*"/)) {
-			name = substr($0, RSTART, RLENGTH)
-			sub(/"name": *"/, "", name)
-			sub(/"$/, "", name)
-			metrics[++nm] = name
-		}
-		if (inE2E && $0 ~ /"better": *"higher"/) higher[name] = 1
-		next
-	}
-	{
-		side = FILENAME ~ /\.base$/ ? "base" : "head"
-		k = ++n[side]
-		line[side, k] = $0
-		att[side] += value($0, "attempted")
-		fail[side] += value($0, "failed")
-	}
-	END {
-		for (m = 1; m <= nm; m++) {
-			name = metrics[m]
-			wins = 0
-			pairs = 0
-			for (k = 1; k <= n["base"] && k <= n["head"]; k++) {
-				b = value(line["base", k], name)
-				h = value(line["head", k], name)
-				if (b == "" || h == "") continue
-				pairs++
-				if (higher[name] ? h + 0 > b + 0 : h + 0 < b + 0) wins++
-			}
-			out = "| " w " | " name
-			for (s = 1; s <= 2; s++) {
-				side = s == 1 ? "base" : "head"
-				c = 0
-				for (k = 1; k <= n[side]; k++) {
-					x = value(line[side, k], name)
-					if (x != "") v[++c] = x + 0
-				}
-				sortn(v, c)
-				med[side] = quantile(v, c, 0.5)
-				iqr[side] = c ? quantile(v, c, 0.75) - quantile(v, c, 0.25) : "n/a"
-			}
-			printf "%s | %.4g | %.4g | %.3g | %.3g | %d of %d | %d/%d | %d/%d |\n", out,
-				med["base"], med["head"], iqr["base"], iqr["head"], wins, pairs,
-				fail["base"], att["base"], fail["head"], att["head"]
-		}
-	}' "$bench" "$tmp/$w.base" "$tmp/$w.head"
+echo "| workload | metric | base median | head median | base IQR | head IQR | head better | base failed/attempted | head failed/attempted | verdict |"
+echo "|---|---|---|---|---|---|---|---|---|---|"
+status=0
+for r in $rows; do
+	spec=$bench
+	case $r in micro/*) spec=$head/scripts/abmicro.json ;; esac
+	f=$tmp/$(echo "$r" | tr / _)
+	awk -v w="$r" -f "$awkstats" "$spec" "$f.base" "$f.head" || status=1
 done
+if [ "$status" -ne 0 ]; then
+	echo
+	echo "ab.sh: FAIL: a row is worse than $rev"
+fi
+exit "$status"

@@ -1,17 +1,15 @@
 #!/bin/sh
-# Regenerates BENCH_sim.json, the committed snapshot of the simulator
+# Regenerates BENCH_sim.json, the committed record of the simulator
 # hot-path microbenchmarks. Run from the repo root (or via
-# `make bench-snapshot`) on a quiet machine; commit the result so perf
-# regressions in the dispatch/commit paths show up in review diffs.
-# The gate is two-sided: perfcheck also fails on improvements beyond
-# its -improve-threshold, and this script is how that failure is
-# resolved — rerun it so the speedup becomes the enforced baseline.
+# `make bench-snapshot`) on a quiet machine; commit the result so the
+# numbers of the dispatch/commit paths show up in review diffs. It is
+# a record of the trajectory, not a baseline: `make perfcheck` gates
+# the benchmarks against a base revision run back to back with them
+# (scripts/ab.sh micro).
 #
-# Each benchmark runs 3 times (perfcheck's default -runs), and the
-# snapshot records its fastest run, with that run's iterations, B/op
-# and allocs/op. That is the statistic perfcheck gates, so a snapshot
-# taken while the host is slow for a minute does not make untouched
-# code fail the gate as "improved".
+# Each benchmark runs 3 times, and the snapshot records its fastest
+# run, with that run's iterations, B/op and allocs/op, so a snapshot
+# taken while the host is slow for a minute reads less slow.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -22,7 +20,7 @@ raw=$(go test -run '^$' -bench 'Rendezvous|StoreCommit|StoreDMB|CompiledDispatch
 
 # Result-cache context: time `-quick all` cold (fresh cache dir) and
 # warm (same dir, every cell replayed from disk). Recorded in the
-# snapshot for reviewers — perfcheck prints but does not gate it.
+# snapshot as context; nothing gates it.
 bin=$(mktemp -d)/armbar
 cachedir=$(mktemp -d)
 trap 'rm -rf "$(dirname "$bin")" "$cachedir"' EXIT
@@ -75,8 +73,8 @@ END {
 }' > "$out"
 
 # Every regeneration also appends the snapshot as one compact JSON
-# line to the committed history, so `armbar perfcheck` can show how
-# the baseline itself drifted across refreshes. Indentation is
+# line to the committed history, which shows how the numbers drifted
+# across refreshes. Indentation is
 # line-leading only and JSON strings hold no newlines, so stripping
 # leading whitespace and joining lines is a faithful compaction.
 hist=BENCH_history.jsonl
